@@ -12,7 +12,7 @@ is not limited by the interpreter recursion limit.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -220,16 +217,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def log(self):
-        out = Tensor(np.log(self.data), self.requires_grad, (self,))
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        out._backward = backward
-        return out
-
     def relu(self):
         mask = self.data > 0
         out = Tensor(np.where(mask, self.data, 0.0), self.requires_grad, (self,))
@@ -298,18 +285,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def __getitem__(self, key):
-        out = Tensor(self.data[key], self.requires_grad, (self,))
-
-        def backward(grad):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, key, grad)
-                self._accumulate(full)
-
-        out._backward = backward
-        return out
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -325,27 +300,6 @@ def gather_rows(table: Tensor, indices) -> Tensor:
             full = np.zeros_like(table.data)
             np.add.at(full, idx, grad)
             table._accumulate(full)
-
-    out._backward = backward
-    return out
-
-
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate along axis 0."""
-    parts = [as_tensor(t) for t in tensors]
-    sizes = [p.data.shape[0] for p in parts]
-    out = Tensor(
-        np.concatenate([p.data for p in parts], axis=0),
-        any(p.requires_grad for p in parts),
-        tuple(parts),
-    )
-
-    def backward(grad):
-        offset = 0
-        for p, size in zip(parts, sizes):
-            if p.requires_grad:
-                p._accumulate(grad[offset : offset + size])
-            offset += size
 
     out._backward = backward
     return out

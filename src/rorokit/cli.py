@@ -6,18 +6,15 @@ Conventions shared by every subcommand:
   human-oriented notes go to standard error only
 * exit 0 on success, 1 on domain errors (validation failures, cycles,
   impossible configs), 2 on I/O or parse failures
-* everything is deterministic given --seed; the ROROKIT_THREADS environment
-  variable caps worker threads for per-document map steps (default 1)
+* everything is deterministic given --seed
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .autodiff import AutodiffError
 from .layout import (
@@ -66,25 +63,6 @@ _DOMAIN_ERRORS = (
     MissingGradientError,
     ValueError,
 )
-
-
-def thread_count() -> int:
-    """Worker cap from ROROKIT_THREADS; defaults to 1 (fully sequential)."""
-    raw = os.environ.get("ROROKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"ROROKIT_THREADS must be an integer, got {raw!r}")
-
-
-def thread_map(fn: Callable, items: Iterable) -> list:
-    """Order-preserving map, threaded only when ROROKIT_THREADS > 1."""
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +263,8 @@ def cmd_eval(args) -> int:
     docs = _select_split(corpus, args.split)
     systems = _system_table(args, model, level)
     gold_fn = derive_word_level if level == "word" else None
-
-    # Precompute predictions with the thread cap, then serve them from cache.
-    cached: dict[str, Callable[[Document], Relation]] = {}
-    for name in sorted(systems):
-        table = dict(zip((d.id for d in docs), thread_map(systems[name], docs)))
-        cached[name] = lambda doc, table=table: table[doc.id]
     report = benchmark_report(
-        docs, cached, ceiling=not args.no_ceiling, gold_fn=gold_fn
+        docs, systems, ceiling=not args.no_ceiling, gold_fn=gold_fn
     )
     _note(report_to_text(report))
     _emit_text(report_to_json(report), args.output)

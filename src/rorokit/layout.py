@@ -16,6 +16,7 @@ serializable for downstream validation.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -168,6 +169,10 @@ class Corpus:
 
     def __post_init__(self):
         self.documents = tuple(self.documents)
+        counts = Counter(d.id for d in self.documents)
+        duplicates = sorted(doc_id for doc_id, n in counts.items() if n > 1)
+        if duplicates:
+            raise ValidationError(f"duplicate document ids: {duplicates}")
         if not self.split:
             self.split = {d.id: "train" for d in self.documents}
         missing = [d.id for d in self.documents if d.id not in self.split]
@@ -245,10 +250,12 @@ def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
     """Load a JSON-lines corpus, validating every invariant.
 
     Raises :class:`CorpusParseError` with the line number on malformed JSON
-    and :class:`ValidationError` naming the document on invariant breaches.
+    and :class:`ValidationError` naming the document on invariant breaches,
+    or naming the id and both line numbers when a document id repeats.
     """
     documents = []
     split: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -258,6 +265,12 @@ def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
             except json.JSONDecodeError as exc:
                 raise CorpusParseError(lineno, str(exc)) from exc
             doc = document_from_dict(obj, allow_cyclic=allow_cyclic)
+            if doc.id in first_line:
+                raise ValidationError(
+                    f"line {lineno}: duplicate document id {doc.id!r} "
+                    f"(first on line {first_line[doc.id]})"
+                )
+            first_line[doc.id] = lineno
             documents.append(doc)
             split[doc.id] = obj.get("split", "train")
     return Corpus(tuple(documents), split)

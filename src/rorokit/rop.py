@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -130,6 +130,16 @@ def target_relation(doc: Document, task_level: str = "segment") -> Relation:
     raise ValueError(f"unknown task_level {task_level!r}")
 
 
+def check_span_tiling(spans: Sequence[tuple[int, int]]) -> int:
+    """Validate ordered, disjoint, gap-free spans; return the token count."""
+    cursor = 0
+    for start, end in spans:
+        if start != cursor or end <= start:
+            raise ValueError(f"span ({start}, {end}) breaks the token tiling")
+        cursor = end
+    return cursor
+
+
 def pool_elements(states: Tensor, spans: Sequence[tuple[int, int]]) -> Tensor:
     """Mean-pool token states into element states via one constant matmul.
 
@@ -139,13 +149,9 @@ def pool_elements(states: Tensor, spans: Sequence[tuple[int, int]]) -> Tensor:
     if states.ndim != 2:
         raise ValueError(f"states must be (tokens, dim), got {states.shape}")
     n_tokens = states.shape[0]
-    cursor = 0
-    for start, end in spans:
-        if start != cursor or end <= start:
-            raise ValueError(f"span ({start}, {end}) breaks the token tiling")
-        cursor = end
-    if cursor != n_tokens:
-        raise ValueError(f"spans cover {cursor} tokens, states have {n_tokens}")
+    covered = check_span_tiling(spans)
+    if covered != n_tokens:
+        raise ValueError(f"spans cover {covered} tokens, states have {n_tokens}")
     pool = np.zeros((len(spans), n_tokens))
     for i, (start, end) in enumerate(spans):
         pool[i, start:end] = 1.0 / (end - start)
@@ -295,17 +301,21 @@ class ROPModel:
     def head(self) -> GlobalPointerHead:
         return GlobalPointerHead(self.store)
 
-    def _forward_scores(self, doc: Document) -> Tensor:
-        texts, boxes, spans = tokens_for_document(
-            doc, self.config.task_level, self.config.bbox_level
-        )
+    def scores(
+        self,
+        texts: Sequence[str],
+        boxes: Sequence[BBox],
+        spans: Sequence[tuple[int, int]],
+    ) -> Tensor:
+        """Encode the tokens, pool them by span and score every element pair."""
         states = encoder_forward(self.encoder_config, self.store, texts, boxes)
-        pooled = pool_elements(states, spans)
-        return self.head().scores(pooled)
+        return self.head().scores(pool_elements(states, spans))
 
     def score_document(self, doc: Document) -> np.ndarray:
         """(n, n) raw pair scores; n counts task elements."""
-        return self._forward_scores(doc).data
+        return self.scores(
+            *tokens_for_document(doc, self.config.task_level, self.config.bbox_level)
+        ).data
 
     def predict(self, doc: Document, enforce_acyclic: bool = False) -> Relation:
         return decode(
@@ -343,6 +353,67 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def fit(
+    store: ParameterStore,
+    examples: Sequence,
+    example_loss: Callable[[object], Tensor],
+    rng: np.random.Generator,
+    learning_rate: float,
+    epochs: int,
+    batch_size: int,
+    validate: Optional[Callable[[], float]] = None,
+    patience: int = 1,
+) -> tuple[list[float], list[float], int]:
+    """Mini-batch AdamW over ``examples``; returns (losses, scores, best epoch).
+
+    Each epoch shuffles the examples with ``rng``, averages the gradients of
+    ``example_loss`` over each batch and takes one optimizer step per batch;
+    the returned losses are per-epoch means. With ``validate`` the score it
+    returns after each epoch drives early stopping: training stops on a
+    perfect 1.0 or after ``patience`` epochs without improvement, and the
+    parameters of the best epoch are restored. Without it every epoch runs
+    and the last one counts as best.
+    """
+    order = np.arange(len(examples))
+    losses: list[float] = []
+    scores: list[float] = []
+    best_score = -1.0
+    best_epoch = -1
+    best_params: Optional[dict[str, np.ndarray]] = None
+    since_best = 0
+    for epoch in range(epochs):
+        rng.shuffle(order)
+        epoch_loss = 0.0
+        for start in range(0, len(order), batch_size):
+            batch = order[start : start + batch_size]
+            store.zero_grads()
+            scale = 1.0 / len(batch)
+            for idx in batch:
+                loss = example_loss(examples[idx])
+                epoch_loss += loss.item()
+                (loss * scale).backward()
+            optimizer_step(store, learning_rate)
+        losses.append(epoch_loss / len(examples))
+        if validate is None:
+            continue
+        score = validate()
+        scores.append(score)
+        if score > best_score:
+            best_score = score
+            best_epoch = epoch
+            best_params = {n: t.data.copy() for n, t in store.items()}
+            since_best = 0
+        else:
+            since_best += 1
+        if score == 1.0 or since_best >= patience:
+            break
+    if best_params is None:
+        return losses, scores, len(losses) - 1
+    for name, values in best_params.items():
+        store[name].data[...] = values
+    return losses, scores, best_epoch
 
 
 def _skip_reason(
@@ -424,68 +495,34 @@ def train(
 
     store = ParameterStore()
     init_encoder_params(encoder_config, rng, store)
-    head = GlobalPointerHead.create(
-        encoder_config.model_dim, config.head_dim, store, rng
-    )
+    GlobalPointerHead.create(encoder_config.model_dim, config.head_dim, store, rng)
     model = ROPModel(encoder_config, config, store)
+
+    def example_loss(example) -> Tensor:
+        inputs, labels = example
+        return gp_loss(
+            model.scores(*inputs), labels, config.include_diagonal_negatives
+        )
 
     def validation_f1() -> float:
         pairs = [(gold, model.predict(doc)) for doc, gold in val_examples]
         return corpus_f1(pairs).f1
 
-    best_f1 = -1.0
-    best_epoch = -1
-    best_params: Optional[dict[str, np.ndarray]] = None
-    since_best = 0
-    train_losses: list[float] = []
-    val_f1s: list[float] = []
-    order = np.arange(len(examples))
-    epochs_run = 0
-
-    for epoch in range(config.epochs):
-        epochs_run = epoch + 1
-        rng.shuffle(order)
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            store.zero_grads()
-            scale = 1.0 / len(batch)
-            for idx in batch:
-                (texts, boxes, spans), labels = examples[idx]
-                states = encoder_forward(encoder_config, store, texts, boxes)
-                pooled = pool_elements(states, spans)
-                loss = gp_loss(
-                    head.scores(pooled), labels, config.include_diagonal_negatives
-                )
-                epoch_loss += loss.item()
-                (loss * scale).backward()
-            optimizer_step(store, config.learning_rate)
-        train_losses.append(epoch_loss / len(examples))
-
-        if val_examples:
-            f1 = validation_f1()
-            val_f1s.append(f1)
-            if f1 > best_f1:
-                best_f1 = f1
-                best_epoch = epoch
-                best_params = {n: t.data.copy() for n, t in store.items()}
-                since_best = 0
-            else:
-                since_best += 1
-            if f1 == 1.0 or since_best >= config.patience:
-                break
-
-    if best_params is not None:
-        for name, values in best_params.items():
-            store[name].data[...] = values
-    else:
-        best_epoch = epochs_run - 1
-        best_f1 = float("nan")
-
+    train_losses, val_f1s, best_epoch = fit(
+        store,
+        examples,
+        example_loss,
+        rng,
+        config.learning_rate,
+        config.epochs,
+        config.batch_size,
+        validation_f1 if val_examples else None,
+        config.patience,
+    )
     report = TrainReport(
-        epochs_run=epochs_run,
+        epochs_run=len(train_losses),
         best_epoch=best_epoch,
-        best_val_f1=best_f1,
+        best_val_f1=val_f1s[best_epoch] if val_f1s else float("nan"),
         train_losses=train_losses,
         val_f1=val_f1s,
         skipped=skipped,

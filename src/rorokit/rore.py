@@ -25,26 +25,23 @@ from .nn import (
     ParameterStore,
     encoder_forward,
     init_encoder_params,
-    optimizer_step,
 )
 from .relations import CycleError, Relation, is_acyclic, transitive_closure
-from .rop import decode, GlobalPointerHead, gp_loss, pool_elements, tokens_for_document
+from .rop import (
+    GlobalPointerHead,
+    check_span_tiling,
+    decode,
+    fit,
+    gp_loss,
+    pool_elements,
+    tokens_for_document,
+)
 
 MATRIX_KINDS = ("isdr", "gsdr")
 LAMBDA_PREFIX = "rore.lambda."
 
 # Element index -> contiguous token range; ranges must tile [0, n) in order.
 SpanMap = Sequence[tuple[int, int]]
-
-
-def check_span_tiling(spans: SpanMap) -> int:
-    """Validate ordered, disjoint, gap-free spans; return the token count."""
-    cursor = 0
-    for start, end in spans:
-        if start != cursor or end <= start:
-            raise ValueError(f"span ({start}, {end}) breaks the token tiling")
-        cursor = end
-    return cursor
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,22 +268,15 @@ def _train_linking_arm(
         )
         return head.scores(pool_elements(states, example.spans))
 
-    order = np.arange(len(train_examples))
-    losses = []
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            store.zero_grads()
-            scale = 1.0 / len(batch)
-            for idx in batch:
-                example = train_examples[idx]
-                loss = gp_loss(forward(example), example.links)
-                epoch_loss += loss.item()
-                (loss * scale).backward()
-            optimizer_step(store, config.learning_rate)
-        losses.append(epoch_loss / len(train_examples))
+    losses, _, _ = fit(
+        store,
+        train_examples,
+        lambda example: gp_loss(forward(example), example.links),
+        rng,
+        config.learning_rate,
+        config.epochs,
+        config.batch_size,
+    )
 
     def evaluate(examples: list[_LinkExample]) -> float:
         pairs = [(ex.links, decode(forward(ex).data)) for ex in examples]

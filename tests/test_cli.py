@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rorokit.cli import main, thread_count, thread_map
+from rorokit.cli import main
 from rorokit.layout import load_corpus
 from rorokit.relations import Relation
 from rorokit.synth import SynthConfig, synth_generate
@@ -213,6 +213,15 @@ def test_eval_without_systems_exits_1(tmp_path, capsys):
     assert code == 1 and "nothing to evaluate" in err
 
 
+def test_eval_rejects_duplicate_ids(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, n_docs=3)
+    lines = corpus.read_text().splitlines()
+    corpus.write_text("\n".join(lines + lines[1:2]) + "\n")
+    code, out, err = run(capsys, "eval", str(corpus), "--heuristic")
+    assert code == 1 and out == ""
+    assert "line 4: duplicate document id" in err
+
+
 def test_eval_split_filter(tmp_path, capsys):
     path = tmp_path / "split.jsonl"
     from rorokit.layout import save_corpus
@@ -272,28 +281,6 @@ def test_render_unknown_doc_exits_1(tmp_path, capsys):
     corpus = write_corpus(tmp_path, n_docs=1)
     code, _, _ = run(capsys, "render", str(corpus), "--doc", "missing")
     assert code == 1
-
-
-# --- parallelism helpers ---
-
-
-def test_thread_count_default(monkeypatch):
-    monkeypatch.delenv("ROROKIT_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("ROROKIT_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("ROROKIT_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("ROROKIT_THREADS", "many")
-    with pytest.raises(ValueError):
-        thread_count()
-
-
-def test_thread_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("ROROKIT_THREADS", "4")
-    assert thread_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
-    monkeypatch.setenv("ROROKIT_THREADS", "1")
-    assert thread_map(lambda x: -x, [3, 1, 2]) == [-3, -1, -2]
 
 
 def test_usage_error_exits_2(capsys):

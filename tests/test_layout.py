@@ -172,6 +172,22 @@ def test_load_rejects_cyclic_isdr_unless_allowed(tmp_path):
     assert loaded.documents[0].isdr.pairs == {(0, 1), (1, 0)}
 
 
+def test_load_rejects_duplicate_ids(tmp_path):
+    # Four lines, three ids: the repeat must not silently overwrite the split.
+    rows = [("a", "train"), ("b", "train"), ("c", "test"), ("b", "test")]
+    path = tmp_path / "dup.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps(document_to_dict(chain_doc(i), split=split)) + "\n"
+            for i, split in rows
+        )
+    )
+    with pytest.raises(ValidationError, match="line 4: .* id 'b' .*line 2"):
+        load_corpus(path)
+    with pytest.raises(ValidationError, match="duplicate document ids"):
+        Corpus((chain_doc(), chain_doc()))
+
+
 # --- word-level derivation ---
 
 

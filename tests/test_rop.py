@@ -15,6 +15,7 @@ from rorokit.rop import (
     ROPConfig,
     ROPModel,
     decode,
+    fit,
     gp_loss,
     pool_elements,
     predict_pseudo_labels,
@@ -363,6 +364,51 @@ def test_early_stopping_respects_patience():
     _, report = small_train(corpus, epochs=60, patience=2, learning_rate=0.0)
     # With a frozen model validation F1 never improves after the first epoch.
     assert report.epochs_run <= 3
+
+
+def fit_one_parameter(scores=None, epochs=10, patience=1):
+    """Fit w toward targets 1, 2, 3; validate replays ``scores`` in order."""
+    store = ParameterStore()
+    w = store.add("w", np.zeros(1))
+    after_epoch = []
+
+    def validate():
+        after_epoch.append(w.data.copy())
+        return scores[len(after_epoch) - 1]
+
+    result = fit(
+        store,
+        [1.0, 2.0, 3.0],
+        lambda target: ((w - target) ** 2).sum(),
+        np.random.default_rng(0),
+        learning_rate=0.1,
+        epochs=epochs,
+        batch_size=2,
+        validate=validate if scores is not None else None,
+        patience=patience,
+    )
+    return result, w.data.copy(), after_epoch
+
+
+def test_fit_restores_best_epoch_after_patience_runs_out():
+    (losses, scores, best), w, after_epoch = fit_one_parameter(
+        [0.2, 0.5, 0.4, 0.3, 0.9, 0.9], patience=2
+    )
+    assert len(losses) == 4 and scores == [0.2, 0.5, 0.4, 0.3]
+    assert best == 1
+    assert np.array_equal(w, after_epoch[1])
+    assert not np.array_equal(w, after_epoch[3])
+
+
+def test_fit_stops_on_perfect_score():
+    (losses, scores, best), _, _ = fit_one_parameter([1.0, 0.5], patience=5)
+    assert len(losses) == 1 and scores == [1.0] and best == 0
+
+
+def test_fit_without_validation_runs_every_epoch():
+    (losses, scores, best), w, _ = fit_one_parameter(epochs=3)
+    assert len(losses) == 3 and scores == [] and best == 2
+    assert losses[-1] < losses[0] and 0.0 < w[0] < 3.0
 
 
 # --- persistence and pseudo-labels ---
