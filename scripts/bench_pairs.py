@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Compare two rorokit checkouts on the perfbench workloads, in alternating pairs.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --out BENCH_graph_light.json
+
+Each run is a fresh ``perfbench/run.py`` process started in its own checkout,
+for the ``run_seconds`` of the change's ``BENCHMARK.json``. The claimed
+workload (``CLAIM``) runs ``PAIRS`` untraced pairs on seed 0 and
+``HELD_OUT_PAIRS`` on the held-out seed 1; every other workload runs one
+untraced pair on seed 0; every workload runs one traced pair on seed 0.
+Pairs alternate which side runs first. The output holds every run, per-metric medians and quartiles
+(inclusive method) for each side, the change's wins on the claimed metric,
+the per-layer deltas of the traced pairs, and the machine block.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("rop-train", "rop-predict", "relations-eval", "rore-link")
+CLAIM, METRIC = "rop-train", "docs_per_s"
+PAIRS, HELD_OUT_PAIRS = 10, 3
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        sys.stderr.write(proc.stderr[-4000:])
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}")
+    detail, result = json.loads(lines[-2])["detail"], json.loads(lines[-1])
+    return {
+        "workload": workload, "seed": seed, "trace": trace,
+        "correct": result["correct"], "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+        "named": {k: m["value"] for k, m in detail["named"].items()},
+        "hashes": detail["hashes"], "machine": detail["machine"],
+    }
+
+
+def run_pairs(sides: dict, workload: str, seed: int, pairs: int, seconds: float,
+              trace: int, runs: list) -> None:
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            record = run_once(sides[side], workload, seed, seconds, trace)
+            record.update(side=side, pair=i)
+            runs.append(record)
+            print(f"{workload} seed {seed} trace {trace} pair {i} {side}: "
+                  f"{json.dumps(record['metrics'], sort_keys=True)[:200]}", flush=True)
+
+
+def spread(values: list[float]) -> dict:
+    out = {"n": len(values), "median": statistics.median(values)}
+    if len(values) >= 2:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        out.update(q1=q1, q3=q3)
+    return out
+
+
+def summarize(runs: list) -> dict:
+    summary: dict = {}
+    for r in runs:
+        if r["trace"]:
+            continue
+        key = f"{r['workload']} seed {r['seed']}"
+        row = summary.setdefault(key, {})
+        for name, value in r["metrics"].items():
+            row.setdefault(name, {"parent": [], "change": []})[r["side"]].append(value)
+    for key, row in summary.items():
+        for name, sides in row.items():
+            row[name] = {side: spread(v) for side, v in sides.items()}
+            row[name]["change_over_parent"] = (
+                row[name]["change"]["median"] / row[name]["parent"]["median"]
+            )
+        if key.startswith(CLAIM + " "):
+            pairs: dict = {}
+            for r in runs:
+                if not r["trace"] and f"{r['workload']} seed {r['seed']}" == key:
+                    pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"][METRIC]
+            row[METRIC]["change_wins"] = sum(p["change"] > p["parent"] for p in pairs.values())
+            row[METRIC]["pairs"] = len(pairs)
+    return summary
+
+
+def layer_deltas(runs: list) -> dict:
+    deltas = {}
+    for workload in WORKLOADS:
+        traced = {r["side"]: r["metrics"] for r in runs
+                  if r["trace"] and r["workload"] == workload}
+        if len(traced) < 2:
+            continue
+        deltas[workload] = {
+            name: {"parent": traced["parent"][name], "change": value,
+                   "delta": value - traced["parent"][name]}
+            for name, value in traced["change"].items()
+            if value or traced["parent"].get(name)
+        }
+    return deltas
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = benchmark["run_seconds"]
+
+    runs: list = []
+    run_pairs(sides, CLAIM, 0, PAIRS, seconds, 0, runs)
+    run_pairs(sides, CLAIM, 1, HELD_OUT_PAIRS, seconds, 0, runs)
+    for workload in WORKLOADS:
+        if workload != CLAIM:
+            run_pairs(sides, workload, 0, 1, seconds, 0, runs)
+    for workload in WORKLOADS:
+        run_pairs(sides, workload, 0, 1, seconds, 1, runs)
+
+    report = {
+        "claim": {"workload": CLAIM, "metric": METRIC, "seed": 0, "held_out_seed": 1},
+        "run_seconds": seconds,
+        "machine": runs[0]["machine"],
+        "all_correct": all(r["correct"] and not r["failed"] for r in runs),
+        "end_to_end": summarize(runs),
+        "per_layer_traced": layer_deltas(runs),
+        "runs": [{k: v for k, v in r.items() if k != "machine"} for r in runs],
+    }
+    args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
+    return 0 if report["all_correct"] else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -62,9 +62,10 @@ def main(argv=None) -> int:
             warnings.simplefilter("ignore")
         model, report = train(corpus, config)
     elapsed = time.perf_counter() - start
+    val_f1 = "n/a" if report.best_val_f1 is None else f"{report.best_val_f1:.4f}"
     print(
         f"trained {report.epochs_run} epochs in {elapsed:.1f}s "
-        f"(best epoch {report.best_epoch}, val F1 {report.best_val_f1:.4f})"
+        f"(best epoch {report.best_epoch}, val F1 {val_f1})"
     )
 
     predictions = {d.id: model.predict(d) for d in test_docs}

@@ -2,12 +2,14 @@
 
 Just enough machinery for a small transformer encoder and pair-scoring heads:
 elementwise arithmetic with broadcasting, (batched) matrix products, lookups,
-reductions, shape moves, and composite softmax / layer norm. All arithmetic is
-float64 and single-threaded, so forward and backward passes are exactly
-reproducible.
+reductions, shape moves, and softmax / layer norm as single nodes with
+closed-form backward. All arithmetic is float64 and single-threaded, so
+forward and backward passes are exactly reproducible.
 
 Backward traversal is iterative (explicit topological order), so graph depth
-is not limited by the interpreter recursion limit.
+is not limited by the interpreter recursion limit. A node's first gradient is
+stored as a private copy and later ones are added into it in place, so no
+gradient buffer is ever shared between nodes.
 """
 
 from __future__ import annotations
@@ -59,8 +61,11 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # A copy, never a view: backward functions hand on views of their
+            # own gradient, which later in-place additions must not reach.
+            self.grad = np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -244,7 +249,7 @@ class Tensor:
                     1 if i in axes else s for i, s in enumerate(self.data.shape)
                 ]
                 g = g.reshape(shape)
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.data.shape))
 
         out._backward = backward
         return out
@@ -291,33 +296,71 @@ def as_tensor(value) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Embedding lookup: rows of ``table`` at integer ``indices``."""
+    """Embedding lookup: rows of ``table`` at integer ``indices``.
+
+    Backward adds into the touched rows of ``table.grad`` in place; the dense
+    table gradient is allocated only when the table has none yet.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     out = Tensor(table.data[idx], table.requires_grad, (table,))
 
     def backward(grad):
         if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, grad)
-            table._accumulate(full)
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, idx, grad)
 
     out._backward = backward
     return out
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
-    """Row-stable softmax over the last axis (max shift is gradient-free)."""
-    shift = Tensor(x.data.max(axis=-1, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-stable softmax over the last axis, as one node.
+
+    Backward is ``y * (grad - sum(grad * y))`` over the last axis.
+    """
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(y, x.requires_grad, (x,))
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(y * (grad - (grad * y).sum(axis=-1, keepdims=True)))
+
+    out._backward = backward
+    return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / ((var + eps) ** 0.5) * gain + bias
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    One node. With ``xhat`` the normalized input, ``std`` the standard
+    deviation (``eps`` included) and ``g = grad * gain``, the input gradient
+    is ``(g - mean(g) - xhat * mean(g * xhat)) / std``.
+    """
+    scale = 1.0 / x.data.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    std = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** 0.5
+    xhat = centered / std
+    out = Tensor(
+        xhat * gain.data + bias.data,
+        x.requires_grad or gain.requires_grad or bias.requires_grad,
+        (x, gain, bias),
+    )
+
+    def backward(grad):
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(grad * xhat, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, bias.shape))
+        if x.requires_grad:
+            g = grad * gain.data
+            g_mean = g.sum(axis=-1, keepdims=True) * scale
+            gx_mean = (g * xhat).sum(axis=-1, keepdims=True) * scale
+            x._accumulate((g - g_mean - xhat * gx_mean) / std)
+
+    out._backward = backward
+    return out
 
 
 def grad_check(

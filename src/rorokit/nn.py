@@ -37,6 +37,10 @@ class MissingGradientError(RuntimeError):
     """Optimizer stepped a parameter whose gradient was never populated."""
 
 
+class NonFiniteGradientError(ValueError):
+    """Optimizer was handed a gradient holding NaN or infinity."""
+
+
 def fnv1a_hash(text: str) -> int:
     value = FNV_OFFSET
     for byte in text.encode("utf-8"):
@@ -346,13 +350,26 @@ def optimizer_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One AdamW update (decoupled weight decay) over every stored parameter."""
-    for name, p in store.items():
+    """One AdamW update (decoupled weight decay) over every stored parameter.
+
+    Every gradient is checked before any parameter moves: a missing or
+    non-finite gradient raises, naming the parameter, and leaves the store
+    unchanged.
+    """
+    params = store.items()
+    for name, p in params:
         if p.grad is None:
             raise MissingGradientError(f"parameter {name!r} has no gradient")
+        if not np.isfinite(p.grad).all():
+            raise NonFiniteGradientError(
+                f"parameter {name!r} has a non-finite gradient"
+            )
+    for name, p in params:
         state = store.opt_state(name)
         state["t"] += 1
         t = state["t"]
+        # New moment arrays each step: updating them in place measured
+        # slower per step inside the training loops.
         state["m"] = beta1 * state["m"] + (1.0 - beta1) * p.grad
         state["v"] = beta2 * state["v"] + (1.0 - beta2) * p.grad**2
         m_hat = state["m"] / (1.0 - beta1**t)

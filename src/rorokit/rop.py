@@ -344,7 +344,7 @@ class ROPModel:
 class TrainReport:
     epochs_run: int
     best_epoch: int
-    best_val_f1: float
+    best_val_f1: Optional[float]  # None when there was nothing to validate on
     train_losses: list[float]
     val_f1: list[float]
     skipped: list[dict]
@@ -522,7 +522,7 @@ def train(
     report = TrainReport(
         epochs_run=len(train_losses),
         best_epoch=best_epoch,
-        best_val_f1=val_f1s[best_epoch] if val_f1s else float("nan"),
+        best_val_f1=val_f1s[best_epoch] if val_f1s else None,
         train_losses=train_losses,
         val_f1=val_f1s,
         skipped=skipped,

@@ -165,6 +165,90 @@ def test_layer_norm_statistics_and_gradient():
     )
 
 
+# --- fused nodes against composites of primitive ops ---
+
+
+def composite_softmax(x):
+    shift = Tensor(x.data.max(axis=-1, keepdims=True))
+    e = (x - shift).exp()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def composite_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / ((var + eps) ** 0.5) * gain + bias
+
+
+def values_and_grads(forward, inputs, weights):
+    for t in inputs:
+        t.grad = None
+    out = forward(*inputs)
+    (out * Tensor(weights)).sum().backward()
+    return out.data, [t.grad.copy() for t in inputs]
+
+
+SHAPES = [(5, 7), (2, 3, 4, 4)]  # (tokens, dim) and (batch, heads, n, n)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_fused_softmax_matches_composite(shape):
+    x = Tensor(rand(*shape, seed=30, scale=3.0), requires_grad=True)
+    w = rand(*shape, seed=31)
+    fused, (g_fused,) = values_and_grads(softmax_lastdim, [x], w)
+    ref, (g_ref,) = values_and_grads(composite_softmax, [x], w)
+    np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(g_fused, g_ref, rtol=1e-10, atol=1e-15)
+    check(lambda: (softmax_lastdim(x) * Tensor(w)).sum(), {"x": x})
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_fused_layer_norm_matches_composite(shape):
+    x = Tensor(rand(*shape, seed=32) * 2 + 0.5, requires_grad=True)
+    gain = Tensor(rand(shape[-1], seed=33) + 1.0, requires_grad=True)
+    bias = Tensor(rand(shape[-1], seed=34), requires_grad=True)
+    w = rand(*shape, seed=35)
+    inputs = [x, gain, bias]
+    fused, g_fused = values_and_grads(layer_norm, inputs, w)
+    ref, g_ref = values_and_grads(composite_layer_norm, inputs, w)
+    np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=0)
+    for a, b in zip(g_fused, g_ref):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-13)
+    check(
+        lambda: (layer_norm(x, gain, bias) * Tensor(w)).sum(),
+        {"x": x, "gain": gain, "bias": bias},
+    )
+
+
+def test_row_sparse_gather_matches_dense_reference():
+    table = Tensor(rand(6, 3, seed=36), requires_grad=True)
+    first, second = [4, 1, 4, 4, 0], [1, 1, 5]
+    w1, w2 = rand(5, 3, seed=37), rand(3, 3, seed=38)
+    loss = (gather_rows(table, first) * Tensor(w1)).sum() + (
+        gather_rows(table, second) * Tensor(w2)
+    ).sum()
+    loss.backward()
+    dense = np.zeros_like(table.data)
+    np.add.at(dense, first, w1)
+    np.add.at(dense, second, w2)
+    np.testing.assert_allclose(table.grad, dense, rtol=1e-15, atol=0)
+    assert not table.grad[[2, 3]].any()
+
+
+def test_first_gradient_is_copied_not_aliased():
+    # x's gradient arrives from two shape moves; whichever comes first hands
+    # x a view of its own gradient, and the second is added after it.
+    x = Tensor(rand(2, 6, seed=39), requires_grad=True) * 1.0
+    flat = x.reshape(3, 4)
+    turned = x.transpose()
+    w_flat, w_turned = rand(3, 4, seed=40), rand(6, 2, seed=41)
+    ((flat * Tensor(w_flat)).sum() + (turned * Tensor(w_turned)).sum()).backward()
+    np.testing.assert_array_equal(flat.grad, w_flat)
+    np.testing.assert_array_equal(turned.grad, w_turned)
+    np.testing.assert_array_equal(x.grad, w_flat.reshape(2, 6) + w_turned.T)
+
+
 # --- engine behavior ---
 
 

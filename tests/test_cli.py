@@ -194,6 +194,26 @@ def test_pipeline_train_eval_predict(tmp_path, capsys):
     assert len(reloaded) == 8
 
 
+def test_train_report_without_validation_is_strict_json(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, n_docs=6)
+    cfg = write_config(
+        tmp_path,
+        {"rop": {"epochs": 1, "val_fraction": 0.0}, "encoder": TRAIN_CFG["encoder"]},
+    )
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "train", str(corpus), "--model",
+                     str(tmp_path / "model.json"), "--config", str(cfg),
+                     "-o", str(report_path))
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(report_path.read_text(), parse_constant=reject)
+    assert report["val_docs"] == 0
+    assert report["best_val_f1"] is None
+
+
 def test_train_is_byte_deterministic(tmp_path, capsys):
     corpus = write_corpus(tmp_path, n_docs=6)
     cfg = write_config(tmp_path, TRAIN_CFG)

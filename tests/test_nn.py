@@ -9,6 +9,7 @@ from rorokit.nn import (
     AttentionBias,
     EncoderConfig,
     MissingGradientError,
+    NonFiniteGradientError,
     ParameterError,
     ParameterStore,
     TokenOverflowError,
@@ -311,6 +312,38 @@ def test_adamw_requires_gradients():
     store.add("w", np.zeros(2))
     with pytest.raises(MissingGradientError):
         optimizer_step(store, learning_rate=0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adamw_refuses_non_finite_gradient_and_names_it(bad):
+    store = ParameterStore()
+    a = store.add("a", np.ones(2))
+    b = store.add("b", np.ones(3))
+    a.grad = np.array([0.5, 0.5])
+    b.grad = np.array([1.0, bad, 1.0])
+    with pytest.raises(NonFiniteGradientError, match="'b'"):
+        optimizer_step(store, learning_rate=0.1)
+    # Nothing moved, not even the parameter checked before the bad one.
+    assert np.array_equal(a.data, np.ones(2))
+    assert np.array_equal(b.data, np.ones(3))
+
+
+def test_adamw_updates_scalar_parameters():
+    # RORE's per-layer lambdas are 0-d parameters.
+    store = ParameterStore()
+    lam = store.add("lam", np.array(0.5))
+    for step in range(3):
+        lam.grad = np.array(1.0 + step)
+        optimizer_step(store, learning_rate=0.1, weight_decay=0.0)
+    state = store.opt_state("lam")
+    assert lam.shape == () and state["m"].shape == () and state["v"].shape == ()
+    m = v = 0.0
+    for g in (1.0, 2.0, 3.0):
+        m = 0.9 * m + 0.1 * g
+        v = 0.999 * v + 0.001 * g * g
+    assert state["m"] == pytest.approx(m, rel=1e-12)
+    assert state["v"] == pytest.approx(v, rel=1e-12)
+    assert lam.item() < 0.5
 
 
 # --- checkpoints ---
