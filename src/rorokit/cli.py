@@ -46,7 +46,7 @@ from .relations import (
     transitive_closure,
 )
 from .render import render_svg
-from .rop import ROPConfig, ROPModel, predict_pseudo_labels
+from .rop import ROPConfig, ROPModel, filter_usable, predict_pseudo_labels
 from .rop import train as train_rop
 from .rore import DemoConfig, rore_demo_entity_linking
 from .synth import GenerationError, SynthConfig, synth_forms, synth_generate
@@ -261,11 +261,17 @@ def cmd_eval(args) -> int:
     level = model.config.task_level if model is not None else "segment"
     corpus = load_corpus(args.corpus)
     docs = _select_split(corpus, args.split)
+    skipped: list[dict] = []
+    if model is not None:
+        docs = filter_usable(docs, model.config, model.encoder_config, skipped)
+        if not docs:
+            raise ValueError(f"all {len(skipped)} documents exceed the model's budgets")
     systems = _system_table(args, model, level)
     gold_fn = derive_word_level if level == "word" else None
     report = benchmark_report(
         docs, systems, ceiling=not args.no_ceiling, gold_fn=gold_fn
     )
+    report["skipped"] = skipped
     _note(report_to_text(report))
     _emit_text(report_to_json(report), args.output)
     return EXIT_OK
@@ -275,10 +281,11 @@ def cmd_predict(args) -> int:
     model = ROPModel.load(args.model)
     corpus = load_corpus(args.corpus)
     relabeled, sidecar = predict_pseudo_labels(model, corpus)
-    acyclic = sum(1 for entry in sidecar.values() if entry["acyclic"])
+    predicted = [entry for entry in sidecar.values() if "skipped" not in entry]
+    acyclic = sum(1 for entry in predicted if entry["acyclic"])
     summary = {
         "documents": sidecar,
-        "acyclic_fraction": acyclic / len(sidecar) if sidecar else None,
+        "acyclic_fraction": acyclic / len(predicted) if predicted else None,
     }
     save_corpus(relabeled, args.out_corpus)
     _note(f"wrote {args.out_corpus} ({len(relabeled)} documents)")

@@ -154,10 +154,9 @@ def init_encoder_params(
     config: EncoderConfig,
     seed: int = 0,
     store: Optional[ParameterStore] = None,
-    prefix: str = "enc.",
     coord_init: str = "sinusoidal",
 ) -> ParameterStore:
-    """Create all encoder parameters under ``prefix`` in a deterministic order.
+    """Create all encoder parameters under ``enc.`` in a deterministic order.
 
     Coordinate tables default to sinusoidal features laid out in disjoint
     dimension quarters (one per box coordinate), so summed embeddings remain
@@ -168,7 +167,7 @@ def init_encoder_params(
     rng = np.random.default_rng(seed)
     d = config.model_dim
 
-    store.add(prefix + "tok_embed", rng.normal(0.0, 0.02, size=(config.vocab_hash_size, d)))
+    store.add("enc.tok_embed", rng.normal(0.0, 0.02, size=(config.vocab_hash_size, d)))
     quarter = d // 4
     for idx, coord in enumerate(("x0", "y0", "x1", "y1")):
         if coord_init == "sinusoidal" and quarter >= 2 and quarter % 2 == 0:
@@ -180,10 +179,10 @@ def init_encoder_params(
             table = rng.normal(0.0, 0.02, size=(config.coord_buckets, d))
         else:
             raise ValueError(f"unknown coord_init {coord_init!r}")
-        store.add(prefix + f"coord_{coord}", table)
+        store.add(f"enc.coord_{coord}", table)
 
     for layer in range(config.layers):
-        base = f"{prefix}l{layer}."
+        base = f"enc.l{layer}."
         store.add(base + "ln1.gain", np.ones(d))
         store.add(base + "ln1.bias", np.zeros(d))
         for proj in ("Wq", "Wk", "Wv", "Wo"):
@@ -211,25 +210,21 @@ def embed(
     config: EncoderConfig,
     params: ParameterStore,
     tokens: Sequence[tuple[str, BBox]],
-    truncate: bool = False,
-    prefix: str = "enc.",
 ) -> Tensor:
     """Token-hash embedding plus the four coordinate-bucket embeddings."""
     if len(tokens) > config.max_tokens:
-        if not truncate:
-            raise TokenOverflowError(
-                f"{len(tokens)} tokens exceed max_tokens={config.max_tokens}"
-            )
-        tokens = tokens[: config.max_tokens]
+        raise TokenOverflowError(
+            f"{len(tokens)} tokens exceed max_tokens={config.max_tokens}"
+        )
     if not tokens:
         raise ValueError("cannot embed an empty token sequence")
     texts = [t for t, _ in tokens]
     boxes = [b for _, b in tokens]
     tok_ids = [fnv1a_hash(t) % config.vocab_hash_size for t in texts]
-    out = gather_rows(params[prefix + "tok_embed"], tok_ids)
+    out = gather_rows(params["enc.tok_embed"], tok_ids)
     for coord, attr in (("x0", "x0"), ("y0", "y0"), ("x1", "x1"), ("y1", "y1")):
         ids = [_coord_bucket(getattr(b, attr), config.coord_buckets) for b in boxes]
-        out = out + gather_rows(params[prefix + f"coord_{coord}"], ids)
+        out = out + gather_rows(params[f"enc.coord_{coord}"], ids)
     return out
 
 
@@ -313,19 +308,17 @@ def encoder_forward(
     tokens: Sequence[str],
     boxes: Sequence[BBox],
     bias: Optional[AttentionBias] = None,
-    truncate: bool = False,
-    prefix: str = "enc.",
 ) -> Tensor:
     """Pre-norm transformer encoder; L=0 returns the embeddings unchanged."""
     if len(tokens) != len(boxes):
         raise ValueError("tokens and boxes must align")
-    x = embed(config, params, list(zip(tokens, boxes)), truncate=truncate, prefix=prefix)
+    x = embed(config, params, list(zip(tokens, boxes)))
     if bias is not None and bias.rho.shape[0] != x.shape[0]:
         raise ValueError(
             f"bias matrix is {bias.rho.shape}, expected {(x.shape[0],) * 2}"
         )
     for layer in range(config.layers):
-        base = f"{prefix}l{layer}."
+        base = f"enc.l{layer}."
         h = layer_norm(x, params[base + "ln1.gain"], params[base + "ln1.bias"])
         q = h @ params[base + "attn.Wq"] + params[base + "attn.bq"]
         k = h @ params[base + "attn.Wk"] + params[base + "attn.bk"]

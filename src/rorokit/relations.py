@@ -96,7 +96,7 @@ class Relation:
 
     @classmethod
     def from_pairs(cls, element_count: int, pairs: Iterable[Sequence[int]]) -> "Relation":
-        return cls(element_count, frozenset((int(a), int(b)) for a, b in pairs))
+        return cls(element_count, pairs)  # __post_init__ normalizes the pairs
 
     @classmethod
     def empty(cls, element_count: int) -> "Relation":

@@ -27,6 +27,7 @@ from .layout import (
 )
 from .metrics import corpus_f1
 from .nn import (
+    AttentionBias,
     EncoderConfig,
     ParameterStore,
     encoder_forward,
@@ -167,31 +168,26 @@ class GlobalPointerHead:
     """Scores every ordered element pair as (Wq h_i + bq) . (Wk h_j + bk)."""
 
     store: ParameterStore
-    prefix: str = "gp."
 
     @classmethod
     def create(
         cls,
         model_dim: int,
-        head_dim: int = 128,
-        store: Optional[ParameterStore] = None,
+        head_dim: int,
+        store: ParameterStore,
         seed: Union[int, np.random.Generator] = 0,
-        prefix: str = "gp.",
     ) -> "GlobalPointerHead":
-        if store is None:
-            store = ParameterStore()
         rng = np.random.default_rng(seed)
-        store.add(prefix + "Wq", rng.normal(0.0, 0.02, size=(model_dim, head_dim)))
-        store.add(prefix + "bq", np.zeros(head_dim))
-        store.add(prefix + "Wk", rng.normal(0.0, 0.02, size=(model_dim, head_dim)))
-        store.add(prefix + "bk", np.zeros(head_dim))
-        return cls(store, prefix)
+        store.add("gp.Wq", rng.normal(0.0, 0.02, size=(model_dim, head_dim)))
+        store.add("gp.bq", np.zeros(head_dim))
+        store.add("gp.Wk", rng.normal(0.0, 0.02, size=(model_dim, head_dim)))
+        store.add("gp.bk", np.zeros(head_dim))
+        return cls(store)
 
     def scores(self, pooled: Tensor) -> Tensor:
         """(n, d) element states -> (n, n) pair score matrix."""
-        p = self.prefix
-        q = pooled @ self.store[p + "Wq"] + self.store[p + "bq"]
-        k = pooled @ self.store[p + "Wk"] + self.store[p + "bk"]
+        q = pooled @ self.store["gp.Wq"] + self.store["gp.bq"]
+        k = pooled @ self.store["gp.Wk"] + self.store["gp.bk"]
         return q @ k.transpose()
 
 
@@ -298,18 +294,23 @@ class ROPModel:
     config: ROPConfig
     store: ParameterStore
 
-    def head(self) -> GlobalPointerHead:
-        return GlobalPointerHead(self.store)
+    @classmethod
+    def create(cls, encoder_config: EncoderConfig, config: ROPConfig, rng) -> "ROPModel":
+        """Fresh parameters: the encoder's, then the head's, drawn from ``rng``."""
+        store = init_encoder_params(encoder_config, rng)
+        GlobalPointerHead.create(encoder_config.model_dim, config.head_dim, store, rng)
+        return cls(encoder_config, config, store)
 
     def scores(
         self,
         texts: Sequence[str],
         boxes: Sequence[BBox],
         spans: Sequence[tuple[int, int]],
+        bias: Optional[AttentionBias] = None,
     ) -> Tensor:
-        """Encode the tokens, pool them by span and score every element pair."""
-        states = encoder_forward(self.encoder_config, self.store, texts, boxes)
-        return self.head().scores(pool_elements(states, spans))
+        """Encode the tokens, biased by ``bias``, pool by span and score every pair."""
+        states = encoder_forward(self.encoder_config, self.store, texts, boxes, bias)
+        return GlobalPointerHead(self.store).scores(pool_elements(states, spans))
 
     def score_document(self, doc: Document) -> np.ndarray:
         """(n, n) raw pair scores; n counts task elements."""
@@ -328,12 +329,26 @@ class ROPModel:
 
     @classmethod
     def load(cls, path) -> "ROPModel":
+        """Read a checkpoint; its parameter names and shapes must fit its config."""
         config, store = load_checkpoint(path)
-        return cls(
+        model = cls(
             EncoderConfig.from_dict(config["encoder"]),
             ROPConfig.from_dict(config["rop"]),
             store,
         )
+        expected = cls.create(
+            model.encoder_config, model.config, np.random.default_rng(0)
+        ).store
+        found = {name: list(t.shape) for name, t in store.items()}
+        needed = {name: list(t.shape) for name, t in expected.items()}
+        for name in sorted(found.keys() | needed.keys()):
+            if found.get(name) != needed.get(name):
+                raise ValueError(
+                    f"{path}: parameter {name!r} has shape "
+                    f"{found.get(name, 'absent')} in the checkpoint, but its "
+                    f"config needs {needed.get(name, 'absent')}"
+                )
+        return model
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +451,14 @@ def _skip_reason(
     return None
 
 
-def _filter_usable(
-    docs: list[Document],
+def filter_usable(
+    docs: Sequence[Document],
     config: ROPConfig,
     encoder_config: EncoderConfig,
     skipped: list[dict],
 ) -> list[Document]:
+    """The documents that fit; each other one is warned about and appended
+    to ``skipped`` as ``{"id": ..., "reason": ...}``."""
     keep = []
     for doc in docs:
         reason = _skip_reason(doc, config, encoder_config)
@@ -471,8 +488,8 @@ def train(
     rng = np.random.default_rng(config.seed)
 
     skipped: list[dict] = []
-    train_docs = _filter_usable(corpus.subset("train"), config, encoder_config, skipped)
-    val_docs = _filter_usable(
+    train_docs = filter_usable(corpus.subset("train"), config, encoder_config, skipped)
+    val_docs = filter_usable(
         corpus.subset("validation"), config, encoder_config, skipped
     )
     if not val_docs and config.val_fraction > 0.0 and len(train_docs) > 1:
@@ -493,10 +510,7 @@ def train(
     ]
     val_examples = [(d, target_relation(d, config.task_level)) for d in val_docs]
 
-    store = ParameterStore()
-    init_encoder_params(encoder_config, rng, store)
-    GlobalPointerHead.create(encoder_config.model_dim, config.head_dim, store, rng)
-    model = ROPModel(encoder_config, config, store)
+    model = ROPModel.create(encoder_config, config, rng)
 
     def example_loss(example) -> Tensor:
         inputs, labels = example
@@ -509,7 +523,7 @@ def train(
         return corpus_f1(pairs).f1
 
     train_losses, val_f1s, best_epoch = fit(
-        store,
+        model.store,
         examples,
         example_loss,
         rng,
@@ -537,13 +551,21 @@ def predict_pseudo_labels(
 ) -> tuple[Corpus, dict[str, dict]]:
     """Replace every document's succession annotation with model output.
 
-    Returns the relabeled corpus plus a per-document sidecar recording
-    whether the prediction was acyclic and how many pairs it kept. Word-level
-    predictions are projected back onto segments first.
+    Returns the relabeled corpus, in the input's document order, plus a
+    per-document sidecar recording whether the prediction was acyclic and how
+    many pairs it kept. Word-level predictions are projected back onto
+    segments first. A document over the model's budgets keeps no annotation
+    (``isdr`` is None) and its sidecar entry is ``{"skipped": reason}``.
     """
     documents = []
     sidecar: dict[str, dict] = {}
     for doc in corpus.documents:
+        reason = _skip_reason(doc, model.config, model.encoder_config)
+        if reason is not None:
+            warnings.warn(f"skipping document {doc.id}: {reason}")
+            sidecar[doc.id] = {"skipped": reason}
+            documents.append(replace(doc, isdr=None))
+            continue
         rel = model.predict(doc)
         if model.config.task_level == "word":
             rel = collapse_word_relation(doc, rel)

@@ -19,21 +19,15 @@ import numpy as np
 from .autodiff import Tensor
 from .layout import BBox, Corpus, Document
 from .metrics import corpus_f1
-from .nn import (
-    AttentionBias,
-    EncoderConfig,
-    ParameterStore,
-    encoder_forward,
-    init_encoder_params,
-)
+from .nn import AttentionBias, EncoderConfig, ParameterStore, encoder_forward
 from .relations import CycleError, Relation, is_acyclic, transitive_closure
 from .rop import (
-    GlobalPointerHead,
+    ROPConfig,
+    ROPModel,
     check_span_tiling,
     decode,
     fit,
     gp_loss,
-    pool_elements,
     tokens_for_document,
 )
 
@@ -109,27 +103,32 @@ def build_relation_matrix(
 # Bias parameters and the enhanced forward pass
 
 
+def _biased_layer_count(n_layers: int, bias_layers: Optional[int]) -> int:
+    """``bias_layers=None`` biases every layer; an integer k the first k."""
+    return n_layers if bias_layers is None else min(bias_layers, n_layers)
+
+
 def init_lambda_params(
     store: ParameterStore,
     n_layers: int,
     bias_layers: Optional[int] = None,
     init: float = 10.0,
-    prefix: str = LAMBDA_PREFIX,
 ) -> list[Tensor]:
     """One learnable scalar bias weight per biased layer.
 
     ``bias_layers=None`` biases every layer; an integer k biases only the
     first k (the near-converged preset pairs k=4 with init 0.1).
     """
-    k = n_layers if bias_layers is None else min(bias_layers, n_layers)
-    return [store.add(f"{prefix}{layer}", np.asarray(float(init))) for layer in range(k)]
+    k = _biased_layer_count(n_layers, bias_layers)
+    return [
+        store.add(f"{LAMBDA_PREFIX}{layer}", np.asarray(float(init)))
+        for layer in range(k)
+    ]
 
 
-def lambda_params(
-    store: ParameterStore, n_layers: int, prefix: str = LAMBDA_PREFIX
-) -> list[Optional[Tensor]]:
+def lambda_params(store: ParameterStore, n_layers: int) -> list[Optional[Tensor]]:
     """Stored bias weights by layer; None where a layer has none."""
-    names = [f"{prefix}{layer}" for layer in range(n_layers)]
+    names = [f"{LAMBDA_PREFIX}{layer}" for layer in range(n_layers)]
     return [store[n] if n in store else None for n in names]
 
 
@@ -139,22 +138,15 @@ def enhanced_encode(
     matrix: RelationMatrix,
     encoder_config: EncoderConfig,
     params: ParameterStore,
-    prefix: str = "enc.",
 ) -> Tensor:
     """Encoder forward pass with the relation matrix biasing attention."""
-    if matrix.n_tokens != len(tokens):
-        raise ValueError(
-            f"matrix covers {matrix.n_tokens} tokens, got {len(tokens)}"
-        )
     lambdas = lambda_params(params, encoder_config.layers)
     if encoder_config.layers and all(lam is None for lam in lambdas):
         raise ValueError(
             "no bias weights in the parameter store; call init_lambda_params first"
         )
     bias = AttentionBias(matrix.bits.astype(float), lambdas)
-    return encoder_forward(
-        encoder_config, params, tokens, boxes, bias=bias, prefix=prefix
-    )
+    return encoder_forward(encoder_config, params, tokens, boxes, bias=bias)
 
 
 # ---------------------------------------------------------------------------
@@ -201,90 +193,80 @@ def _demo_encoder() -> EncoderConfig:
     return EncoderConfig(layers=2, model_dim=32, heads=4)
 
 
-@dataclass
-class _LinkExample:
-    texts: list[str]
-    boxes: list[BBox]
-    spans: list[tuple[int, int]]
-    links: Relation
-    matrix: Optional[RelationMatrix]
-
-
 def _prepare_examples(
     docs: list[Document],
     config: DemoConfig,
-    bias_relations: Optional[dict[str, Relation]],
-) -> list[_LinkExample]:
+    bias_relations: dict[str, Relation],
+) -> list[tuple]:
+    """(texts, boxes, spans), gold links and the float bias matrix per document."""
     examples = []
     for doc in docs:
         if doc.links is None:
             raise ValueError(f"document {doc.id} has no link labels")
-        texts, boxes, spans = tokens_for_document(doc, "segment", "segment")
-        matrix = None
-        if bias_relations is not None:
-            if doc.id not in bias_relations:
-                raise ValueError(f"no bias relation for document {doc.id}")
-            matrix = build_relation_matrix(
-                bias_relations[doc.id], spans, config.relation_kind
-            )
-        examples.append(_LinkExample(texts, boxes, spans, doc.links, matrix))
+        inputs = tokens_for_document(doc, "segment", "segment")
+        matrix = build_relation_matrix(
+            bias_relations[doc.id], inputs[2], config.relation_kind
+        )
+        examples.append((inputs, doc.links, matrix.bits.astype(float)))
     return examples
 
 
 def _train_linking_arm(
-    train_examples: list[_LinkExample],
-    test_examples: list[_LinkExample],
+    train_examples: list[tuple],
+    test_examples: list[tuple],
     encoder_config: EncoderConfig,
     config: DemoConfig,
     biased: bool,
 ) -> dict:
-    """One demo arm, self-seeded so both arms share their parameter init."""
+    """One demo arm, self-seeded so both arms share their parameter init.
+
+    The arm is a ``ROPModel`` scoring link pairs; the biased arm adds each
+    document's relation matrix to its attention through an ``AttentionBias``.
+    """
     rng = np.random.default_rng(config.seed)
-    store = ParameterStore()
-    init_encoder_params(encoder_config, rng, store)
-    head = GlobalPointerHead.create(
-        encoder_config.model_dim, config.head_dim, store, rng, prefix="link."
+    model = ROPModel.create(
+        encoder_config, ROPConfig(head_dim=config.head_dim), rng
     )
-    lambdas: list[Optional[Tensor]] = []
-    if biased:
-        if config.freeze_lambda:
-            k = (
-                encoder_config.layers
-                if config.bias_layers is None
-                else min(config.bias_layers, encoder_config.layers)
-            )
-            lambdas = [Tensor(config.lambda_init) for _ in range(k)]
-        else:
-            lambdas = init_lambda_params(
-                store, encoder_config.layers, config.bias_layers, config.lambda_init
-            )
-
-    def forward(example: _LinkExample) -> Tensor:
-        bias = None
-        if biased:
-            bias = AttentionBias(example.matrix.bits.astype(float), lambdas)
-        states = encoder_forward(
-            encoder_config, store, example.texts, example.boxes, bias=bias
+    lambdas: list[Tensor] = []
+    if biased and config.freeze_lambda:
+        k = _biased_layer_count(encoder_config.layers, config.bias_layers)
+        lambdas = [Tensor(config.lambda_init) for _ in range(k)]
+    elif biased:
+        lambdas = init_lambda_params(
+            model.store, encoder_config.layers, config.bias_layers, config.lambda_init
         )
-        return head.scores(pool_elements(states, example.spans))
 
+    def with_bias(examples: list[tuple]) -> list[tuple]:
+        return [
+            (inputs, links, AttentionBias(rho, lambdas) if biased else None)
+            for inputs, links, rho in examples
+        ]
+
+    def example_loss(example) -> Tensor:
+        inputs, links, bias = example
+        return gp_loss(model.scores(*inputs, bias), links)
+
+    train, test = with_bias(train_examples), with_bias(test_examples)
     losses, _, _ = fit(
-        store,
-        train_examples,
-        lambda example: gp_loss(forward(example), example.links),
+        model.store,
+        train,
+        example_loss,
         rng,
         config.learning_rate,
         config.epochs,
         config.batch_size,
     )
 
-    def evaluate(examples: list[_LinkExample]) -> float:
-        pairs = [(ex.links, decode(forward(ex).data)) for ex in examples]
+    def evaluate(examples: list[tuple]) -> float:
+        pairs = [
+            (links, decode(model.scores(*inputs, bias).data))
+            for inputs, links, bias in examples
+        ]
         return corpus_f1(pairs).f1
 
     return {
-        "train_f1": evaluate(train_examples),
-        "test_f1": evaluate(test_examples),
+        "train_f1": evaluate(train),
+        "test_f1": evaluate(test),
         "final_loss": losses[-1],
     }
 
@@ -327,16 +309,13 @@ def rore_demo_entity_linking(
         if rel is None:
             raise ValueError(f"document {doc_id} has no succession relation")
 
-    vanilla_train = _prepare_examples(train_docs, config, None)
-    vanilla_test = _prepare_examples(test_docs, config, None)
-    biased_train = _prepare_examples(train_docs, config, bias_relations)
-    biased_test = _prepare_examples(test_docs, config, bias_relations)
-
+    train_examples = _prepare_examples(train_docs, config, bias_relations)
+    test_examples = _prepare_examples(test_docs, config, bias_relations)
     vanilla = _train_linking_arm(
-        vanilla_train, vanilla_test, encoder_config, config, biased=False
+        train_examples, test_examples, encoder_config, config, biased=False
     )
     biased = _train_linking_arm(
-        biased_train, biased_test, encoder_config, config, biased=True
+        train_examples, test_examples, encoder_config, config, biased=True
     )
     return {
         "f1_vanilla": vanilla["test_f1"],

@@ -4,7 +4,9 @@ import pytest
 
 from rorokit.cli import main
 from rorokit.layout import load_corpus
+from rorokit.nn import EncoderConfig, init_encoder_params
 from rorokit.relations import Relation
+from rorokit.rop import GlobalPointerHead, ROPConfig, ROPModel
 from rorokit.synth import SynthConfig, synth_generate
 
 
@@ -225,6 +227,84 @@ def test_train_is_byte_deterministic(tmp_path, capsys):
         assert code == 0
         models.append(path.read_bytes())
     assert models[0] == models[1]
+
+
+def write_model(tmp_path, **encoder):
+    path = tmp_path / "model.json"
+    config = EncoderConfig(**{"layers": 0, "model_dim": 16, "heads": 2, **encoder})
+    store = init_encoder_params(config)
+    GlobalPointerHead.create(config.model_dim, ROPConfig().head_dim, store)
+    ROPModel(config, ROPConfig(), store).save(path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "name, shape", [("enc.tok_embed", [4, 16]), ("gp.Wq", [16, 2])]
+)
+def test_checkpoint_shapes_must_fit_config(tmp_path, capsys, name, shape):
+    corpus = write_corpus(tmp_path, n_docs=2)
+    model = write_model(tmp_path)
+    obj = json.loads(model.read_text())
+    param = obj["params"][name]
+    needed = param["shape"]
+    param["shape"] = shape
+    param["values"] = param["values"][: shape[0] * shape[1]]
+    model.write_text(json.dumps(obj))
+    for argv in (["predict", "--out-corpus", str(tmp_path / "out.jsonl")], ["eval"]):
+        code, out, err = run(capsys, argv[0], str(corpus), "--model", str(model),
+                             *argv[1:])
+        assert code == 1 and out == ""
+        assert f"parameter {name!r} has shape {shape}" in err
+        assert f"config needs {needed}" in err
+
+
+def oversized_setup(tmp_path):
+    """A corpus and a model whose token budget only some documents fit."""
+    corpus = write_corpus(tmp_path, n_docs=8)
+    docs = load_corpus(corpus).documents
+    budget = sorted(d.n_words for d in docs)[len(docs) // 2]
+    oversized = {d.id: d.n_words for d in docs if d.n_words > budget}
+    assert 0 < len(oversized) < len(docs)
+    return corpus, write_model(tmp_path, max_tokens=budget), budget, oversized
+
+
+def test_predict_skips_documents_over_the_token_budget(tmp_path, capsys):
+    corpus, model, budget, oversized = oversized_setup(tmp_path)
+    predicted = tmp_path / "pred.jsonl"
+    with pytest.warns(UserWarning, match="skipping document"):
+        code, out, _ = run(capsys, "predict", str(corpus), "--model", str(model),
+                           "--out-corpus", str(predicted))
+    assert code == 0
+    sidecar = json.loads(out)["documents"]
+    for doc_id, entry in sidecar.items():
+        if doc_id in oversized:
+            reason = f"{oversized[doc_id]} tokens exceed the budget of {budget}"
+            assert entry == {"skipped": reason}
+        else:
+            assert set(entry) == {"acyclic", "num_pairs"}
+    relabeled = load_corpus(predicted, allow_cyclic=True)
+    original = load_corpus(corpus)
+    assert [d.id for d in relabeled.documents] == [d.id for d in original.documents]
+    assert {d.id for d in relabeled.documents if d.isdr is None} == set(oversized)
+
+
+def test_eval_skips_documents_over_the_token_budget(tmp_path, capsys):
+    corpus, model, budget, oversized = oversized_setup(tmp_path)
+    with pytest.warns(UserWarning, match="skipping document"):
+        code, out, _ = run(capsys, "eval", str(corpus), "--model", str(model),
+                           "--heuristic")
+    assert code == 0
+    report = json.loads(out)
+    assert [s["id"] for s in report["skipped"]] == list(oversized)
+    assert all(row["docs"] == 8 - len(oversized) for row in report["systems"])
+    code, out, _ = run(capsys, "eval", str(corpus), "--heuristic")
+    assert code == 0
+    report = json.loads(out)
+    assert report["skipped"] == [] and report["systems"][0]["docs"] == 8
+    tiny = write_model(tmp_path, max_tokens=1)
+    with pytest.warns(UserWarning, match="skipping document"):
+        code, out, err = run(capsys, "eval", str(corpus), "--model", str(tiny))
+    assert code == 1 and out == "" and "all 8 documents exceed" in err
 
 
 def test_eval_without_systems_exits_1(tmp_path, capsys):

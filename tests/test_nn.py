@@ -104,14 +104,12 @@ def test_embed_identical_tokens_identical_rows():
     assert np.array_equal(out.data[0], out.data[1])
 
 
-def test_embed_overflow_and_truncate():
+def test_embed_rejects_overflow():
     store = init_encoder_params(SMALL, seed=0)
     texts, bxs = tiny_inputs(SMALL.max_tokens + 1)
     pairs = list(zip(texts, [BBox(0, 0, 10, 10)] * len(texts)))
     with pytest.raises(TokenOverflowError):
         embed(SMALL, store, pairs)
-    out = embed(SMALL, store, pairs, truncate=True)
-    assert out.shape == (SMALL.max_tokens, SMALL.model_dim)
 
 
 def test_sinusoidal_rows_bounded_and_distinct():

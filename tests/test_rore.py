@@ -7,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rorokit.layout import BBox, Corpus
-from rorokit.nn import EncoderConfig, ParameterStore, encoder_forward, init_encoder_params
+from rorokit.nn import (
+    AttentionBias,
+    EncoderConfig,
+    ParameterStore,
+    encoder_forward,
+    init_encoder_params,
+)
 from rorokit.relations import CycleError, Relation
+from rorokit.rop import GlobalPointerHead, ROPConfig, ROPModel, pool_elements
 from rorokit.rore import (
     DemoConfig,
     RelationMatrix,
@@ -195,6 +202,27 @@ def test_lambda_param_layout():
     assert all(float(t.data) == 0.1 for t in created)
     by_layer = lambda_params(store, 6)
     assert [t is not None for t in by_layer] == [True] * 4 + [False] * 2
+
+
+@pytest.mark.parametrize("init", [0.5, 0.0])
+def test_biased_model_scores_match_enhanced_encode(init):
+    encoder = EncoderConfig(layers=2, model_dim=8, heads=2, ffn_dim=16)
+    model = ROPModel.create(encoder, ROPConfig(head_dim=4), np.random.default_rng(0))
+    init_lambda_params(model.store, encoder.layers, init=init)
+    texts, boxes = tiny_inputs(5)
+    spans = spans_for([2, 1, 2])
+    rel = Relation.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+    matrix = build_relation_matrix(rel, spans, "isdr")
+    bias = AttentionBias(matrix.bits, lambda_params(model.store, encoder.layers))
+    biased = model.scores(texts, boxes, spans, bias).data
+    states = enhanced_encode(texts, boxes, matrix, encoder, model.store)
+    reference = GlobalPointerHead(model.store).scores(pool_elements(states, spans))
+    assert np.array_equal(biased, reference.data)
+    unbiased = model.scores(texts, boxes, spans).data
+    if init == 0.0:
+        assert np.allclose(biased, unbiased, atol=1e-12, rtol=0.0)
+    else:
+        assert not np.allclose(biased, unbiased, atol=1e-12, rtol=0.0)
 
 
 # --- linking demo ---
