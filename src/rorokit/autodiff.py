@@ -2,9 +2,9 @@
 
 Just enough machinery for a small transformer encoder and pair-scoring heads:
 elementwise arithmetic with broadcasting, (batched) matrix products, lookups,
-reductions, shape moves, and softmax / layer norm as single nodes with
-closed-form backward. All arithmetic is float64 and single-threaded, so
-forward and backward passes are exactly reproducible.
+reductions, shape moves, and softmax / layer norm / linear projections as
+single nodes with closed-form backward. All arithmetic is float64 and
+single-threaded, so forward and backward passes are exactly reproducible.
 
 Backward traversal is iterative (explicit topological order), so graph depth
 is not limited by the interpreter recursion limit. A node's first gradient is
@@ -14,7 +14,7 @@ gradient buffer is ever shared between nodes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -295,20 +295,62 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def gather_rows(table: Tensor, indices) -> Tensor:
+def gather_rows(table: Union[Tensor, Sequence[Tensor]], indices) -> Tensor:
     """Embedding lookup: rows of ``table`` at integer ``indices``.
 
-    Backward adds into the touched rows of ``table.grad`` in place; the dense
-    table gradient is allocated only when the table has none yet.
+    Given a sequence of tables and one index list per table, the lookups
+    are summed, in table order, as one node.
+
+    Backward adds into the touched rows of each ``table.grad`` in place; the
+    dense table gradient is allocated only when the table has none yet.
     """
-    idx = np.asarray(indices, dtype=np.int64)
-    out = Tensor(table.data[idx], table.requires_grad, (table,))
+    if isinstance(table, Tensor):
+        table, indices = [table], [indices]
+    tables = list(table)
+    idxs = [np.asarray(i, dtype=np.int64) for i in indices]
+    data = tables[0].data[idxs[0]]
+    for t, idx in zip(tables[1:], idxs[1:]):
+        data = data + t.data[idx]
+    out = Tensor(data, any(t.requires_grad for t in tables), tuple(tables))
 
     def backward(grad):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, grad)
+        for t, idx in zip(tables, idxs):
+            if t.requires_grad:
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.data)
+                np.add.at(t.grad, idx, grad)
+
+    out._backward = backward
+    return out
+
+
+def linear(
+    x: Tensor, weight: Tensor, bias: Tensor, residual: Optional[Tensor] = None
+) -> Tensor:
+    """``x @ weight + bias`` over (n, in) rows, as one node.
+
+    With ``residual`` the node computes ``residual + x @ weight + bias``, in
+    that order of additions. Forward values and gradients are bit-identical
+    to the composite of primitive ops; the node just keeps no intermediate
+    product or its gradient.
+    """
+    parents = (x, weight, bias) if residual is None else (x, weight, bias, residual)
+    product = x.data @ weight.data
+    if residual is None:
+        data = product + bias.data
+    else:
+        data = residual.data + product + bias.data
+    out = Tensor(data, any(p.requires_grad for p in parents), parents)
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data.T)
+        if weight.requires_grad:
+            weight._accumulate(x.data.T @ grad)
+        if bias.requires_grad:
+            bias._accumulate(grad.sum(axis=0))
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(grad)
 
     out._backward = backward
     return out

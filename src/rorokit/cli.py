@@ -311,7 +311,8 @@ def cmd_demo_rore(args) -> int:
         if model_path is None:
             raise ValueError('label_source "pseudo" needs a "model" path in the demo section')
         model = ROPModel.load(model_path)
-        pseudo_corpus, _ = predict_pseudo_labels(model, corpus)
+        # Relation matrices refuse cycles, so the demo's labels are repaired.
+        pseudo_corpus, _ = predict_pseudo_labels(model, corpus, enforce_acyclic=True)
     result = rore_demo_entity_linking(corpus, config, encoder_config, pseudo_corpus)
     _note(
         f"f1_vanilla {result['f1_vanilla']:.4f}  f1_rore {result['f1_rore']:.4f}"

@@ -170,8 +170,11 @@ def benchmark_report(
     Gold defaults to each document's isdr; ``gold_fn`` swaps in another
     reference (e.g. the derived word-level relation). When ``ceiling`` is
     set, the mean structural recall ceiling of a single permutation is
-    computed by brute force on documents small enough for it.
+    computed by brute force on documents small enough for it. An empty
+    document list is refused: its scores would be vacuously perfect.
     """
+    if not documents:
+        raise ValueError("no documents to score")
     if gold_fn is None:
         offenders = [d.id for d in documents if d.isdr is None]
         if offenders:

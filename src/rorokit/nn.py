@@ -6,6 +6,11 @@ Attention optionally adds a learnable per-layer scalar times a binary
 token-pair matrix to the logits before the usual scaling, which lets known
 succession structure steer attention without changing any shape.
 
+Several documents can run as one packed input: their tokens follow one
+another as rows, row-wise layers run once over all of them, and attention
+stays within each document, in zero-padded (documents x heads x width x
+width) arrays. One document is the one-pack, unpadded case.
+
 Everything is float64 and deterministic: same parameters and inputs give
 bit-identical outputs, and checkpoints serialize to byte-stable JSON.
 """
@@ -14,11 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows, layer_norm, softmax_lastdim
+from .autodiff import Tensor, gather_rows, layer_norm, linear, softmax_lastdim
 from .layout import BBox
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -210,41 +215,56 @@ def embed(
     config: EncoderConfig,
     params: ParameterStore,
     tokens: Sequence[tuple[str, BBox]],
+    lengths: Optional[Sequence[int]] = None,
 ) -> Tensor:
-    """Token-hash embedding plus the four coordinate-bucket embeddings."""
-    if len(tokens) > config.max_tokens:
-        raise TokenOverflowError(
-            f"{len(tokens)} tokens exceed max_tokens={config.max_tokens}"
+    """Token-hash embedding plus the four coordinate-bucket embeddings.
+
+    ``lengths`` gives the token count of each document packed one after
+    another in ``tokens``; None means one document. The token budget
+    applies to each document.
+    """
+    lengths = [len(tokens)] if lengths is None else list(lengths)
+    if sum(lengths) != len(tokens):
+        raise ValueError(
+            f"lengths sum to {sum(lengths)}, but there are {len(tokens)} tokens"
         )
-    if not tokens:
+    if max(lengths, default=0) > config.max_tokens:
+        raise TokenOverflowError(
+            f"{max(lengths)} tokens exceed max_tokens={config.max_tokens}"
+        )
+    if not tokens or min(lengths) == 0:
         raise ValueError("cannot embed an empty token sequence")
     texts = [t for t, _ in tokens]
     boxes = [b for _, b in tokens]
-    tok_ids = [fnv1a_hash(t) % config.vocab_hash_size for t in texts]
-    out = gather_rows(params["enc.tok_embed"], tok_ids)
-    for coord, attr in (("x0", "x0"), ("y0", "y0"), ("x1", "x1"), ("y1", "y1")):
-        ids = [_coord_bucket(getattr(b, attr), config.coord_buckets) for b in boxes]
-        out = out + gather_rows(params[f"enc.coord_{coord}"], ids)
-    return out
+    tables = [params["enc.tok_embed"]]
+    ids = [[fnv1a_hash(t) % config.vocab_hash_size for t in texts]]
+    for coord in ("x0", "y0", "x1", "y1"):
+        tables.append(params[f"enc.coord_{coord}"])
+        ids.append([_coord_bucket(getattr(b, coord), config.coord_buckets) for b in boxes])
+    return gather_rows(tables, ids)
 
 
 @dataclass
 class AttentionBias:
-    """Binary token-pair matrix with one learnable scalar weight per layer.
+    """Binary token-pair matrices with one learnable scalar weight per layer.
 
-    ``lambdas[l]`` is the weight applied at layer ``l``; ``None`` entries
-    leave that layer's attention untouched.
+    ``rho`` holds one square {0, 1} matrix per document of a packed input;
+    a single matrix stands for one document. ``lambdas[l]`` is the weight
+    applied at layer ``l``; ``None`` entries leave that layer's attention
+    untouched.
     """
 
-    rho: np.ndarray
+    rho: Union[np.ndarray, Sequence[np.ndarray]]
     lambdas: Sequence[Optional[Tensor]]
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=np.float64)
-        if self.rho.ndim != 2 or self.rho.shape[0] != self.rho.shape[1]:
-            raise ValueError("rho must be a square matrix")
-        if not np.isin(self.rho, (0.0, 1.0)).all():
-            raise ValueError("rho entries must be 0 or 1")
+        blocks = [self.rho] if isinstance(self.rho, np.ndarray) else self.rho
+        self.rho = tuple(np.asarray(r, dtype=np.float64) for r in blocks)
+        for r in self.rho:
+            if r.ndim != 2 or r.shape[0] != r.shape[1]:
+                raise ValueError("rho must be a square matrix")
+            if not ((r == 0.0) | (r == 1.0)).all():
+                raise ValueError("rho entries must be 0 or 1")
 
     def lambda_at(self, layer: int) -> Optional[Tensor]:
         if layer >= len(self.lambdas):
@@ -252,9 +272,89 @@ class AttentionBias:
         return self.lambdas[layer]
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    n, d = x.shape
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+@dataclass(frozen=True)
+class Pack:
+    """Consecutive packed documents whose attention shares one padded array.
+
+    Document ``b`` of the pack occupies slots ``b * width + [0, length)`` of
+    the (documents x width) grid; ``index`` maps the pack's rows onto those
+    slots and is None when no slot is padding.
+    """
+
+    first: int  # index of the pack's first document in the packed input
+    lengths: tuple[int, ...]
+    rows: slice  # the pack's rows in the packed input
+    width: int
+    index: Optional[np.ndarray]
+    key_pad: Optional[np.ndarray]  # (B, 1, 1, width), True on padded keys
+
+    @classmethod
+    def create(cls, lengths: Sequence[int], first: int = 0, row: int = 0) -> "Pack":
+        lengths = tuple(lengths)
+        width = max(lengths)
+        index = key_pad = None
+        if min(lengths) != width:
+            index = np.concatenate(
+                [b * width + np.arange(n) for b, n in enumerate(lengths)]
+            )
+            key_pad = (np.arange(width) >= np.array(lengths)[:, None])[:, None, None, :]
+        return cls(first, lengths, slice(row, row + sum(lengths)), width, index, key_pad)
+
+    @classmethod
+    def group(cls, lengths: Sequence[int], max_tokens: int) -> list["Pack"]:
+        """Consecutive documents grouped so that no pack's padded (B, heads,
+        width, width) attention holds more cells than one ``max_tokens``
+        document's (heads, max_tokens, max_tokens)."""
+        budget = max_tokens * max_tokens
+        packs: list[Pack] = []
+        first = row = 0
+        while first < len(lengths):
+            end, width = first + 1, lengths[first]
+            while end < len(lengths):
+                wider = max(width, lengths[end])
+                if (end + 1 - first) * wider * wider > budget:
+                    break
+                end, width = end + 1, wider
+            packs.append(cls.create(lengths[first:end], first, row))
+            row, first = packs[-1].rows.stop, end
+        return packs
+
+    def split_heads(self, x: np.ndarray, heads: int) -> np.ndarray:
+        """(rows, d) -> (B, heads, width, d // heads); padded slots are 0."""
+        d = x.shape[1]
+        if self.index is not None:
+            padded = np.zeros((len(self.lengths) * self.width, d))
+            padded[self.index] = x
+            x = padded
+        return x.reshape(len(self.lengths), self.width, heads, d // heads).transpose(
+            0, 2, 1, 3
+        )
+
+    def merge_heads(self, x: np.ndarray) -> np.ndarray:
+        """(B, heads, width, d_k) -> (rows, heads * d_k), padded slots dropped."""
+        b, heads, width, dk = x.shape
+        rows = x.transpose(0, 2, 1, 3).reshape(b * width, heads * dk)
+        return rows if self.index is None else rows[self.index]
+
+    def pad_square(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Per-document (n, n) matrices as (B, 1, width, width), zero-padded;
+        a lone document's matrix as it is."""
+        if len(blocks) == 1:
+            return blocks[0]
+        out = np.zeros((len(blocks), 1, self.width, self.width))
+        for b, block in enumerate(blocks):
+            out[b, 0, : len(block), : len(block)] = block
+        return out
+
+
+def _accumulate_rows(t: Tensor, rows: slice, grad: np.ndarray) -> None:
+    """Add ``grad`` into the gradient of ``t``'s rows ``rows``."""
+    if rows.start == 0 and rows.stop == t.shape[0]:
+        t._accumulate(grad)
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad[rows] += grad
 
 
 def attention_weights(
@@ -263,26 +363,85 @@ def attention_weights(
     heads: int,
     bias: Optional[AttentionBias] = None,
     layer: int = 0,
+    pack: Optional[Pack] = None,
 ) -> Tensor:
-    """Per-head attention rows [heads, n, n]; every row sums to 1."""
+    """Per-head attention rows; every row sums to 1.
+
+    Over one document the result is [heads, n, n]. Over a pack of several
+    packed documents it is [B, heads, width, width], each document attending
+    only within its own block and never to padded keys. The logits
+    ``(q.k + lambda * rho) / sqrt(d_k)`` are one node, the softmax another.
+    """
     if q.shape != k.shape or len(q.shape) != 2:
         raise ValueError(f"query/key shapes must match, got {q.shape} vs {k.shape}")
     n, d = q.shape
     if d % heads:
         raise ValueError("model dim must be divisible by heads")
-    logits = _split_heads(q, heads) @ _split_heads(k, heads).transpose(0, 2, 1)
+    if pack is None:
+        pack = Pack.create([n])
+    lam = None
     if bias is not None:
-        if bias.rho.shape != (n, n):
+        blocks = bias.rho[pack.first : pack.first + len(pack.lengths)]
+        if [b.shape for b in blocks] != [(m, m) for m in pack.lengths]:
             raise ValueError(
-                f"bias matrix is {bias.rho.shape}, expected {(n, n)}"
+                f"bias matrices are {[b.shape for b in blocks]}, expected "
+                f"{[(m, m) for m in pack.lengths]}"
             )
         lam = bias.lambda_at(layer)
-        if lam is not None:
-            # The biased logit is (q.k + lambda*rho) / sqrt(d_k): the bias
-            # term shares the scaling divisor.
-            logits = logits + lam * Tensor(bias.rho)
-    logits = logits * (1.0 / np.sqrt(d // heads))
-    return softmax_lastdim(logits)
+    qh = pack.split_heads(q.data[pack.rows], heads)
+    kh = pack.split_heads(k.data[pack.rows], heads)
+    scale = 1.0 / np.sqrt(d // heads)
+    logits = qh @ kh.swapaxes(-1, -2)
+    if lam is not None:
+        # The biased logit is (q.k + lambda*rho) / sqrt(d_k): the bias
+        # term shares the scaling divisor.
+        rho = pack.pad_square(blocks)
+        logits = logits + lam.data * rho
+    logits = logits * scale
+    if pack.key_pad is not None:
+        np.copyto(logits, -np.inf, where=pack.key_pad)
+    parents = (q, k) if lam is None else (q, k, lam)
+    out = Tensor(
+        logits[0] if len(pack.lengths) == 1 else logits,
+        any(p.requires_grad for p in parents),
+        parents,
+    )
+
+    def backward(grad):
+        g = grad.reshape(logits.shape) * scale
+        if lam is not None and lam.requires_grad:
+            lam._accumulate((g * rho).sum())
+        if q.requires_grad:
+            _accumulate_rows(q, pack.rows, pack.merge_heads(g @ kh))
+        if k.requires_grad:
+            _accumulate_rows(k, pack.rows, pack.merge_heads(g.swapaxes(-1, -2) @ qh))
+
+    out._backward = backward
+    return softmax_lastdim(out)
+
+
+def _mix(weights: list[Tensor], v: Tensor, heads: int, packs: list[Pack]) -> Tensor:
+    """Attention rows times values per pack, heads merged back: (n, d)."""
+    values = [pack.split_heads(v.data[pack.rows], heads) for pack in packs]
+    # A lone document's (heads, n, n) rows, viewed as a pack of one.
+    rows = [w.data.reshape(vh.shape[:3] + (-1,)) for w, vh in zip(weights, values)]
+    parts = [pack.merge_heads(r @ vh) for r, vh, pack in zip(rows, values, packs)]
+    out = Tensor(
+        parts[0] if len(parts) == 1 else np.concatenate(parts),
+        v.requires_grad or any(w.requires_grad for w in weights),
+        (*weights, v),
+    )
+
+    def backward(grad):
+        for w, r, vh, pack in zip(weights, rows, values, packs):
+            g = pack.split_heads(grad[pack.rows], heads)
+            if w.requires_grad:
+                w._accumulate((g @ vh.swapaxes(-1, -2)).reshape(w.shape))
+            if v.requires_grad:
+                _accumulate_rows(v, pack.rows, pack.merge_heads(r.swapaxes(-1, -2) @ g))
+
+    out._backward = backward
+    return out
 
 
 def attention(
@@ -292,14 +451,19 @@ def attention(
     heads: int,
     bias: Optional[AttentionBias] = None,
     layer: int = 0,
+    packs: Optional[list[Pack]] = None,
 ) -> Tensor:
-    """Multi-head scaled dot-product attention over projected q/k/v."""
+    """Multi-head scaled dot-product attention over projected q/k/v rows.
+
+    ``packs`` splits the rows into packed documents (see ``encoder_forward``);
+    None means the rows are one document.
+    """
     if v.shape != q.shape:
         raise ValueError(f"value shape {v.shape} must match query {q.shape}")
-    weights = attention_weights(q, k, heads, bias, layer)
-    n, d = q.shape
-    mixed = weights @ _split_heads(v, heads)
-    return mixed.transpose(1, 0, 2).reshape(n, d)
+    if packs is None:
+        packs = [Pack.create([q.shape[0]])]
+    weights = [attention_weights(q, k, heads, bias, layer, pack) for pack in packs]
+    return _mix(weights, v, heads, packs)
 
 
 def encoder_forward(
@@ -308,26 +472,37 @@ def encoder_forward(
     tokens: Sequence[str],
     boxes: Sequence[BBox],
     bias: Optional[AttentionBias] = None,
+    lengths: Optional[Sequence[int]] = None,
 ) -> Tensor:
-    """Pre-norm transformer encoder; L=0 returns the embeddings unchanged."""
+    """Pre-norm transformer encoder; L=0 returns the embeddings unchanged.
+
+    ``lengths`` gives the token count of each document packed one after
+    another in ``tokens``/``boxes``; None means one document. Embeddings,
+    layer norms, projections and the FFN run once over all rows; attention
+    stays within each document, and ``bias`` then holds one matrix per
+    document.
+    """
     if len(tokens) != len(boxes):
         raise ValueError("tokens and boxes must align")
-    x = embed(config, params, list(zip(tokens, boxes)))
-    if bias is not None and bias.rho.shape[0] != x.shape[0]:
+    lengths = [len(tokens)] if lengths is None else list(lengths)
+    x = embed(config, params, list(zip(tokens, boxes)), lengths)
+    if bias is not None and [r.shape for r in bias.rho] != [(n, n) for n in lengths]:
         raise ValueError(
-            f"bias matrix is {bias.rho.shape}, expected {(x.shape[0],) * 2}"
+            f"bias matrices are {[r.shape for r in bias.rho]}, expected "
+            f"{[(n, n) for n in lengths]}"
         )
+    packs = Pack.group(lengths, config.max_tokens)
     for layer in range(config.layers):
         base = f"enc.l{layer}."
         h = layer_norm(x, params[base + "ln1.gain"], params[base + "ln1.bias"])
-        q = h @ params[base + "attn.Wq"] + params[base + "attn.bq"]
-        k = h @ params[base + "attn.Wk"] + params[base + "attn.bk"]
-        v = h @ params[base + "attn.Wv"] + params[base + "attn.bv"]
-        attended = attention(q, k, v, config.heads, bias, layer)
-        x = x + attended @ params[base + "attn.Wo"] + params[base + "attn.bo"]
+        q = linear(h, params[base + "attn.Wq"], params[base + "attn.bq"])
+        k = linear(h, params[base + "attn.Wk"], params[base + "attn.bk"])
+        v = linear(h, params[base + "attn.Wv"], params[base + "attn.bv"])
+        attended = attention(q, k, v, config.heads, bias, layer, packs)
+        x = linear(attended, params[base + "attn.Wo"], params[base + "attn.bo"], x)
         h = layer_norm(x, params[base + "ln2.gain"], params[base + "ln2.bias"])
-        inner = (h @ params[base + "ffn.W1"] + params[base + "ffn.b1"]).relu()
-        x = x + inner @ params[base + "ffn.W2"] + params[base + "ffn.b2"]
+        inner = linear(h, params[base + "ffn.W1"], params[base + "ffn.b1"]).relu()
+        x = linear(inner, params[base + "ffn.W2"], params[base + "ffn.b2"], x)
     return x
 
 
@@ -376,22 +551,33 @@ def optimizer_step(
 # Checkpoints
 
 
+def _checkpoint_chunks(config: dict, store: ParameterStore) -> Iterator[str]:
+    """The checkpoint's JSON text in pieces, one parameter at a time.
+
+    Joined, the pieces equal ``json.dumps`` of the whole checkpoint object
+    with ``sort_keys``; writing them one by one never holds every
+    parameter's values as Python floats and text at once.
+    """
+    yield (
+        '{"config": ' + json.dumps(config, sort_keys=True)
+        + ', "format_version": 1, "params": {'
+    )
+    for i, (name, tensor) in enumerate(store.items()):
+        entry = {"shape": list(tensor.shape), "values": tensor.data.reshape(-1).tolist()}
+        separator = ", " if i else ""
+        yield f"{separator}{json.dumps(name)}: {json.dumps(entry, sort_keys=True)}"
+    yield "}}"
+
+
 def checkpoint_to_json(config: dict, store: ParameterStore) -> str:
-    obj = {
-        "format_version": 1,
-        "config": config,
-        "params": {
-            name: {"shape": list(tensor.shape), "values": tensor.data.reshape(-1).tolist()}
-            for name, tensor in store.items()
-        },
-    }
     # sort_keys + full-precision repr floats => byte-stable and lossless.
-    return json.dumps(obj, sort_keys=True)
+    return "".join(_checkpoint_chunks(config, store))
 
 
 def save_checkpoint(path, config: dict, store: ParameterStore) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(checkpoint_to_json(config, store))
+        for chunk in _checkpoint_chunks(config, store):
+            fh.write(chunk)
         fh.write("\n")
 
 

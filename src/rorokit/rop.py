@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .autodiff import AutodiffError, Tensor, as_tensor
+from .autodiff import AutodiffError, Tensor, as_tensor, linear
 from .layout import (
     BBox,
     Corpus,
@@ -42,6 +42,9 @@ TASK_LEVELS = ("segment", "word")
 
 # Default element budgets per task level, used when max_elements is 0.
 DEFAULT_MAX_ELEMENTS = {"segment": 256, "word": 512}
+
+# One document's element spans: token ranges that tile its tokens in order.
+Spans = Sequence[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -141,22 +144,75 @@ def check_span_tiling(spans: Sequence[tuple[int, int]]) -> int:
     return cursor
 
 
-def pool_elements(states: Tensor, spans: Sequence[tuple[int, int]]) -> Tensor:
-    """Mean-pool token states into element states via one constant matmul.
+def _is_packed(spans: Union[Spans, Sequence[Spans]]) -> bool:
+    """True when ``spans`` holds one span list per packed document."""
+    return bool(spans) and not isinstance(spans[0][0], (int, np.integer))
 
-    Spans must be non-empty and tile the token axis exactly, in order.
+
+def pack_inputs(
+    inputs: Sequence[tuple[Sequence[str], Sequence[BBox], Spans]],
+) -> tuple[list[str], list[BBox], list[Spans]]:
+    """Several documents' (texts, boxes, spans) as one packed model input.
+
+    Tokens and boxes follow one another, document by document; the spans
+    stay one list per document, each over its own tokens.
+    """
+    texts = [t for doc_texts, _, _ in inputs for t in doc_texts]
+    boxes = [b for _, doc_boxes, _ in inputs for b in doc_boxes]
+    return texts, boxes, [spans for _, _, spans in inputs]
+
+
+def _row_slices(counts: Sequence[int]) -> list[slice]:
+    """Consecutive row ranges of the given sizes, from row 0."""
+    slices, start = [], 0
+    for count in counts:
+        slices.append(slice(start, start + count))
+        start += count
+    return slices
+
+
+def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def pool_elements(states: Tensor, spans: Union[Spans, Sequence[Spans]]) -> Tensor:
+    """Mean-pool token states into element states, one constant matmul per document.
+
+    ``spans`` are one document's element spans, which must be non-empty and
+    tile the token axis exactly, in order; or a list of such span lists, one
+    per document packed row-wise in ``states``. The documents' element rows
+    follow one another in the result.
     """
     states = as_tensor(states)
     if states.ndim != 2:
         raise ValueError(f"states must be (tokens, dim), got {states.shape}")
+    pools = []
+    for doc_spans in spans if _is_packed(spans) else [spans]:
+        pool = np.zeros((len(doc_spans), check_span_tiling(doc_spans)))
+        for i, (start, end) in enumerate(doc_spans):
+            pool[i, start:end] = 1.0 / (end - start)
+        pools.append(pool)
+    token_rows = _row_slices([pool.shape[1] for pool in pools])
+    element_rows = _row_slices([pool.shape[0] for pool in pools])
     n_tokens = states.shape[0]
-    covered = check_span_tiling(spans)
-    if covered != n_tokens:
-        raise ValueError(f"spans cover {covered} tokens, states have {n_tokens}")
-    pool = np.zeros((len(spans), n_tokens))
-    for i, (start, end) in enumerate(spans):
-        pool[i, start:end] = 1.0 / (end - start)
-    return Tensor(pool) @ states
+    if token_rows[-1].stop != n_tokens:
+        raise ValueError(
+            f"spans cover {token_rows[-1].stop} tokens, states have {n_tokens}"
+        )
+    out = Tensor(
+        _stack_rows([pool @ states.data[r] for pool, r in zip(pools, token_rows)]),
+        states.requires_grad,
+        (states,),
+    )
+
+    def backward(grad):
+        if states.requires_grad:
+            states._accumulate(
+                _stack_rows([pool.T @ grad[r] for pool, r in zip(pools, element_rows)])
+            )
+
+    out._backward = backward
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +240,39 @@ class GlobalPointerHead:
         store.add("gp.bk", np.zeros(head_dim))
         return cls(store)
 
-    def scores(self, pooled: Tensor) -> Tensor:
-        """(n, d) element states -> (n, n) pair score matrix."""
-        q = pooled @ self.store["gp.Wq"] + self.store["gp.bq"]
-        k = pooled @ self.store["gp.Wk"] + self.store["gp.bk"]
-        return q @ k.transpose()
+    def scores(self, pooled: Tensor, sizes: Optional[Sequence[int]] = None) -> Tensor:
+        """(n, d) element states -> (n, n) pair score matrix, as one node
+        after the two projections.
+
+        ``sizes`` gives the element count of each document packed row-wise
+        in ``pooled``; the result then holds each document's (n_b, n_b)
+        matrix, flattened row-major, one after another.
+        """
+        q = linear(pooled, self.store["gp.Wq"], self.store["gp.bq"])
+        k = linear(pooled, self.store["gp.Wk"], self.store["gp.bk"])
+        rows = _row_slices([q.shape[0]] if sizes is None else sizes)
+        if rows[-1].stop != q.shape[0]:
+            raise ValueError(
+                f"sizes cover {rows[-1].stop} elements, states have {q.shape[0]}"
+            )
+        blocks = [q.data[r] @ k.data[r].T for r in rows]
+        if sizes is None:
+            data = blocks[0]
+        else:
+            data = np.concatenate([b.reshape(-1) for b in blocks])
+        out = Tensor(data, q.requires_grad or k.requires_grad, (q, k))
+
+        def backward(grad):
+            flat = grad.reshape(-1)
+            cells = _row_slices([b.size for b in blocks])
+            grads = [flat[c].reshape(b.shape) for c, b in zip(cells, blocks)]
+            if q.requires_grad:
+                q._accumulate(_stack_rows([g @ k.data[r] for g, r in zip(grads, rows)]))
+            if k.requires_grad:
+                k._accumulate(_stack_rows([g.T @ q.data[r] for g, r in zip(grads, rows)]))
+
+        out._backward = backward
+        return out
 
 
 def _logsumexp_with_zero(values: np.ndarray) -> float:
@@ -205,7 +289,7 @@ def _logsumexp_with_zero(values: np.ndarray) -> float:
 
 def gp_loss(
     scores: Tensor,
-    labels: Relation,
+    labels: Union[Relation, Sequence[Relation]],
     include_diagonal_negatives: bool = True,
 ) -> Tensor:
     """Class-imbalance-aware pair ranking loss with a closed-form gradient.
@@ -217,34 +301,50 @@ def gp_loss(
     unless ``include_diagonal_negatives`` is off. The implicit 1 inside each
     log acts as a zero-score anchor, so both terms vanish only when every
     labeled score is far above zero and every other score far below.
+
+    With a sequence of relations, ``scores`` holds the documents' flattened
+    (n, n) matrices one after another, as ``GlobalPointerHead.scores`` gives
+    them for a packed batch, and the result is the mean loss over documents.
     """
     scores = as_tensor(scores)
     s = scores.data
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"scores must be square, got {s.shape}")
-    n = s.shape[0]
-    if labels.element_count != n:
-        raise ValueError(
-            f"labels cover {labels.element_count} elements, scores {n}"
-        )
-    pos = np.zeros((n, n), dtype=bool)
-    for i, j in labels.pairs:
-        pos[i, j] = True
-    neg = ~pos
-    if not include_diagonal_negatives:
-        np.fill_diagonal(neg, False)
-    lse_neg = _logsumexp_with_zero(s[neg])
-    lse_pos = _logsumexp_with_zero(-s[pos])
-    value = lse_neg + lse_pos
-    if not np.isfinite(value):
-        raise AutodiffError(f"non-finite pair loss: {value}")
-    out = Tensor(value, scores.requires_grad, (scores,))
+    if isinstance(labels, Relation):
+        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+            raise ValueError(f"scores must be square, got {s.shape}")
+        if labels.element_count != s.shape[0]:
+            raise ValueError(
+                f"labels cover {labels.element_count} elements, scores {s.shape[0]}"
+            )
+        labels = [labels]
+    cells = _row_slices([rel.element_count**2 for rel in labels])
+    if s.size != cells[-1].stop or (len(labels) > 1 and s.ndim != 1):
+        raise ValueError(f"scores hold {s.size} cells, labels cover {cells[-1].stop}")
+    flat = s.reshape(-1)
+    terms = []
+    for cell, rel in zip(cells, labels):
+        n = rel.element_count
+        block = flat[cell].reshape(n, n)
+        pos = np.zeros((n, n), dtype=bool)
+        for i, j in rel.pairs:
+            pos[i, j] = True
+        neg = ~pos
+        if not include_diagonal_negatives:
+            np.fill_diagonal(neg, False)
+        lse_neg = _logsumexp_with_zero(block[neg])
+        lse_pos = _logsumexp_with_zero(-block[pos])
+        value = lse_neg + lse_pos
+        if not np.isfinite(value):
+            raise AutodiffError(f"non-finite pair loss: {value}")
+        terms.append((block, pos, neg, lse_neg, lse_pos, value))
+    out = Tensor(sum(t[-1] for t in terms) / len(terms), scores.requires_grad, (scores,))
 
     def backward(grad):
-        g = np.zeros_like(s)
-        g[neg] = np.exp(s[neg] - lse_neg)
-        g[pos] = -np.exp(-s[pos] - lse_pos)
-        scores._accumulate(grad * g)
+        g = np.zeros(s.size)
+        for cell, (block, pos, neg, lse_neg, lse_pos, _) in zip(cells, terms):
+            view = g[cell].reshape(block.shape)
+            view[neg] = np.exp(block[neg] - lse_neg)
+            view[pos] = -np.exp(-block[pos] - lse_pos)
+        scores._accumulate(grad / len(terms) * g.reshape(s.shape))
 
     out._backward = backward
     return out
@@ -305,12 +405,24 @@ class ROPModel:
         self,
         texts: Sequence[str],
         boxes: Sequence[BBox],
-        spans: Sequence[tuple[int, int]],
+        spans: Union[Spans, Sequence[Spans]],
         bias: Optional[AttentionBias] = None,
     ) -> Tensor:
-        """Encode the tokens, biased by ``bias``, pool by span and score every pair."""
-        states = encoder_forward(self.encoder_config, self.store, texts, boxes, bias)
-        return GlobalPointerHead(self.store).scores(pool_elements(states, spans))
+        """Encode the tokens, biased by ``bias``, pool by span and score every pair.
+
+        For one document ``spans`` is its span list and the result its (n, n)
+        score matrix. For a packed batch (see ``pack_inputs``) ``spans`` holds
+        one span list per document and the result each document's flattened
+        matrix, one after another, from one forward over all tokens.
+        """
+        packed = _is_packed(spans)
+        lengths = [check_span_tiling(doc) for doc in spans] if packed else None
+        states = encoder_forward(
+            self.encoder_config, self.store, texts, boxes, bias, lengths
+        )
+        return GlobalPointerHead(self.store).scores(
+            pool_elements(states, spans), [len(doc) for doc in spans] if packed else None
+        )
 
     def score_document(self, doc: Document) -> np.ndarray:
         """(n, n) raw pair scores; n counts task elements."""
@@ -373,7 +485,7 @@ class TrainReport:
 def fit(
     store: ParameterStore,
     examples: Sequence,
-    example_loss: Callable[[object], Tensor],
+    batch_loss: Callable[[list], Tensor],
     rng: np.random.Generator,
     learning_rate: float,
     epochs: int,
@@ -383,13 +495,14 @@ def fit(
 ) -> tuple[list[float], list[float], int]:
     """Mini-batch AdamW over ``examples``; returns (losses, scores, best epoch).
 
-    Each epoch shuffles the examples with ``rng``, averages the gradients of
-    ``example_loss`` over each batch and takes one optimizer step per batch;
-    the returned losses are per-epoch means. With ``validate`` the score it
-    returns after each epoch drives early stopping: training stops on a
-    perfect 1.0 or after ``patience`` epochs without improvement, and the
-    parameters of the best epoch are restored. Without it every epoch runs
-    and the last one counts as best.
+    Each epoch shuffles the examples with ``rng`` and cuts them into batches.
+    ``batch_loss`` maps a batch (a list of examples) to its mean loss, one
+    graph; each batch takes one backward pass and one optimizer step. The
+    returned losses are per-epoch means over examples. With ``validate``
+    the score it returns after each epoch drives early stopping: training
+    stops on a perfect 1.0 or after ``patience`` epochs without improvement,
+    and the parameters of the best epoch are restored. Without it every
+    epoch runs and the last one counts as best.
     """
     order = np.arange(len(examples))
     losses: list[float] = []
@@ -402,13 +515,12 @@ def fit(
         rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
+            batch = [examples[i] for i in order[start : start + batch_size]]
             store.zero_grads()
-            scale = 1.0 / len(batch)
-            for idx in batch:
-                loss = example_loss(examples[idx])
-                epoch_loss += loss.item()
-                (loss * scale).backward()
+            loss = batch_loss(batch)
+            epoch_loss += loss.item() * len(batch)
+            loss.backward()
+            del loss  # the batch's graph, before the next one is built
             optimizer_step(store, learning_rate)
         losses.append(epoch_loss / len(examples))
         if validate is None:
@@ -512,10 +624,10 @@ def train(
 
     model = ROPModel.create(encoder_config, config, rng)
 
-    def example_loss(example) -> Tensor:
-        inputs, labels = example
+    def batch_loss(batch: list) -> Tensor:
+        inputs, labels = zip(*batch)
         return gp_loss(
-            model.scores(*inputs), labels, config.include_diagonal_negatives
+            model.scores(*pack_inputs(inputs)), labels, config.include_diagonal_negatives
         )
 
     def validation_f1() -> float:
@@ -525,7 +637,7 @@ def train(
     train_losses, val_f1s, best_epoch = fit(
         model.store,
         examples,
-        example_loss,
+        batch_loss,
         rng,
         config.learning_rate,
         config.epochs,
@@ -547,15 +659,18 @@ def train(
 
 
 def predict_pseudo_labels(
-    model: ROPModel, corpus: Corpus
+    model: ROPModel, corpus: Corpus, enforce_acyclic: bool = False
 ) -> tuple[Corpus, dict[str, dict]]:
     """Replace every document's succession annotation with model output.
 
     Returns the relabeled corpus, in the input's document order, plus a
     per-document sidecar recording whether the prediction was acyclic and how
-    many pairs it kept. Word-level predictions are projected back onto
-    segments first. A document over the model's budgets keeps no annotation
-    (``isdr`` is None) and its sidecar entry is ``{"skipped": reason}``.
+    many pairs it kept. ``enforce_acyclic`` is handed to ``decode``; callers
+    that build relation matrices from the output need it, since those refuse
+    cyclic relations. Word-level predictions are projected back onto
+    segments first. A document over the model's budgets keeps no
+    annotation (``isdr`` is None) and its sidecar entry is
+    ``{"skipped": reason}``.
     """
     documents = []
     sidecar: dict[str, dict] = {}
@@ -566,7 +681,7 @@ def predict_pseudo_labels(
             sidecar[doc.id] = {"skipped": reason}
             documents.append(replace(doc, isdr=None))
             continue
-        rel = model.predict(doc)
+        rel = model.predict(doc, enforce_acyclic)
         if model.config.task_level == "word":
             rel = collapse_word_relation(doc, rel)
         ok, _ = is_acyclic(rel)

@@ -28,6 +28,7 @@ from .rop import (
     decode,
     fit,
     gp_loss,
+    pack_inputs,
     tokens_for_document,
 )
 
@@ -236,21 +237,18 @@ def _train_linking_arm(
             model.store, encoder_config.layers, config.bias_layers, config.lambda_init
         )
 
-    def with_bias(examples: list[tuple]) -> list[tuple]:
-        return [
-            (inputs, links, AttentionBias(rho, lambdas) if biased else None)
-            for inputs, links, rho in examples
-        ]
+    def bias(rho) -> Optional[AttentionBias]:
+        """One matrix, or one per packed document, weighted by the arm's lambdas."""
+        return AttentionBias(rho, lambdas) if biased else None
 
-    def example_loss(example) -> Tensor:
-        inputs, links, bias = example
-        return gp_loss(model.scores(*inputs, bias), links)
+    def batch_loss(batch: list) -> Tensor:
+        inputs, links, rhos = zip(*batch)
+        return gp_loss(model.scores(*pack_inputs(inputs), bias(rhos)), links)
 
-    train, test = with_bias(train_examples), with_bias(test_examples)
     losses, _, _ = fit(
         model.store,
-        train,
-        example_loss,
+        train_examples,
+        batch_loss,
         rng,
         config.learning_rate,
         config.epochs,
@@ -259,14 +257,14 @@ def _train_linking_arm(
 
     def evaluate(examples: list[tuple]) -> float:
         pairs = [
-            (links, decode(model.scores(*inputs, bias).data))
-            for inputs, links, bias in examples
+            (links, decode(model.scores(*inputs, bias(rho)).data))
+            for inputs, links, rho in examples
         ]
         return corpus_f1(pairs).f1
 
     return {
-        "train_f1": evaluate(train),
-        "test_f1": evaluate(test),
+        "train_f1": evaluate(train_examples),
+        "test_f1": evaluate(test_examples),
         "final_loss": losses[-1],
     }
 

@@ -10,6 +10,7 @@ from rorokit.autodiff import (
     gather_rows,
     grad_check,
     layer_norm,
+    linear,
     softmax_lastdim,
 )
 
@@ -221,6 +222,28 @@ def test_fused_layer_norm_matches_composite(shape):
     )
 
 
+@pytest.mark.parametrize("with_residual", [False, True])
+def test_fused_linear_is_bit_identical_to_composite(with_residual):
+    x = Tensor(rand(5, 4, seed=42), requires_grad=True)
+    weight = Tensor(rand(4, 3, seed=43), requires_grad=True)
+    bias = Tensor(rand(3, seed=44), requires_grad=True)
+    inputs = [x, weight, bias]
+    if with_residual:
+        inputs.append(Tensor(rand(5, 3, seed=45), requires_grad=True))
+
+    def composite(x, weight, bias, residual=None):
+        if residual is None:
+            return x @ weight + bias
+        return residual + x @ weight + bias
+
+    w = rand(5, 3, seed=46)
+    fused, g_fused = values_and_grads(linear, inputs, w)
+    ref, g_ref = values_and_grads(composite, inputs, w)
+    np.testing.assert_array_equal(fused, ref)
+    for a, b in zip(g_fused, g_ref):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_row_sparse_gather_matches_dense_reference():
     table = Tensor(rand(6, 3, seed=36), requires_grad=True)
     first, second = [4, 1, 4, 4, 0], [1, 1, 5]
@@ -234,6 +257,24 @@ def test_row_sparse_gather_matches_dense_reference():
     np.add.at(dense, second, w2)
     np.testing.assert_allclose(table.grad, dense, rtol=1e-15, atol=0)
     assert not table.grad[[2, 3]].any()
+
+
+def test_summed_lookups_are_bit_identical_to_chained_ones():
+    tables = [Tensor(rand(6, 3, seed=s), requires_grad=True) for s in (47, 48, 49)]
+    indices = [[4, 1, 4], [0, 0, 5], [2, 3, 1]]
+    w = rand(3, 3, seed=50)
+
+    def chained(*tables):
+        out = gather_rows(tables[0], indices[0])
+        for t, idx in zip(tables[1:], indices[1:]):
+            out = out + gather_rows(t, idx)
+        return out
+
+    fused, g_fused = values_and_grads(lambda *t: gather_rows(t, indices), tables, w)
+    ref, g_ref = values_and_grads(chained, tables, w)
+    np.testing.assert_array_equal(fused, ref)
+    for a, b in zip(g_fused, g_ref):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_first_gradient_is_copied_not_aliased():

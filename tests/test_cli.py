@@ -313,6 +313,13 @@ def test_eval_without_systems_exits_1(tmp_path, capsys):
     assert code == 1 and "nothing to evaluate" in err
 
 
+def test_eval_refuses_an_empty_corpus(tmp_path, capsys):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    code, out, err = run(capsys, "eval", str(corpus), "--heuristic")
+    assert code == 1 and out == "" and "no documents" in err
+
+
 def test_eval_rejects_duplicate_ids(tmp_path, capsys):
     corpus = write_corpus(tmp_path, n_docs=3)
     lines = corpus.read_text().splitlines()
@@ -361,6 +368,29 @@ def test_demo_rore_pseudo_needs_model(tmp_path, capsys):
     )
     code, _, err = run(capsys, "demo-rore", "--config", str(cfg))
     assert code == 1 and "model" in err
+
+
+def test_demo_rore_repairs_cyclic_pseudo_labels(tmp_path, capsys):
+    # Zero projections and unit biases score every pair alike, so the raw
+    # prediction links every two segments both ways.
+    model_path = write_model(tmp_path)
+    model = ROPModel.load(model_path)
+    for name in ("gp.Wq", "gp.Wk"):
+        model.store[name].data[...] = 0.0
+    for name in ("gp.bq", "gp.bk"):
+        model.store[name].data[...] = 1.0
+    model.save(model_path)
+    cfg = write_config(
+        tmp_path,
+        {
+            "demo": {"n_docs": 8, "epochs": 1, "label_source": "pseudo",
+                     "model": str(model_path)},
+            "encoder": {"layers": 1, "model_dim": 16, "heads": 2},
+        },
+    )
+    code, out, err = run(capsys, "demo-rore", "--config", str(cfg))
+    assert code == 0, err
+    assert {"f1_vanilla", "f1_rore"} <= set(json.loads(out))
 
 
 def test_render_document(tmp_path, capsys):

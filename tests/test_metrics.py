@@ -177,6 +177,11 @@ def test_benchmark_report_shape_and_ceiling():
     assert parsed["systems"][0]["name"] == "gold"
 
 
+def test_benchmark_report_refuses_no_documents():
+    with pytest.raises(ValueError, match="no documents"):
+        benchmark_report([], {"h": heuristic_relation})
+
+
 def test_benchmark_report_requires_gold():
     doc = Document("d", 1000, 1000, (box_seg(0, 0, 0, 100, 50),))
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,6 +366,26 @@ def test_checkpoint_round_trip_exact_and_stable(tmp_path):
     assert path.read_bytes() == (tmp_path / "model2.json").read_bytes()
     cfg2, store2 = load_checkpoint(path)
     assert store2.names() == store.names()
+
+
+def test_saved_checkpoint_streams_the_json_text(tmp_path):
+    cfg = EncoderConfig(layers=1, model_dim=4, heads=2, vocab_hash_size=8, ffn_dim=8)
+    store = init_encoder_params(cfg, seed=6)
+    config = {"encoder": cfg.to_dict(), "note": {"b": [1.5, None], "a": "x"}}
+    path = tmp_path / "model.json"
+    save_checkpoint(path, config, store)
+    text = checkpoint_to_json(config, store)
+    assert path.read_bytes() == (text + "\n").encode("utf-8")
+    whole = {
+        "format_version": 1,
+        "config": config,
+        "params": {
+            name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
+            for name, t in store.items()
+        },
+    }
+    assert text == json.dumps(whole, sort_keys=True)
+    assert checkpoint_to_json(config, ParameterStore()).endswith('"params": {}}')
 
 
 def test_checkpoint_version_checked():

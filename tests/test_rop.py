@@ -1,15 +1,29 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rorokit.autodiff import AutodiffError, Tensor, grad_check
+from rorokit import nn
+from rorokit.autodiff import (
+    AutodiffError,
+    Tensor,
+    grad_check,
+    layer_norm,
+    softmax_lastdim,
+)
 from rorokit.layout import BBox, Corpus, Document, Segment, Word, derive_word_level
 from rorokit.metrics import corpus_f1
-from rorokit.nn import EncoderConfig, MissingGradientError, ParameterStore
+from rorokit.nn import (
+    AttentionBias,
+    EncoderConfig,
+    MissingGradientError,
+    ParameterStore,
+    embed,
+)
 from rorokit.rop import (
     GlobalPointerHead,
     ROPConfig,
@@ -17,6 +31,7 @@ from rorokit.rop import (
     decode,
     fit,
     gp_loss,
+    pack_inputs,
     pool_elements,
     predict_pseudo_labels,
     target_relation,
@@ -24,6 +39,7 @@ from rorokit.rop import (
     train,
 )
 from rorokit.relations import Relation
+from rorokit.rore import init_lambda_params
 from rorokit.synth import SynthConfig, synth_generate
 
 TINY_ENCODER = EncoderConfig(layers=1, model_dim=8, heads=2, ffn_dim=16)
@@ -371,15 +387,20 @@ def fit_one_parameter(scores=None, epochs=10, patience=1):
     store = ParameterStore()
     w = store.add("w", np.zeros(1))
     after_epoch = []
+    batch_sizes = []
 
     def validate():
         after_epoch.append(w.data.copy())
         return scores[len(after_epoch) - 1]
 
+    def batch_loss(targets):
+        batch_sizes.append(len(targets))
+        return sum(((w - t) ** 2).sum() for t in targets) * (1.0 / len(targets))
+
     result = fit(
         store,
         [1.0, 2.0, 3.0],
-        lambda target: ((w - target) ** 2).sum(),
+        batch_loss,
         np.random.default_rng(0),
         learning_rate=0.1,
         epochs=epochs,
@@ -387,11 +408,11 @@ def fit_one_parameter(scores=None, epochs=10, patience=1):
         validate=validate if scores is not None else None,
         patience=patience,
     )
-    return result, w.data.copy(), after_epoch
+    return result, w.data.copy(), after_epoch, batch_sizes
 
 
 def test_fit_restores_best_epoch_after_patience_runs_out():
-    (losses, scores, best), w, after_epoch = fit_one_parameter(
+    (losses, scores, best), w, after_epoch, _ = fit_one_parameter(
         [0.2, 0.5, 0.4, 0.3, 0.9, 0.9], patience=2
     )
     assert len(losses) == 4 and scores == [0.2, 0.5, 0.4, 0.3]
@@ -401,13 +422,14 @@ def test_fit_restores_best_epoch_after_patience_runs_out():
 
 
 def test_fit_stops_on_perfect_score():
-    (losses, scores, best), _, _ = fit_one_parameter([1.0, 0.5], patience=5)
+    (losses, scores, best), _, _, _ = fit_one_parameter([1.0, 0.5], patience=5)
     assert len(losses) == 1 and scores == [1.0] and best == 0
 
 
 def test_fit_without_validation_runs_every_epoch():
-    (losses, scores, best), w, _ = fit_one_parameter(epochs=3)
+    (losses, scores, best), w, _, batch_sizes = fit_one_parameter(epochs=3)
     assert len(losses) == 3 and scores == [] and best == 2
+    assert batch_sizes == [2, 1] * 3  # one loss call per batch
     assert losses[-1] < losses[0] and 0.0 < w[0] < 3.0
 
 
@@ -436,3 +458,173 @@ def test_pseudo_labels_match_gold_after_overfitting():
         entry = sidecar[original.id]
         assert entry["acyclic"] is True
         assert entry["num_pairs"] == len(original.isdr)
+
+
+# --- packed batches against the per-document composite ---
+
+
+PACK_ENCODER = EncoderConfig(layers=2, model_dim=8, heads=2, ffn_dim=16)
+
+
+def reference_scores(model, texts, boxes, spans, bias=None):
+    """One document's (n, n) scores from primitive Tensor ops only.
+
+    This is the per-document composite the packed forward replaces:
+    unfused projections, per-head reshapes and a dense pooling matmul.
+    """
+    cfg, p = model.encoder_config, model.store
+    x = embed(cfg, p, list(zip(texts, boxes)))
+    n, d = x.shape
+    dk = d // cfg.heads
+
+    def heads(t):
+        return t.reshape(n, cfg.heads, dk).transpose(1, 0, 2)
+
+    for layer in range(cfg.layers):
+        b = f"enc.l{layer}."
+        h = layer_norm(x, p[b + "ln1.gain"], p[b + "ln1.bias"])
+        q = h @ p[b + "attn.Wq"] + p[b + "attn.bq"]
+        k = h @ p[b + "attn.Wk"] + p[b + "attn.bk"]
+        v = h @ p[b + "attn.Wv"] + p[b + "attn.bv"]
+        logits = heads(q) @ heads(k).transpose(0, 2, 1)
+        lam = bias.lambda_at(layer) if bias is not None else None
+        if lam is not None:
+            logits = logits + lam * Tensor(bias.rho[0])
+        weights = softmax_lastdim(logits * (1.0 / np.sqrt(dk)))
+        mixed = (weights @ heads(v)).transpose(1, 0, 2).reshape(n, d)
+        x = x + mixed @ p[b + "attn.Wo"] + p[b + "attn.bo"]
+        h = layer_norm(x, p[b + "ln2.gain"], p[b + "ln2.bias"])
+        inner = (h @ p[b + "ffn.W1"] + p[b + "ffn.b1"]).relu()
+        x = x + inner @ p[b + "ffn.W2"] + p[b + "ffn.b2"]
+    pool = np.zeros((len(spans), n))
+    for i, (start, end) in enumerate(spans):
+        pool[i, start:end] = 1.0 / (end - start)
+    pooled = Tensor(pool) @ x
+    q = pooled @ p["gp.Wq"] + p["gp.bq"]
+    k = pooled @ p["gp.Wk"] + p["gp.bk"]
+    return q @ k.transpose()
+
+
+def random_document(rng, n_tokens):
+    """(texts, boxes, spans), a chain over the spans and a {0,1} token matrix."""
+    texts = [f"w{int(t)}" for t in rng.integers(0, 50, size=n_tokens)]
+    boxes = []
+    for _ in range(n_tokens):
+        x0, y0 = (int(c) for c in rng.integers(0, 900, size=2))
+        boxes.append(BBox(x0, y0, x0 + 40, y0 + 20))
+    cuts = rng.choice(np.arange(1, n_tokens), size=min(3, n_tokens - 1), replace=False)
+    bounds = [0, *sorted(int(c) for c in cuts), n_tokens]
+    spans = list(zip(bounds, bounds[1:]))
+    labels = Relation.from_pairs(len(spans), [(i, i + 1) for i in range(len(spans) - 1)])
+    rho = (rng.random((n_tokens, n_tokens)) < 0.3).astype(float)
+    return (texts, boxes, spans), labels, rho
+
+
+def packed_batch(max_tokens=2048, lengths=(2, 60, 5, 2, 60, 17)):
+    encoder = replace(PACK_ENCODER, max_tokens=max_tokens)
+    rng = np.random.default_rng(7)
+    model = ROPModel.create(encoder, ROPConfig(head_dim=4), rng)
+    docs = [random_document(rng, n) for n in lengths]
+    return model, docs
+
+
+def lambdas_for(model, kind):
+    if kind == "trainable":
+        return init_lambda_params(model.store, model.encoder_config.layers, init=0.7)
+    return [Tensor(0.7) for _ in range(model.encoder_config.layers)]
+
+
+def gradients(model, loss):
+    model.store.zero_grads()
+    loss.backward()
+    return {name: t.grad.copy() for name, t in model.store.items()}
+
+
+def assert_close(got, want, name, floor=0.0):
+    err = np.abs(got - want).max()
+    assert err <= 1e-10 * np.abs(want).max() + floor, (name, err)
+
+
+@pytest.mark.parametrize("max_tokens", [2048, 64])
+@pytest.mark.parametrize("bias_kind", [None, "trainable", "frozen"])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_packed_batch_matches_per_document_composite(max_tokens, bias_kind, diagonal):
+    # max_tokens=64 splits the 2- and 60-token documents over several packs.
+    model, docs = packed_batch(max_tokens)
+    lambdas = lambdas_for(model, bias_kind) if bias_kind else None
+    inputs, labels, rhos = zip(*docs)
+
+    def bias(rho):
+        return AttentionBias(rho, lambdas) if lambdas is not None else None
+
+    ref_scores = [reference_scores(model, *i, bias(r)) for i, r in zip(inputs, rhos)]
+    ref_loss = sum(
+        gp_loss(s, rel, diagonal) for s, rel in zip(ref_scores, labels)
+    ) * (1.0 / len(docs))
+    ref_grads = gradients(model, ref_loss)
+
+    scores = model.scores(*pack_inputs(inputs), bias(rhos))
+    loss = gp_loss(scores, labels, diagonal)
+    grads = gradients(model, loss)
+
+    assert_close(loss.data, ref_loss.data, "loss")
+    want = np.concatenate([s.data.reshape(-1) for s in ref_scores])
+    assert scores.shape == want.shape
+    assert_close(scores.data, want, "scores")
+    assert grads.keys() == ref_grads.keys()
+    if bias_kind == "trainable":
+        assert any(name.startswith("rore.lambda.") for name in grads)
+    for name, want_grad in ref_grads.items():
+        # attn.bk shifts every logit of a row equally, so its true gradient
+        # is 0 and the reference holds rounding noise only.
+        floor = 1e-15 if name.endswith("attn.bk") else 0.0
+        assert_close(grads[name], want_grad, name, floor)
+
+
+def test_single_document_scores_are_bit_identical_to_the_composite():
+    model, docs = packed_batch()
+    for inputs, _, _ in docs:
+        got = model.scores(*inputs).data
+        assert np.array_equal(got, reference_scores(model, *inputs).data)
+
+
+def count_nodes(out):
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_graph_size_does_not_grow_with_batch_size():
+    model, docs = packed_batch(lengths=[3, 9, 4, 12, 7] * 4)
+    inputs, labels, _ = zip(*docs)
+
+    def batch_nodes(k):
+        scores = model.scores(*pack_inputs(inputs[:k]))
+        return count_nodes(gp_loss(scores, labels[:k]))
+
+    assert batch_nodes(20) == batch_nodes(1)
+
+
+def test_packed_attention_stays_within_one_document_budget(monkeypatch):
+    # Six documents of up to 8 tokens under max_tokens=8: no padded
+    # attention array may hold more cells than one 8-token document's.
+    model, docs = packed_batch(max_tokens=8, lengths=(8, 3, 3, 8, 2, 2))
+    cells = []
+    original = nn.softmax_lastdim
+
+    def recording(x):
+        cells.append(x.data.size)
+        return original(x)
+
+    monkeypatch.setattr(nn, "softmax_lastdim", recording)
+    inputs, labels, _ = zip(*docs)
+    scores = model.scores(*pack_inputs(inputs))
+    heads = model.encoder_config.heads
+    assert cells and max(cells) <= heads * 8 * 8
+    assert len(cells) > model.encoder_config.layers  # the batch was split
+    want = np.concatenate([model.scores(*i).data.reshape(-1) for i in inputs])
+    assert_close(scores.data, want, "scores")
