@@ -7,12 +7,11 @@
 Each run is a fresh ``perfbench/run.py`` process started in its own checkout,
 for the ``run_seconds`` of the change's ``BENCHMARK.json``. The claimed
 workload (``CLAIM``) runs ``PAIRS`` untraced pairs on seed 0 and
-``HELD_OUT_PAIRS`` on the held-out seed 1; every other workload runs
-``OTHER_PAIRS`` untraced pairs on seed 0; every workload runs one traced pair
-on seed 0. Pairs alternate which side runs first. The output holds every
-run, per-metric medians and quartiles (inclusive method) for each side, the
-change's wins on the claimed metric, the per-layer deltas of the traced
-pairs, and the machine block.
+``HELD_OUT_PAIRS`` on the held-out seed 1; every other workload runs one
+untraced pair on seed 0; every workload runs one traced pair on seed 0.
+Pairs alternate which side runs first. The output holds every run, per-metric medians and quartiles
+(inclusive method) for each side, the change's wins on the claimed metric,
+the per-layer deltas of the traced pairs, and the machine block.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from pathlib import Path
 
 WORKLOADS = ("rop-train", "rop-predict", "relations-eval", "rore-link")
 CLAIM, METRIC = "rop-train", "docs_per_s"
-PAIRS, HELD_OUT_PAIRS, OTHER_PAIRS = 10, 3, 3
+PAIRS, HELD_OUT_PAIRS = 10, 3
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -124,7 +123,7 @@ def main(argv=None) -> int:
     run_pairs(sides, CLAIM, 1, HELD_OUT_PAIRS, seconds, 0, runs)
     for workload in WORKLOADS:
         if workload != CLAIM:
-            run_pairs(sides, workload, 0, OTHER_PAIRS, seconds, 0, runs)
+            run_pairs(sides, workload, 0, 1, seconds, 0, runs)
     for workload in WORKLOADS:
         run_pairs(sides, workload, 0, 1, seconds, 1, runs)
 

@@ -3,13 +3,16 @@
 Just enough machinery for a small transformer encoder and pair-scoring heads:
 elementwise arithmetic with broadcasting, (batched) matrix products, lookups,
 reductions, shape moves, and softmax / layer norm / linear projections as
-single nodes with closed-form backward. All arithmetic is float64 and
-single-threaded, so forward and backward passes are exactly reproducible.
+single nodes with closed-form backward. All arithmetic is float64; numpy's
+BLAS may run large products on several threads, and for a given thread
+count forward and backward passes are exactly reproducible.
 
 Backward traversal is iterative (explicit topological order), so graph depth
 is not limited by the interpreter recursion limit. A node's first gradient is
 stored as a private copy and later ones are added into it in place, so no
-gradient buffer is ever shared between nodes.
+gradient buffer is ever shared between nodes. Backward consumes the graph:
+each node lets go of its parents once it has handed its gradient on, so the
+arrays of the part already traversed are freed while the rest still runs.
 """
 
 from __future__ import annotations
@@ -86,9 +89,13 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            # Every consumer of this node has run, so nothing needs its
+            # closure again; dropping it frees what only the graph held.
+            node._parents, node._backward = (), None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

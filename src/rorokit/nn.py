@@ -302,19 +302,23 @@ class Pack:
 
     @classmethod
     def group(cls, lengths: Sequence[int], max_tokens: int) -> list["Pack"]:
-        """Consecutive documents grouped so that no pack's padded (B, heads,
-        width, width) attention holds more cells than one ``max_tokens``
-        document's (heads, max_tokens, max_tokens)."""
+        """Consecutive documents grouped so that no pack is larger than one
+        ``max_tokens`` document: it has at most ``max_tokens`` rows, and its
+        padded (B, heads, width, width) attention holds no more cells than
+        that document's (heads, max_tokens, max_tokens)."""
         budget = max_tokens * max_tokens
         packs: list[Pack] = []
         first = row = 0
         while first < len(lengths):
-            end, width = first + 1, lengths[first]
+            end, width, rows = first + 1, lengths[first], lengths[first]
             while end < len(lengths):
                 wider = max(width, lengths[end])
-                if (end + 1 - first) * wider * wider > budget:
+                if (
+                    rows + lengths[end] > max_tokens
+                    or (end + 1 - first) * wider * wider > budget
+                ):
                     break
-                end, width = end + 1, wider
+                end, width, rows = end + 1, wider, rows + lengths[end]
             packs.append(cls.create(lengths[first:end], first, row))
             row, first = packs[-1].rows.stop, end
         return packs

@@ -5,8 +5,9 @@ maps token states onto task elements (segments or words), and a pointer-style
 head scores every ordered element pair in one shot. Training minimizes a
 ranking loss that pushes non-successor scores below zero and successor scores
 above zero, so decoding is a per-pair sign test rather than a sequence search.
-Everything is float64 and single-threaded: the same corpus, config, and seed
-always produce the same parameters.
+Everything is float64; numpy's BLAS may use several threads, and for a given
+thread count the same corpus, config, and seed always produce the same
+parameters.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .metrics import corpus_f1
 from .nn import (
     AttentionBias,
     EncoderConfig,
+    Pack,
     ParameterStore,
     encoder_forward,
     init_encoder_params,
@@ -144,11 +146,6 @@ def check_span_tiling(spans: Sequence[tuple[int, int]]) -> int:
     return cursor
 
 
-def _is_packed(spans: Union[Spans, Sequence[Spans]]) -> bool:
-    """True when ``spans`` holds one span list per packed document."""
-    return bool(spans) and not isinstance(spans[0][0], (int, np.integer))
-
-
 def pack_inputs(
     inputs: Sequence[tuple[Sequence[str], Sequence[BBox], Spans]],
 ) -> tuple[list[str], list[BBox], list[Spans]]:
@@ -160,6 +157,18 @@ def pack_inputs(
     texts = [t for doc_texts, _, _ in inputs for t in doc_texts]
     boxes = [b for _, doc_boxes, _ in inputs for b in doc_boxes]
     return texts, boxes, [spans for _, _, spans in inputs]
+
+
+def split_batch(batch: list, max_tokens: int) -> list[list]:
+    """Cut a batch of ``((texts, boxes, spans), ...)`` examples into sub-batches.
+
+    The sub-batches are consecutive runs of documents that ``Pack.group``
+    keeps in one pack: each has at most ``max_tokens`` tokens and attention
+    arrays no larger than one ``max_tokens`` document's, so the graph built
+    for one is no larger than that document's graph either.
+    """
+    packs = Pack.group([len(example[0][0]) for example in batch], max_tokens)
+    return [batch[p.first : p.first + len(p.lengths)] for p in packs]
 
 
 def _row_slices(counts: Sequence[int]) -> list[slice]:
@@ -175,30 +184,37 @@ def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def pool_elements(states: Tensor, spans: Union[Spans, Sequence[Spans]]) -> Tensor:
-    """Mean-pool token states into element states, one constant matmul per document.
+def pool_elements(
+    states: Tensor, spans: Spans, sizes: Optional[Sequence[int]] = None
+) -> Tensor:
+    """Mean-pool token states into element states via one constant matmul
+    per document.
 
-    ``spans`` are one document's element spans, which must be non-empty and
-    tile the token axis exactly, in order; or a list of such span lists, one
-    per document packed row-wise in ``states``. The documents' element rows
-    follow one another in the result.
+    Spans must be non-empty and tile the token axis exactly, in order. For
+    documents packed row-wise in ``states`` they are the documents' spans
+    one after another, each shifted by its document's first row, and
+    ``sizes`` gives each document's element count; None means one document.
     """
     states = as_tensor(states)
     if states.ndim != 2:
         raise ValueError(f"states must be (tokens, dim), got {states.shape}")
-    pools = []
-    for doc_spans in spans if _is_packed(spans) else [spans]:
-        pool = np.zeros((len(doc_spans), check_span_tiling(doc_spans)))
-        for i, (start, end) in enumerate(doc_spans):
-            pool[i, start:end] = 1.0 / (end - start)
-        pools.append(pool)
-    token_rows = _row_slices([pool.shape[1] for pool in pools])
-    element_rows = _row_slices([pool.shape[0] for pool in pools])
     n_tokens = states.shape[0]
-    if token_rows[-1].stop != n_tokens:
-        raise ValueError(
-            f"spans cover {token_rows[-1].stop} tokens, states have {n_tokens}"
-        )
+    covered = check_span_tiling(spans)
+    if covered != n_tokens:
+        raise ValueError(f"spans cover {covered} tokens, states have {n_tokens}")
+    sizes = [len(spans)] if sizes is None else list(sizes)
+    if sum(sizes) != len(spans) or min(sizes) < 1:
+        raise ValueError(f"sizes {sizes} do not split {len(spans)} spans")
+    element_rows = _row_slices(sizes)
+    pools, token_rows = [], []
+    for rows in element_rows:
+        doc = spans[rows]
+        first = doc[0][0]
+        pool = np.zeros((len(doc), doc[-1][1] - first))
+        for i, (start, end) in enumerate(doc):
+            pool[i, start - first : end - first] = 1.0 / (end - start)
+        pools.append(pool)
+        token_rows.append(slice(first, doc[-1][1]))
     out = Tensor(
         _stack_rows([pool @ states.data[r] for pool, r in zip(pools, token_rows)]),
         states.requires_grad,
@@ -241,12 +257,13 @@ class GlobalPointerHead:
         return cls(store)
 
     def scores(self, pooled: Tensor, sizes: Optional[Sequence[int]] = None) -> Tensor:
-        """(n, d) element states -> (n, n) pair score matrix, as one node
-        after the two projections.
+        """Element states -> every document's (n_b, n_b) pair score matrix,
+        flattened row-major, one after another, as one node after the two
+        projections.
 
         ``sizes`` gives the element count of each document packed row-wise
-        in ``pooled``; the result then holds each document's (n_b, n_b)
-        matrix, flattened row-major, one after another.
+        in ``pooled``; None means one document, whose (n, n) matrix the
+        result then holds as n * n values.
         """
         q = linear(pooled, self.store["gp.Wq"], self.store["gp.bq"])
         k = linear(pooled, self.store["gp.Wk"], self.store["gp.bk"])
@@ -256,10 +273,7 @@ class GlobalPointerHead:
                 f"sizes cover {rows[-1].stop} elements, states have {q.shape[0]}"
             )
         blocks = [q.data[r] @ k.data[r].T for r in rows]
-        if sizes is None:
-            data = blocks[0]
-        else:
-            data = np.concatenate([b.reshape(-1) for b in blocks])
+        data = _stack_rows([b.reshape(-1) for b in blocks])
         out = Tensor(data, q.requires_grad or k.requires_grad, (q, k))
 
         def backward(grad):
@@ -302,23 +316,21 @@ def gp_loss(
     log acts as a zero-score anchor, so both terms vanish only when every
     labeled score is far above zero and every other score far below.
 
-    With a sequence of relations, ``scores`` holds the documents' flattened
-    (n, n) matrices one after another, as ``GlobalPointerHead.scores`` gives
-    them for a packed batch, and the result is the mean loss over documents.
+    ``labels`` holds one relation per document and ``scores`` the documents'
+    (n, n) matrices, flattened row-major, one after another, as
+    ``GlobalPointerHead.scores`` gives them; the result is the mean loss over
+    documents. A single relation stands for one document, whose scores may
+    also come as the (n, n) matrix itself.
     """
     scores = as_tensor(scores)
     s = scores.data
-    if isinstance(labels, Relation):
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ValueError(f"scores must be square, got {s.shape}")
-        if labels.element_count != s.shape[0]:
-            raise ValueError(
-                f"labels cover {labels.element_count} elements, scores {s.shape[0]}"
-            )
-        labels = [labels]
+    labels = [labels] if isinstance(labels, Relation) else list(labels)
     cells = _row_slices([rel.element_count**2 for rel in labels])
-    if s.size != cells[-1].stop or (len(labels) > 1 and s.ndim != 1):
-        raise ValueError(f"scores hold {s.size} cells, labels cover {cells[-1].stop}")
+    if s.ndim > 2 or s.size != cells[-1].stop:
+        raise ValueError(
+            f"scores of shape {s.shape} do not hold the {cells[-1].stop} cells "
+            "the labels cover"
+        )
     flat = s.reshape(-1)
     terms = []
     for cell, rel in zip(cells, labels):
@@ -405,30 +417,38 @@ class ROPModel:
         self,
         texts: Sequence[str],
         boxes: Sequence[BBox],
-        spans: Union[Spans, Sequence[Spans]],
+        spans: Sequence[Spans],
         bias: Optional[AttentionBias] = None,
     ) -> Tensor:
         """Encode the tokens, biased by ``bias``, pool by span and score every pair.
 
-        For one document ``spans`` is its span list and the result its (n, n)
-        score matrix. For a packed batch (see ``pack_inputs``) ``spans`` holds
-        one span list per document and the result each document's flattened
-        matrix, one after another, from one forward over all tokens.
+        ``texts`` and ``boxes`` hold the tokens of one or more documents one
+        after another, and ``spans`` one span list per document, each over
+        its own tokens (see ``pack_inputs``). One forward runs over all
+        tokens; the result holds each document's (n, n) score matrix,
+        flattened row-major, one after another.
         """
-        packed = _is_packed(spans)
-        lengths = [check_span_tiling(doc) for doc in spans] if packed else None
+        lengths = [check_span_tiling(doc) for doc in spans]
         states = encoder_forward(
             self.encoder_config, self.store, texts, boxes, bias, lengths
         )
+        shifted = [
+            (start + rows.start, end + rows.start)
+            for doc, rows in zip(spans, _row_slices(lengths))
+            for start, end in doc
+        ]
+        sizes = [len(doc) for doc in spans]
         return GlobalPointerHead(self.store).scores(
-            pool_elements(states, spans), [len(doc) for doc in spans] if packed else None
+            pool_elements(states, shifted, sizes), sizes
         )
 
     def score_document(self, doc: Document) -> np.ndarray:
         """(n, n) raw pair scores; n counts task elements."""
-        return self.scores(
-            *tokens_for_document(doc, self.config.task_level, self.config.bbox_level)
-        ).data
+        texts, boxes, spans = tokens_for_document(
+            doc, self.config.task_level, self.config.bbox_level
+        )
+        n = len(spans)
+        return self.scores(texts, boxes, [spans]).data.reshape(n, n)
 
     def predict(self, doc: Document, enforce_acyclic: bool = False) -> Relation:
         return decode(
@@ -492,13 +512,17 @@ def fit(
     batch_size: int,
     validate: Optional[Callable[[], float]] = None,
     patience: int = 1,
+    split: Optional[Callable[[list], list[list]]] = None,
 ) -> tuple[list[float], list[float], int]:
     """Mini-batch AdamW over ``examples``; returns (losses, scores, best epoch).
 
     Each epoch shuffles the examples with ``rng`` and cuts them into batches.
     ``batch_loss`` maps a batch (a list of examples) to its mean loss, one
-    graph; each batch takes one backward pass and one optimizer step. The
-    returned losses are per-epoch means over examples. With ``validate``
+    graph. ``split`` may cut a batch into sub-batches (see ``split_batch``):
+    each then gets its own graph and backward pass, weighted by its share of
+    the batch, so that one graph is alive at a time; the gradients add up
+    and each batch takes one optimizer step. The returned losses are
+    per-epoch means over examples. With ``validate``
     the score it returns after each epoch drives early stopping: training
     stops on a perfect 1.0 or after ``patience`` epochs without improvement,
     and the parameters of the best epoch are restored. Without it every
@@ -517,10 +541,11 @@ def fit(
         for start in range(0, len(order), batch_size):
             batch = [examples[i] for i in order[start : start + batch_size]]
             store.zero_grads()
-            loss = batch_loss(batch)
-            epoch_loss += loss.item() * len(batch)
-            loss.backward()
-            del loss  # the batch's graph, before the next one is built
+            for part in [batch] if split is None else split(batch):
+                loss = batch_loss(part)
+                epoch_loss += loss.item() * len(part)
+                (loss * (len(part) / len(batch))).backward()
+                del loss  # this graph, before the next one is built
             optimizer_step(store, learning_rate)
         losses.append(epoch_loss / len(examples))
         if validate is None:
@@ -623,6 +648,7 @@ def train(
     val_examples = [(d, target_relation(d, config.task_level)) for d in val_docs]
 
     model = ROPModel.create(encoder_config, config, rng)
+    token_budget = min(config.max_tokens, encoder_config.max_tokens)
 
     def batch_loss(batch: list) -> Tensor:
         inputs, labels = zip(*batch)
@@ -644,6 +670,7 @@ def train(
         config.batch_size,
         validation_f1 if val_examples else None,
         config.patience,
+        lambda batch: split_batch(batch, token_budget),
     )
     report = TrainReport(
         epochs_run=len(train_losses),

@@ -29,6 +29,7 @@ from .rop import (
     fit,
     gp_loss,
     pack_inputs,
+    split_batch,
     tokens_for_document,
 )
 
@@ -146,7 +147,7 @@ def enhanced_encode(
         raise ValueError(
             "no bias weights in the parameter store; call init_lambda_params first"
         )
-    bias = AttentionBias(matrix.bits.astype(float), lambdas)
+    bias = AttentionBias([matrix.bits.astype(float)], lambdas)
     return encoder_forward(encoder_config, params, tokens, boxes, bias=bias)
 
 
@@ -237,9 +238,9 @@ def _train_linking_arm(
             model.store, encoder_config.layers, config.bias_layers, config.lambda_init
         )
 
-    def bias(rho) -> Optional[AttentionBias]:
-        """One matrix, or one per packed document, weighted by the arm's lambdas."""
-        return AttentionBias(rho, lambdas) if biased else None
+    def bias(rhos) -> Optional[AttentionBias]:
+        """One matrix per packed document, weighted by the arm's lambdas."""
+        return AttentionBias(rhos, lambdas) if biased else None
 
     def batch_loss(batch: list) -> Tensor:
         inputs, links, rhos = zip(*batch)
@@ -253,13 +254,15 @@ def _train_linking_arm(
         config.learning_rate,
         config.epochs,
         config.batch_size,
+        split=lambda batch: split_batch(batch, encoder_config.max_tokens),
     )
 
     def evaluate(examples: list[tuple]) -> float:
-        pairs = [
-            (links, decode(model.scores(*inputs, bias(rho)).data))
-            for inputs, links, rho in examples
-        ]
+        pairs = []
+        for inputs, links, rho in examples:
+            n = links.element_count
+            scores = model.scores(*pack_inputs([inputs]), bias([rho])).data
+            pairs.append((links, decode(scores.reshape(n, n))))
         return corpus_f1(pairs).f1
 
     return {

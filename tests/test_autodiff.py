@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,17 @@ def test_first_gradient_is_copied_not_aliased():
 
 
 # --- engine behavior ---
+
+
+def test_backward_frees_the_traversed_graph():
+    p = Tensor(rand(3, 4, seed=42), requires_grad=True)
+    hidden = p * 2.0
+    watch = weakref.ref(hidden.data)
+    loss = (hidden * hidden).sum()
+    del hidden
+    loss.backward()
+    assert watch() is None  # only the graph held the intermediate array
+    np.testing.assert_allclose(p.grad, 8.0 * p.data)
 
 
 def test_backward_is_iterative_on_deep_graphs():

@@ -34,6 +34,7 @@ from rorokit.rop import (
     pack_inputs,
     pool_elements,
     predict_pseudo_labels,
+    split_batch,
     target_relation,
     tokens_for_document,
     train,
@@ -166,7 +167,7 @@ def test_scores_match_two_loop_oracle():
     store = ParameterStore()
     head = GlobalPointerHead.create(6, 3, store, seed=1)
     pooled = rng.normal(size=(4, 6))
-    got = head.scores(Tensor(pooled)).data
+    got = head.scores(Tensor(pooled)).data.reshape(4, 4)
     wq, bq = store["gp.Wq"].data, store["gp.bq"].data
     wk, bk = store["gp.Wk"].data, store["gp.bk"].data
     for i in range(4):
@@ -382,7 +383,7 @@ def test_early_stopping_respects_patience():
     assert report.epochs_run <= 3
 
 
-def fit_one_parameter(scores=None, epochs=10, patience=1):
+def fit_one_parameter(scores=None, epochs=10, patience=1, split=None):
     """Fit w toward targets 1, 2, 3; validate replays ``scores`` in order."""
     store = ParameterStore()
     w = store.add("w", np.zeros(1))
@@ -407,6 +408,7 @@ def fit_one_parameter(scores=None, epochs=10, patience=1):
         batch_size=2,
         validate=validate if scores is not None else None,
         patience=patience,
+        split=split,
     )
     return result, w.data.copy(), after_epoch, batch_sizes
 
@@ -431,6 +433,44 @@ def test_fit_without_validation_runs_every_epoch():
     assert len(losses) == 3 and scores == [] and best == 2
     assert batch_sizes == [2, 1] * 3  # one loss call per batch
     assert losses[-1] < losses[0] and 0.0 < w[0] < 3.0
+
+
+def test_fit_sub_batches_add_up_to_the_whole_batch():
+    (whole, _, _), w_whole, _, _ = fit_one_parameter(epochs=3)
+    (parts, _, _), w_parts, _, sizes = fit_one_parameter(
+        epochs=3, split=lambda batch: [[t] for t in batch]
+    )
+    assert sizes == [1, 1, 1] * 3  # one loss call per sub-batch
+    np.testing.assert_allclose(parts, whole, rtol=1e-12)
+    np.testing.assert_allclose(w_parts, w_whole, rtol=1e-12)
+
+
+def test_split_batch_keeps_each_part_within_one_document():
+    lengths = [8, 3, 3, 8, 2, 2, 1, 1, 1, 1, 5]
+    batch = [((["w"] * n, [], []), None) for n in lengths]
+    parts = split_batch(batch, 8)
+    assert [e for part in parts for e in part] == batch
+    for part in parts:
+        sizes = [len(texts) for (texts, _, _), _ in part]
+        assert sum(sizes) <= 8 and len(sizes) * max(sizes) ** 2 <= 8 * 8
+    assert len(parts) == 5
+
+
+def test_training_graphs_stay_within_one_document(monkeypatch):
+    corpus = synth_generate(SynthConfig(n_docs=30), seed=3)
+    budget = max(doc.n_words for doc in corpus.documents)
+    seen = []
+    original = ROPModel.scores
+
+    def recording(self, texts, boxes, spans, bias=None):
+        seen.append(len(texts))
+        return original(self, texts, boxes, spans, bias)
+
+    monkeypatch.setattr(ROPModel, "scores", recording)
+    train(corpus, ROPConfig(epochs=1, max_tokens=budget, val_fraction=0.0))
+    # 24 training documents in batches of 20 and 4, each batch cut into
+    # graphs of at most one budget-sized document's tokens.
+    assert max(seen) <= budget and len(seen) > 2
 
 
 # --- persistence and pseudo-labels ---
@@ -584,8 +624,8 @@ def test_packed_batch_matches_per_document_composite(max_tokens, bias_kind, diag
 def test_single_document_scores_are_bit_identical_to_the_composite():
     model, docs = packed_batch()
     for inputs, _, _ in docs:
-        got = model.scores(*inputs).data
-        assert np.array_equal(got, reference_scores(model, *inputs).data)
+        got = model.scores(*pack_inputs([inputs])).data
+        assert np.array_equal(got, reference_scores(model, *inputs).data.reshape(-1))
 
 
 def count_nodes(out):
@@ -626,5 +666,5 @@ def test_packed_attention_stays_within_one_document_budget(monkeypatch):
     heads = model.encoder_config.heads
     assert cells and max(cells) <= heads * 8 * 8
     assert len(cells) > model.encoder_config.layers  # the batch was split
-    want = np.concatenate([model.scores(*i).data.reshape(-1) for i in inputs])
+    want = np.concatenate([model.scores(*pack_inputs([i])).data for i in inputs])
     assert_close(scores.data, want, "scores")
