@@ -2,13 +2,14 @@
 """Compare two rorokit checkouts on the perfbench workloads, in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --out BENCH_packed_batch.json
+        --claim rore-link --out BENCH_packed_inference.json
 
 Each run is a fresh ``perfbench/run.py`` process started in its own checkout,
 for the ``run_seconds`` of the change's ``BENCHMARK.json``. The claimed
-workload (``CLAIM``) runs ``PAIRS`` untraced pairs on seed 0 and
-``HELD_OUT_PAIRS`` on the held-out seed 1; every other workload runs one
-untraced pair on seed 0; every workload runs one traced pair on seed 0.
+workload (``--claim``, rop-train by default) runs ``PAIRS`` untraced pairs
+on seed 0 and ``HELD_OUT_PAIRS`` on the held-out seed 1; every other
+workload runs ``OTHER_PAIRS`` untraced pairs on seed 0, so that its metrics
+get a spread too; every workload runs one traced pair on seed 0.
 Pairs alternate which side runs first. The output holds every run, per-metric medians and quartiles
 (inclusive method) for each side, the change's wins on the claimed metric,
 the per-layer deltas of the traced pairs, and the machine block.
@@ -24,8 +25,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("rop-train", "rop-predict", "relations-eval", "rore-link")
-CLAIM, METRIC = "rop-train", "docs_per_s"
-PAIRS, HELD_OUT_PAIRS = 10, 3
+METRIC = "docs_per_s"
+PAIRS, HELD_OUT_PAIRS, OTHER_PAIRS = 10, 3, 3
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -67,7 +68,7 @@ def spread(values: list[float]) -> dict:
     return out
 
 
-def summarize(runs: list) -> dict:
+def summarize(runs: list, claim: str) -> dict:
     summary: dict = {}
     for r in runs:
         if r["trace"]:
@@ -82,7 +83,7 @@ def summarize(runs: list) -> dict:
             row[name]["change_over_parent"] = (
                 row[name]["change"]["median"] / row[name]["parent"]["median"]
             )
-        if key.startswith(CLAIM + " "):
+        if key.startswith(claim + " "):
             pairs: dict = {}
             for r in runs:
                 if not r["trace"] and f"{r['workload']} seed {r['seed']}" == key:
@@ -113,26 +114,28 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--claim", choices=WORKLOADS, default="rop-train",
+                        help="the workload whose docs_per_s gain is claimed")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = benchmark["run_seconds"]
 
     runs: list = []
-    run_pairs(sides, CLAIM, 0, PAIRS, seconds, 0, runs)
-    run_pairs(sides, CLAIM, 1, HELD_OUT_PAIRS, seconds, 0, runs)
+    run_pairs(sides, args.claim, 0, PAIRS, seconds, 0, runs)
+    run_pairs(sides, args.claim, 1, HELD_OUT_PAIRS, seconds, 0, runs)
     for workload in WORKLOADS:
-        if workload != CLAIM:
-            run_pairs(sides, workload, 0, 1, seconds, 0, runs)
+        if workload != args.claim:
+            run_pairs(sides, workload, 0, OTHER_PAIRS, seconds, 0, runs)
     for workload in WORKLOADS:
         run_pairs(sides, workload, 0, 1, seconds, 1, runs)
 
     report = {
-        "claim": {"workload": CLAIM, "metric": METRIC, "seed": 0, "held_out_seed": 1},
+        "claim": {"workload": args.claim, "metric": METRIC, "seed": 0, "held_out_seed": 1},
         "run_seconds": seconds,
         "machine": runs[0]["machine"],
         "all_correct": all(r["correct"] and not r["failed"] for r in runs),
-        "end_to_end": summarize(runs),
+        "end_to_end": summarize(runs, args.claim),
         "per_layer_traced": layer_deltas(runs),
         "runs": [{k: v for k, v in r.items() if k != "machine"} for r in runs],
     }

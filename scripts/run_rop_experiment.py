@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         f"(best epoch {report.best_epoch}, val F1 {val_f1})"
     )
 
-    predictions = {d.id: model.predict(d) for d in test_docs}
+    predictions = dict(zip([d.id for d in test_docs], model.predict(test_docs)))
     rows = []
     for label, docs in [("all", test_docs)] + [
         (kind, [d for d in test_docs if doc_kind(d.id) == kind]) for kind in kinds

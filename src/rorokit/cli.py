@@ -232,10 +232,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _system_table(args, model: Optional[ROPModel], level: str) -> dict:
+def _system_table(
+    args, model: Optional[ROPModel], docs: list[Document], level: str
+) -> dict:
     systems: dict[str, Callable[[Document], Relation]] = {}
     if model is not None:
-        systems["model"] = model.predict
+        # One packed pass over the documents; the report looks them up by id.
+        predicted = dict(zip([doc.id for doc in docs], model.predict(docs)))
+        systems["model"] = lambda doc: predicted[doc.id]
     if args.heuristic:
         if level == "word":
 
@@ -266,7 +270,7 @@ def cmd_eval(args) -> int:
         docs = filter_usable(docs, model.config, model.encoder_config, skipped)
         if not docs:
             raise ValueError(f"all {len(skipped)} documents exceed the model's budgets")
-    systems = _system_table(args, model, level)
+    systems = _system_table(args, model, docs, level)
     gold_fn = derive_word_level if level == "word" else None
     report = benchmark_report(
         docs, systems, ceiling=not args.no_ceiling, gold_fn=gold_fn

@@ -17,6 +17,7 @@ bit-identical outputs, and checkpoints serialize to byte-stable JSON.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -46,11 +47,22 @@ class NonFiniteGradientError(ValueError):
     """Optimizer was handed a gradient holding NaN or infinity."""
 
 
+class CheckpointError(ValueError):
+    """Checkpoint content that cannot be loaded as parameters."""
+
+
 def fnv1a_hash(text: str) -> int:
     value = FNV_OFFSET
     for byte in text.encode("utf-8"):
         value = ((value ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return value
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _token_id(text: str, vocab_hash_size: int) -> int:
+    """The token table row of ``text``; bounded, so a long run over an open
+    vocabulary keeps only the most recent texts."""
+    return fnv1a_hash(text) % vocab_hash_size
 
 
 @dataclass(frozen=True)
@@ -207,10 +219,6 @@ def init_encoder_params(
 # Forward passes
 
 
-def _coord_bucket(value: int, buckets: int) -> int:
-    return min(max(int(value), 0), buckets - 1)
-
-
 def embed(
     config: EncoderConfig,
     params: ParameterStore,
@@ -234,14 +242,16 @@ def embed(
         )
     if not tokens or min(lengths) == 0:
         raise ValueError("cannot embed an empty token sequence")
-    texts = [t for t, _ in tokens]
-    boxes = [b for _, b in tokens]
+    ids = [_token_id(t, config.vocab_hash_size) for t, _ in tokens]
+    # Coordinates outside [0, coord_buckets) fall into the edge buckets.
+    buckets = np.clip(
+        np.array([(b.x0, b.y0, b.x1, b.y1) for _, b in tokens], dtype=np.int64),
+        0,
+        config.coord_buckets - 1,
+    )
     tables = [params["enc.tok_embed"]]
-    ids = [[fnv1a_hash(t) % config.vocab_hash_size for t in texts]]
-    for coord in ("x0", "y0", "x1", "y1"):
-        tables.append(params[f"enc.coord_{coord}"])
-        ids.append([_coord_bucket(getattr(b, coord), config.coord_buckets) for b in boxes])
-    return gather_rows(tables, ids)
+    tables += [params[f"enc.coord_{c}"] for c in ("x0", "y0", "x1", "y1")]
+    return gather_rows(tables, [ids, *buckets.T])
 
 
 @dataclass
@@ -586,15 +596,35 @@ def save_checkpoint(path, config: dict, store: ParameterStore) -> None:
 
 
 def checkpoint_from_json(text: str) -> tuple[dict, ParameterStore]:
+    """Config and parameters of a checkpoint's JSON text.
+
+    Each parameter must hold as many values as its shape needs, and every
+    value must be a finite number; otherwise ``CheckpointError`` names the
+    parameter.
+    """
     obj = json.loads(text)
     version = obj.get("format_version")
     if version != 1:
-        raise ValueError(f"unsupported checkpoint format_version: {version!r}")
+        raise CheckpointError(f"unsupported checkpoint format_version: {version!r}")
     store = ParameterStore()
     for name in sorted(obj["params"]):
         entry = obj["params"][name]
-        values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        store.add(name, values)
+        shape = entry["shape"]
+        not_finite = f"parameter {name!r} holds a value that is not a finite number"
+        try:
+            values = np.array(entry["values"])
+        except ValueError:  # ragged nesting
+            raise CheckpointError(not_finite) from None
+        needed = int(np.prod(shape))
+        if values.ndim != 1 or values.size != needed:
+            raise CheckpointError(
+                f"parameter {name!r} has {values.size} values, but its shape "
+                f"{shape} needs {needed}"
+            )
+        # A string, bool or null among the values leaves the array non-numeric.
+        if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+            raise CheckpointError(not_finite)
+        store.add(name, values.astype(np.float64).reshape(shape))
     return obj["config"], store
 
 

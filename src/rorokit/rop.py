@@ -29,6 +29,7 @@ from .layout import (
 from .metrics import corpus_f1
 from .nn import (
     AttentionBias,
+    CheckpointError,
     EncoderConfig,
     Pack,
     ParameterStore,
@@ -169,6 +170,28 @@ def split_batch(batch: list, max_tokens: int) -> list[list]:
     """
     packs = Pack.group([len(example[0][0]) for example in batch], max_tokens)
     return [batch[p.first : p.first + len(p.lengths)] for p in packs]
+
+
+def inference_groups(examples: list, batch_size: int, max_tokens: int) -> list[list]:
+    """The groups inference scores in one forward each: consecutive runs of
+    at most ``batch_size`` examples, each cut by ``split_batch``.
+
+    Capping a group at one training batch keeps inference memory at what a
+    training step needs, however many documents there are.
+    """
+    return [
+        part
+        for start in range(0, len(examples), batch_size)
+        for part in split_batch(examples[start : start + batch_size], max_tokens)
+    ]
+
+
+def score_blocks(scores: np.ndarray, spans: Sequence[Spans]) -> list[np.ndarray]:
+    """Packed flattened scores (see ``ROPModel.scores``) as each document's
+    (n, n) matrix, given the documents' span lists."""
+    sizes = [len(doc) for doc in spans]
+    cells = _row_slices([n * n for n in sizes])
+    return [scores[c].reshape(n, n) for c, n in zip(cells, sizes)]
 
 
 def _row_slices(counts: Sequence[int]) -> list[slice]:
@@ -450,10 +473,34 @@ class ROPModel:
         n = len(spans)
         return self.scores(texts, boxes, [spans]).data.reshape(n, n)
 
-    def predict(self, doc: Document, enforce_acyclic: bool = False) -> Relation:
-        return decode(
-            self.score_document(doc), self.config.threshold, enforce_acyclic
-        )
+    def predict(
+        self, docs: Union[Document, Sequence[Document]], enforce_acyclic: bool = False
+    ) -> Union[Relation, list[Relation]]:
+        """Decoded relation of one document, or one per document of a sequence.
+
+        A sequence is scored in ``inference_groups`` of at most
+        ``config.batch_size`` documents under the token budget, one forward
+        per group. Packed scores may differ from one document's own in the
+        last bits, so only a score within about 1e-14 of the threshold can
+        decode differently. One document is scored alone, by
+        ``score_document``.
+        """
+        threshold = self.config.threshold
+        if isinstance(docs, Document):
+            return decode(self.score_document(docs), threshold, enforce_acyclic)
+        framing = (self.config.task_level, self.config.bbox_level)
+        # One-field examples, in the (inputs, ...) form split_batch reads.
+        examples = [(tokens_for_document(doc, *framing),) for doc in docs]
+        budget = _token_budget(self.config, self.encoder_config)
+        relations = []
+        for group in inference_groups(examples, self.config.batch_size, budget):
+            inputs = [example[0] for example in group]
+            scores = self.scores(*pack_inputs(inputs)).data
+            relations += [
+                decode(block, threshold, enforce_acyclic)
+                for block in score_blocks(scores, [spans for _, _, spans in inputs])
+            ]
+        return relations
 
     def save(self, path) -> None:
         config = {"encoder": self.encoder_config.to_dict(), "rop": self.config.to_dict()}
@@ -462,7 +509,10 @@ class ROPModel:
     @classmethod
     def load(cls, path) -> "ROPModel":
         """Read a checkpoint; its parameter names and shapes must fit its config."""
-        config, store = load_checkpoint(path)
+        try:
+            config, store = load_checkpoint(path)
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         model = cls(
             EncoderConfig.from_dict(config["encoder"]),
             ROPConfig.from_dict(config["rop"]),
@@ -568,6 +618,11 @@ def fit(
     return losses, scores, best_epoch
 
 
+def _token_budget(config: ROPConfig, encoder_config: EncoderConfig) -> int:
+    """Most tokens one document may have: the tighter of the two configs."""
+    return min(config.max_tokens, encoder_config.max_tokens)
+
+
 def _skip_reason(
     doc: Document, config: ROPConfig, encoder_config: EncoderConfig
 ) -> Optional[str]:
@@ -582,7 +637,7 @@ def _skip_reason(
             f"{n_elements} {config.task_level} elements exceed the budget of "
             f"{config.effective_max_elements}"
         )
-    token_budget = min(config.max_tokens, encoder_config.max_tokens)
+    token_budget = _token_budget(config, encoder_config)
     if doc.n_words > token_budget:
         return f"{doc.n_words} tokens exceed the budget of {token_budget}"
     return None
@@ -645,10 +700,10 @@ def train(
         )
         for d in train_docs
     ]
-    val_examples = [(d, target_relation(d, config.task_level)) for d in val_docs]
+    val_golds = [target_relation(d, config.task_level) for d in val_docs]
 
     model = ROPModel.create(encoder_config, config, rng)
-    token_budget = min(config.max_tokens, encoder_config.max_tokens)
+    token_budget = _token_budget(config, encoder_config)
 
     def batch_loss(batch: list) -> Tensor:
         inputs, labels = zip(*batch)
@@ -657,8 +712,7 @@ def train(
         )
 
     def validation_f1() -> float:
-        pairs = [(gold, model.predict(doc)) for doc, gold in val_examples]
-        return corpus_f1(pairs).f1
+        return corpus_f1(zip(val_golds, model.predict(val_docs))).f1
 
     train_losses, val_f1s, best_epoch = fit(
         model.store,
@@ -668,7 +722,7 @@ def train(
         config.learning_rate,
         config.epochs,
         config.batch_size,
-        validation_f1 if val_examples else None,
+        validation_f1 if val_docs else None,
         config.patience,
         lambda batch: split_batch(batch, token_budget),
     )
@@ -695,20 +749,23 @@ def predict_pseudo_labels(
     many pairs it kept. ``enforce_acyclic`` is handed to ``decode``; callers
     that build relation matrices from the output need it, since those refuse
     cyclic relations. Word-level predictions are projected back onto
-    segments first. A document over the model's budgets keeps no
+    segments first. The usable documents are predicted by one
+    ``ROPModel.predict`` over the list. A document over the model's budgets keeps no
     annotation (``isdr`` is None) and its sidecar entry is
     ``{"skipped": reason}``.
     """
+    skipped: list[dict] = []
+    usable = filter_usable(corpus.documents, model.config, model.encoder_config, skipped)
+    predicted = dict(zip([doc.id for doc in usable], model.predict(usable, enforce_acyclic)))
+    reasons = {entry["id"]: entry["reason"] for entry in skipped}
     documents = []
     sidecar: dict[str, dict] = {}
     for doc in corpus.documents:
-        reason = _skip_reason(doc, model.config, model.encoder_config)
-        if reason is not None:
-            warnings.warn(f"skipping document {doc.id}: {reason}")
-            sidecar[doc.id] = {"skipped": reason}
+        if doc.id in reasons:
+            sidecar[doc.id] = {"skipped": reasons[doc.id]}
             documents.append(replace(doc, isdr=None))
             continue
-        rel = model.predict(doc, enforce_acyclic)
+        rel = predicted[doc.id]
         if model.config.task_level == "word":
             rel = collapse_word_relation(doc, rel)
         ok, _ = is_acyclic(rel)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,9 @@ from .rop import (
     decode,
     fit,
     gp_loss,
+    inference_groups,
     pack_inputs,
+    score_blocks,
     split_batch,
     tokens_for_document,
 )
@@ -258,18 +260,34 @@ def _train_linking_arm(
     )
 
     def evaluate(examples: list[tuple]) -> float:
-        pairs = []
-        for inputs, links, rho in examples:
-            n = links.element_count
-            scores = model.scores(*pack_inputs([inputs]), bias([rho])).data
-            pairs.append((links, decode(scores.reshape(n, n))))
-        return corpus_f1(pairs).f1
+        predicted = predict_links(model, examples, bias, config.batch_size)
+        return corpus_f1(zip([links for _, links, _ in examples], predicted)).f1
 
     return {
         "train_f1": evaluate(train_examples),
         "test_f1": evaluate(test_examples),
         "final_loss": losses[-1],
     }
+
+
+def predict_links(
+    model: ROPModel,
+    examples: list[tuple],
+    bias: Callable[[tuple], Optional[AttentionBias]],
+    batch_size: int,
+) -> list[Relation]:
+    """Decoded links of each ``(inputs, links, rho)`` example.
+
+    Examples are scored in ``inference_groups`` of at most ``batch_size``
+    documents under the encoder's token budget, one forward per group;
+    ``bias`` maps a group's rho matrices to its attention bias, or None.
+    """
+    relations = []
+    for group in inference_groups(examples, batch_size, model.encoder_config.max_tokens):
+        inputs, _, rhos = zip(*group)
+        scores = model.scores(*pack_inputs(inputs), bias(rhos)).data
+        relations += [decode(b) for b in score_blocks(scores, [s for _, _, s in inputs])]
+    return relations
 
 
 def rore_demo_entity_linking(

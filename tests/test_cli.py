@@ -258,6 +258,35 @@ def test_checkpoint_shapes_must_fit_config(tmp_path, capsys, name, shape):
         assert f"config needs {needed}" in err
 
 
+def truncate_values(param):
+    param["values"] = param["values"][:-1]
+
+
+def poison_value(param):
+    param["values"][3] = float("nan")  # json.dumps writes the bare NaN token
+
+
+@pytest.mark.parametrize(
+    "corrupt, reason",
+    [
+        (truncate_values, "has 127 values, but its shape [128] needs 128"),
+        (poison_value, "holds a value that is not a finite number"),
+    ],
+    ids=["truncated", "nan"],
+)
+def test_checkpoint_values_are_checked_at_load(tmp_path, capsys, corrupt, reason):
+    corpus = write_corpus(tmp_path, n_docs=2)
+    model = write_model(tmp_path)
+    obj = json.loads(model.read_text())
+    corrupt(obj["params"]["gp.bq"])
+    model.write_text(json.dumps(obj))
+    for argv in (["predict", "--out-corpus", str(tmp_path / "out.jsonl")], ["eval"]):
+        code, out, err = run(capsys, argv[0], str(corpus), "--model", str(model),
+                             *argv[1:])
+        assert code == 1 and out == ""
+        assert f"{model}: parameter 'gp.bq' {reason}" in err
+
+
 def oversized_setup(tmp_path):
     """A corpus and a model whose token budget only some documents fit."""
     corpus = write_corpus(tmp_path, n_docs=8)

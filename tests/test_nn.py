@@ -1,4 +1,5 @@
 import json
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -104,6 +105,30 @@ def test_embed_identical_tokens_identical_rows():
     box = boxes_for(1)[0]
     out = embed(SMALL, store, [("same", box), ("same", box)])
     assert np.array_equal(out.data[0], out.data[1])
+
+
+# Any object with x0..y1 is a box to embed; BBox itself refuses negatives.
+RawBox = namedtuple("RawBox", "x0 y0 x1 y1")
+
+
+def test_embed_sums_hashed_and_clamped_rows_of_a_packed_pair():
+    cfg = EncoderConfig(layers=0, model_dim=8, heads=2, vocab_hash_size=16,
+                        coord_buckets=50, max_tokens=16)
+    store = init_encoder_params(cfg, seed=3, coord_init="normal")
+    first = [("alpha", RawBox(-7, 0, 12, 49)), ("beta", RawBox(3, -1, 50, 120))]
+    second = [
+        ("gamma", RawBox(0, 0, 0, 0)),
+        ("alpha", RawBox(60, 200, -3, 49)),
+        ("\u00e9t\u00e9", RawBox(49, 51, 1000, -100)),
+    ]
+    out = embed(cfg, store, first + second, lengths=[2, 3])
+    assert out.shape == (5, cfg.model_dim)
+    for row, (text, box) in zip(out.data, first + second):
+        want = store["enc.tok_embed"].data[fnv1a_hash(text) % cfg.vocab_hash_size]
+        for coord in ("x0", "y0", "x1", "y1"):
+            bucket = min(max(getattr(box, coord), 0), cfg.coord_buckets - 1)
+            want = want + store[f"enc.coord_{coord}"].data[bucket]
+        assert np.array_equal(row, want)
 
 
 def test_embed_rejects_overflow():

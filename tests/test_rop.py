@@ -34,13 +34,14 @@ from rorokit.rop import (
     pack_inputs,
     pool_elements,
     predict_pseudo_labels,
+    score_blocks,
     split_batch,
     target_relation,
     tokens_for_document,
     train,
 )
 from rorokit.relations import Relation
-from rorokit.rore import init_lambda_params
+from rorokit.rore import init_lambda_params, predict_links
 from rorokit.synth import SynthConfig, synth_generate
 
 TINY_ENCODER = EncoderConfig(layers=1, model_dim=8, heads=2, ffn_dim=16)
@@ -668,3 +669,112 @@ def test_packed_attention_stays_within_one_document_budget(monkeypatch):
     assert len(cells) > model.encoder_config.layers  # the batch was split
     want = np.concatenate([model.scores(*pack_inputs([i])).data for i in inputs])
     assert_close(scores.data, want, "scores")
+
+
+# --- packed inference against per-document inference ---
+
+
+MIXED_LENGTHS = (2, 60, 5, 2, 60, 17, 33, 9, 3, 41)
+
+
+def page_from(doc_id, inputs):
+    """A document whose segments are the spans of ``random_document`` inputs."""
+    texts, boxes, spans = inputs
+    segments = []
+    for k, (start, end) in enumerate(spans):
+        words = tuple(Word(texts[t], boxes[t]) for t in range(start, end))
+        box = BBox(
+            min(w.box.x0 for w in words), min(w.box.y0 for w in words),
+            max(w.box.x1 for w in words), max(w.box.y1 for w in words),
+        )
+        segments.append(Segment(k, words, box))
+    return Document(doc_id, 1000, 1000, tuple(segments))
+
+
+def mixed_pages(batch_size, max_tokens):
+    model, docs = packed_batch(max_tokens, MIXED_LENGTHS)
+    model = replace(model, config=replace(model.config, batch_size=batch_size,
+                                          max_tokens=max_tokens))
+    pages = [page_from(f"p{i}", inputs) for i, (inputs, _, _) in enumerate(docs)]
+    return model, pages
+
+
+def record_groups(monkeypatch):
+    """Token counts of every document list ``ROPModel.scores`` is called on."""
+    groups = []
+    original = ROPModel.scores
+
+    def recording(self, texts, boxes, spans, bias=None):
+        groups.append([doc[-1][1] for doc in spans])
+        return original(self, texts, boxes, spans, bias)
+
+    monkeypatch.setattr(ROPModel, "scores", recording)
+    return groups
+
+
+# (3, 64): runs of 3 documents, cut again wherever a 60-token document would
+# pad another beyond one 64-token document's attention cells.
+@pytest.mark.parametrize("batch_size, max_tokens, n_groups", [(20, 2048, 1), (3, 64, 8)])
+def test_packed_predict_matches_per_document_predict(
+    monkeypatch, batch_size, max_tokens, n_groups
+):
+    model, pages = mixed_pages(batch_size, max_tokens)
+    threshold = model.config.threshold
+    single = [decode(model.score_document(page), threshold) for page in pages]
+    repaired = [decode(model.score_document(page), threshold, True) for page in pages]
+    assert [model.predict(page) for page in pages] == single
+    groups = record_groups(monkeypatch)
+    assert model.predict(pages) == single
+    assert len(groups) == n_groups
+    assert sum(len(g) for g in groups) == len(pages)
+    assert all(len(g) <= batch_size and sum(g) <= max_tokens for g in groups)
+    assert model.predict(pages, enforce_acyclic=True) == repaired
+    assert model.predict([]) == []
+
+
+def test_packed_and_per_document_predictions_differ_only_at_the_threshold():
+    model, pages = mixed_pages(20, 2048)
+    # Head weights scaled up so scores reach trained magnitudes.
+    for name in ("gp.Wq", "gp.Wk"):
+        model.store[name].data *= 30.0
+    single = [model.score_document(page) for page in pages]
+    inputs = [tokens_for_document(page) for page in pages]
+    packed = score_blocks(
+        model.scores(*pack_inputs(inputs)).data, [spans for _, _, spans in inputs]
+    )
+    scale = max(np.abs(s).max() for s in single)
+    assert scale > 1.0
+    gap = max(np.abs(p - s).max() for p, s in zip(packed, single))
+    assert gap <= 1e-14 * scale
+    assert model.predict(pages) == [model.predict(page) for page in pages]
+    # A threshold on a score that packing moved flips that pair, and only it.
+    moved = [
+        (b, int(i), int(j))
+        for b, (p, s) in enumerate(zip(packed, single))
+        for i, j in np.argwhere(p != s)
+        if i != j
+    ]
+    for b, i, j in moved[:5]:
+        threshold = min(packed[b][i, j], single[b][i, j])
+        at = replace(model, config=replace(model.config, threshold=threshold))
+        flipped = at.predict(pages)[b].pairs ^ at.predict(pages[b]).pairs
+        assert flipped == {(i, j)}
+
+
+@pytest.mark.parametrize("bias_kind", [None, "trainable", "frozen"])
+def test_grouped_link_prediction_matches_per_document(monkeypatch, bias_kind):
+    model, docs = packed_batch(64, MIXED_LENGTHS)
+    lambdas = lambdas_for(model, bias_kind) if bias_kind else None
+
+    def bias(rhos):
+        return AttentionBias(rhos, lambdas) if lambdas is not None else None
+
+    want = [
+        decode(model.scores(*pack_inputs([i]), bias([r])).data.reshape(len(i[2]), -1))
+        for i, _, r in docs
+    ]
+    groups = record_groups(monkeypatch)
+    assert predict_links(model, docs, bias, batch_size=3) == want
+    assert sum(len(g) for g in groups) == len(docs)
+    assert all(len(g) <= 3 and sum(g) <= 64 for g in groups)
+    assert len(groups) == 8  # as in the (3, 64) predict case above
