@@ -5,14 +5,17 @@
         --claim rore-link --out BENCH_packed_inference.json
 
 Each run is a fresh ``perfbench/run.py`` process started in its own checkout,
-for the ``run_seconds`` of the change's ``BENCHMARK.json``. The claimed
-workload (``--claim``, rop-train by default) runs ``PAIRS`` untraced pairs
-on seed 0 and ``HELD_OUT_PAIRS`` on the held-out seed 1; every other
-workload runs ``OTHER_PAIRS`` untraced pairs on seed 0, so that its metrics
-get a spread too; every workload runs one traced pair on seed 0.
-Pairs alternate which side runs first. The output holds every run, per-metric medians and quartiles
-(inclusive method) for each side, the change's wins on the claimed metric,
-the per-layer deltas of the traced pairs, and the machine block.
+for the ``run_seconds`` of the change's ``BENCHMARK.json``. A claimed
+workload (``--claim``) runs ``PAIRS`` untraced pairs on seed 0 and
+``HELD_OUT_PAIRS`` on the held-out seed 1; every other workload runs
+``OTHER_PAIRS`` untraced pairs on seed 0, so that its metrics get a spread
+too. Without ``--claim`` every workload runs ``OTHER_PAIRS`` and the report
+records ``"claim": null``. Every workload runs one traced pair on seed 0.
+Pairs alternate which side runs first. The output holds every run, per-metric
+medians and quartiles (inclusive method) for each side, the change's wins on
+the claimed metric, per workload whether the change's seed-0 determinism
+hashes and input digests equal the parent's (``outputs_equal``), the
+per-layer deltas of the traced pairs, and the machine block.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 WORKLOADS = ("rop-train", "rop-predict", "relations-eval", "rore-link")
 METRIC = "docs_per_s"
@@ -44,7 +48,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         "failed": result["failed"],
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
         "named": {k: m["value"] for k, m in detail["named"].items()},
-        "hashes": detail["hashes"], "machine": detail["machine"],
+        "hashes": detail["hashes"], "input_digests": detail["input_digests"],
+        "machine": detail["machine"],
     }
 
 
@@ -68,7 +73,7 @@ def spread(values: list[float]) -> dict:
     return out
 
 
-def summarize(runs: list, claim: str) -> dict:
+def summarize(runs: list, claim: Optional[str]) -> dict:
     summary: dict = {}
     for r in runs:
         if r["trace"]:
@@ -83,7 +88,7 @@ def summarize(runs: list, claim: str) -> dict:
             row[name]["change_over_parent"] = (
                 row[name]["change"]["median"] / row[name]["parent"]["median"]
             )
-        if key.startswith(claim + " "):
+        if claim is not None and key.startswith(claim + " "):
             pairs: dict = {}
             for r in runs:
                 if not r["trace"] and f"{r['workload']} seed {r['seed']}" == key:
@@ -91,6 +96,20 @@ def summarize(runs: list, claim: str) -> dict:
             row[METRIC]["change_wins"] = sum(p["change"] > p["parent"] for p in pairs.values())
             row[METRIC]["pairs"] = len(pairs)
     return summary
+
+
+def outputs_equal(runs: list) -> dict:
+    """Per workload: do all seed-0 runs of both sides record the same
+    determinism hashes and input digests?"""
+    equal = {}
+    for workload in WORKLOADS:
+        seen = {
+            json.dumps([r["hashes"], r["input_digests"]], sort_keys=True)
+            for r in runs if r["workload"] == workload and r["seed"] == 0
+        }
+        if seen:
+            equal[workload] = len(seen) == 1
+    return equal
 
 
 def layer_deltas(runs: list) -> dict:
@@ -114,28 +133,34 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--claim", choices=WORKLOADS, default="rop-train",
-                        help="the workload whose docs_per_s gain is claimed")
+    parser.add_argument("--claim", choices=WORKLOADS,
+                        help="the workload whose docs_per_s gain is claimed; "
+                             "without it no gain is claimed")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = benchmark["run_seconds"]
 
     runs: list = []
-    run_pairs(sides, args.claim, 0, PAIRS, seconds, 0, runs)
-    run_pairs(sides, args.claim, 1, HELD_OUT_PAIRS, seconds, 0, runs)
+    if args.claim is not None:
+        run_pairs(sides, args.claim, 0, PAIRS, seconds, 0, runs)
+        run_pairs(sides, args.claim, 1, HELD_OUT_PAIRS, seconds, 0, runs)
     for workload in WORKLOADS:
         if workload != args.claim:
             run_pairs(sides, workload, 0, OTHER_PAIRS, seconds, 0, runs)
     for workload in WORKLOADS:
         run_pairs(sides, workload, 0, 1, seconds, 1, runs)
 
+    claim = None
+    if args.claim is not None:
+        claim = {"workload": args.claim, "metric": METRIC, "seed": 0, "held_out_seed": 1}
     report = {
-        "claim": {"workload": args.claim, "metric": METRIC, "seed": 0, "held_out_seed": 1},
+        "claim": claim,
         "run_seconds": seconds,
         "machine": runs[0]["machine"],
         "all_correct": all(r["correct"] and not r["failed"] for r in runs),
         "end_to_end": summarize(runs, args.claim),
+        "outputs_equal": outputs_equal(runs),
         "per_layer_traced": layer_deltas(runs),
         "runs": [{k: v for k, v in r.items() if k != "machine"} for r in runs],
     }

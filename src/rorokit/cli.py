@@ -23,6 +23,7 @@ from .layout import (
     Document,
     ValidationError,
     corpus_stats,
+    check_integer,
     derive_word_level,
     load_corpus,
     save_corpus,
@@ -305,6 +306,10 @@ def cmd_demo_rore(args) -> int:
     if args.seed is not None:
         demo_section["seed"] = args.seed
     config = _build(DemoConfig, demo_section)
+    try:
+        check_integer("n_docs", n_docs)
+    except TypeError as exc:
+        raise ValueError(f"bad demo section: {exc}") from None
     encoder_config = None
     if "encoder" in sections:
         encoder_config = _build(EncoderConfig, sections["encoder"])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
 from .relations import Relation, is_acyclic, transitive_closure
@@ -37,6 +37,28 @@ class CorpusParseError(ValueError):
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
+
+
+def check_integer(name: str, value) -> None:
+    """Raise TypeError naming ``name`` unless ``value`` is an int; a bool, a
+    float such as 1.0 or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def check_int_fields(config) -> None:
+    """``check_integer`` on every field of the dataclass ``config`` typed
+    ``int``, ``Optional[int]`` (None passes) or ``tuple[int, int]`` (a pair),
+    types read as the strings ``from __future__ import annotations`` leaves."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "tuple[int, int]":
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise TypeError(f"{f.name} must be a pair of integers, got {value!r}")
+            for item in value:
+                check_integer(f"{f.name} entry", item)
+        elif f.type == "int" or (f.type == "Optional[int]" and value is not None):
+            check_integer(f.name, value)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .autodiff import Tensor, gather_rows, layer_norm, linear, softmax_lastdim
-from .layout import BBox
+from .layout import BBox, check_int_fields
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -76,6 +76,7 @@ class EncoderConfig:
     ffn_dim: int = 0  # 0 means 4 * model_dim
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.layers < 0:
             raise ValueError("layers must be non-negative")
         for name in ("model_dim", "heads", "vocab_hash_size", "coord_buckets", "max_tokens"):
@@ -284,22 +285,20 @@ class AttentionBias:
 
 @dataclass(frozen=True)
 class Pack:
-    """Consecutive packed documents whose attention shares one padded array.
+    """Packed documents whose attention shares one padded array.
 
-    Document ``b`` of the pack occupies slots ``b * width + [0, length)`` of
-    the (documents x width) grid; ``index`` maps the pack's rows onto those
+    Document ``b`` occupies slots ``b * width + [0, length)`` of the
+    (documents x width) grid; ``index`` maps the packed rows onto those
     slots and is None when no slot is padding.
     """
 
-    first: int  # index of the pack's first document in the packed input
     lengths: tuple[int, ...]
-    rows: slice  # the pack's rows in the packed input
     width: int
     index: Optional[np.ndarray]
     key_pad: Optional[np.ndarray]  # (B, 1, 1, width), True on padded keys
 
     @classmethod
-    def create(cls, lengths: Sequence[int], first: int = 0, row: int = 0) -> "Pack":
+    def create(cls, lengths: Sequence[int]) -> "Pack":
         lengths = tuple(lengths)
         width = max(lengths)
         index = key_pad = None
@@ -308,30 +307,7 @@ class Pack:
                 [b * width + np.arange(n) for b, n in enumerate(lengths)]
             )
             key_pad = (np.arange(width) >= np.array(lengths)[:, None])[:, None, None, :]
-        return cls(first, lengths, slice(row, row + sum(lengths)), width, index, key_pad)
-
-    @classmethod
-    def group(cls, lengths: Sequence[int], max_tokens: int) -> list["Pack"]:
-        """Consecutive documents grouped so that no pack is larger than one
-        ``max_tokens`` document: it has at most ``max_tokens`` rows, and its
-        padded (B, heads, width, width) attention holds no more cells than
-        that document's (heads, max_tokens, max_tokens)."""
-        budget = max_tokens * max_tokens
-        packs: list[Pack] = []
-        first = row = 0
-        while first < len(lengths):
-            end, width, rows = first + 1, lengths[first], lengths[first]
-            while end < len(lengths):
-                wider = max(width, lengths[end])
-                if (
-                    rows + lengths[end] > max_tokens
-                    or (end + 1 - first) * wider * wider > budget
-                ):
-                    break
-                end, width, rows = end + 1, wider, rows + lengths[end]
-            packs.append(cls.create(lengths[first:end], first, row))
-            row, first = packs[-1].rows.stop, end
-        return packs
+        return cls(lengths, width, index, key_pad)
 
     def split_heads(self, x: np.ndarray, heads: int) -> np.ndarray:
         """(rows, d) -> (B, heads, width, d // heads); padded slots are 0."""
@@ -361,16 +337,6 @@ class Pack:
         return out
 
 
-def _accumulate_rows(t: Tensor, rows: slice, grad: np.ndarray) -> None:
-    """Add ``grad`` into the gradient of ``t``'s rows ``rows``."""
-    if rows.start == 0 and rows.stop == t.shape[0]:
-        t._accumulate(grad)
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad[rows] += grad
-
-
 def attention_weights(
     q: Tensor,
     k: Tensor,
@@ -382,9 +348,10 @@ def attention_weights(
     """Per-head attention rows; every row sums to 1.
 
     Over one document the result is [heads, n, n]. Over a pack of several
-    packed documents it is [B, heads, width, width], each document attending
-    only within its own block and never to padded keys. The logits
-    ``(q.k + lambda * rho) / sqrt(d_k)`` are one node, the softmax another.
+    documents it is [B, heads, width, width], each document attending only
+    within its own block and never to padded keys; ``bias`` then holds one
+    matrix per document. The logits ``(q.k + lambda * rho) / sqrt(d_k)``
+    are one node, the softmax another.
     """
     if q.shape != k.shape or len(q.shape) != 2:
         raise ValueError(f"query/key shapes must match, got {q.shape} vs {k.shape}")
@@ -395,21 +362,20 @@ def attention_weights(
         pack = Pack.create([n])
     lam = None
     if bias is not None:
-        blocks = bias.rho[pack.first : pack.first + len(pack.lengths)]
-        if [b.shape for b in blocks] != [(m, m) for m in pack.lengths]:
+        if [r.shape for r in bias.rho] != [(m, m) for m in pack.lengths]:
             raise ValueError(
-                f"bias matrices are {[b.shape for b in blocks]}, expected "
+                f"bias matrices are {[r.shape for r in bias.rho]}, expected "
                 f"{[(m, m) for m in pack.lengths]}"
             )
         lam = bias.lambda_at(layer)
-    qh = pack.split_heads(q.data[pack.rows], heads)
-    kh = pack.split_heads(k.data[pack.rows], heads)
+    qh = pack.split_heads(q.data, heads)
+    kh = pack.split_heads(k.data, heads)
     scale = 1.0 / np.sqrt(d // heads)
     logits = qh @ kh.swapaxes(-1, -2)
     if lam is not None:
         # The biased logit is (q.k + lambda*rho) / sqrt(d_k): the bias
         # term shares the scaling divisor.
-        rho = pack.pad_square(blocks)
+        rho = pack.pad_square(bias.rho)
         logits = logits + lam.data * rho
     logits = logits * scale
     if pack.key_pad is not None:
@@ -426,36 +392,12 @@ def attention_weights(
         if lam is not None and lam.requires_grad:
             lam._accumulate((g * rho).sum())
         if q.requires_grad:
-            _accumulate_rows(q, pack.rows, pack.merge_heads(g @ kh))
+            q._accumulate(pack.merge_heads(g @ kh))
         if k.requires_grad:
-            _accumulate_rows(k, pack.rows, pack.merge_heads(g.swapaxes(-1, -2) @ qh))
+            k._accumulate(pack.merge_heads(g.swapaxes(-1, -2) @ qh))
 
     out._backward = backward
     return softmax_lastdim(out)
-
-
-def _mix(weights: list[Tensor], v: Tensor, heads: int, packs: list[Pack]) -> Tensor:
-    """Attention rows times values per pack, heads merged back: (n, d)."""
-    values = [pack.split_heads(v.data[pack.rows], heads) for pack in packs]
-    # A lone document's (heads, n, n) rows, viewed as a pack of one.
-    rows = [w.data.reshape(vh.shape[:3] + (-1,)) for w, vh in zip(weights, values)]
-    parts = [pack.merge_heads(r @ vh) for r, vh, pack in zip(rows, values, packs)]
-    out = Tensor(
-        parts[0] if len(parts) == 1 else np.concatenate(parts),
-        v.requires_grad or any(w.requires_grad for w in weights),
-        (*weights, v),
-    )
-
-    def backward(grad):
-        for w, r, vh, pack in zip(weights, rows, values, packs):
-            g = pack.split_heads(grad[pack.rows], heads)
-            if w.requires_grad:
-                w._accumulate((g @ vh.swapaxes(-1, -2)).reshape(w.shape))
-            if v.requires_grad:
-                _accumulate_rows(v, pack.rows, pack.merge_heads(r.swapaxes(-1, -2) @ g))
-
-    out._backward = backward
-    return out
 
 
 def attention(
@@ -465,19 +407,34 @@ def attention(
     heads: int,
     bias: Optional[AttentionBias] = None,
     layer: int = 0,
-    packs: Optional[list[Pack]] = None,
+    pack: Optional[Pack] = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention over projected q/k/v rows.
 
-    ``packs`` splits the rows into packed documents (see ``encoder_forward``);
-    None means the rows are one document.
+    ``pack`` splits the rows into packed documents (see ``encoder_forward``);
+    None means the rows are one document. The weighted values, heads merged
+    back, are one (n, d) node after the attention rows.
     """
     if v.shape != q.shape:
         raise ValueError(f"value shape {v.shape} must match query {q.shape}")
-    if packs is None:
-        packs = [Pack.create([q.shape[0]])]
-    weights = [attention_weights(q, k, heads, bias, layer, pack) for pack in packs]
-    return _mix(weights, v, heads, packs)
+    if pack is None:
+        pack = Pack.create([q.shape[0]])
+    weights = attention_weights(q, k, heads, bias, layer, pack)
+    vh = pack.split_heads(v.data, heads)
+    # A lone document's (heads, n, n) rows, viewed as a pack of one.
+    rows = weights.data.reshape(vh.shape[:3] + (-1,))
+    needs_grad = v.requires_grad or weights.requires_grad
+    out = Tensor(pack.merge_heads(rows @ vh), needs_grad, (weights, v))
+
+    def backward(grad):
+        g = pack.split_heads(grad, heads)
+        if weights.requires_grad:
+            weights._accumulate((g @ vh.swapaxes(-1, -2)).reshape(weights.shape))
+        if v.requires_grad:
+            v._accumulate(pack.merge_heads(rows.swapaxes(-1, -2) @ g))
+
+    out._backward = backward
+    return out
 
 
 def encoder_forward(
@@ -493,26 +450,23 @@ def encoder_forward(
     ``lengths`` gives the token count of each document packed one after
     another in ``tokens``/``boxes``; None means one document. Embeddings,
     layer norms, projections and the FFN run once over all rows; attention
-    stays within each document, and ``bias`` then holds one matrix per
-    document.
+    runs over one padded pack of all the documents, each attending within
+    itself, and ``bias`` then holds one matrix per document. ``max_tokens``
+    bounds each document, not the forward: callers bound a forward by what
+    they pack into it.
     """
     if len(tokens) != len(boxes):
         raise ValueError("tokens and boxes must align")
     lengths = [len(tokens)] if lengths is None else list(lengths)
     x = embed(config, params, list(zip(tokens, boxes)), lengths)
-    if bias is not None and [r.shape for r in bias.rho] != [(n, n) for n in lengths]:
-        raise ValueError(
-            f"bias matrices are {[r.shape for r in bias.rho]}, expected "
-            f"{[(n, n) for n in lengths]}"
-        )
-    packs = Pack.group(lengths, config.max_tokens)
+    pack = Pack.create(lengths)
     for layer in range(config.layers):
         base = f"enc.l{layer}."
         h = layer_norm(x, params[base + "ln1.gain"], params[base + "ln1.bias"])
         q = linear(h, params[base + "attn.Wq"], params[base + "attn.bq"])
         k = linear(h, params[base + "attn.Wk"], params[base + "attn.bk"])
         v = linear(h, params[base + "attn.Wv"], params[base + "attn.bv"])
-        attended = attention(q, k, v, config.heads, bias, layer, packs)
+        attended = attention(q, k, v, config.heads, bias, layer, pack)
         x = linear(attended, params[base + "attn.Wo"], params[base + "attn.bo"], x)
         h = layer_norm(x, params[base + "ln2.gain"], params[base + "ln2.bias"])
         inner = linear(h, params[base + "ffn.W1"], params[base + "ffn.b1"]).relu()
@@ -598,18 +552,34 @@ def save_checkpoint(path, config: dict, store: ParameterStore) -> None:
 def checkpoint_from_json(text: str) -> tuple[dict, ParameterStore]:
     """Config and parameters of a checkpoint's JSON text.
 
-    Each parameter must hold as many values as its shape needs, and every
-    value must be a finite number; otherwise ``CheckpointError`` names the
-    parameter.
+    The text must hold an object with a ``config`` object and a ``params``
+    object, each parameter an object with a ``shape`` (a list of sizes) and
+    as many ``values`` as the shape needs, every value a finite number;
+    otherwise ``CheckpointError`` names the missing or unexpected field.
     """
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        kind = type(obj).__name__
+        raise CheckpointError(f"checkpoint holds a JSON {kind}, not an object")
     version = obj.get("format_version")
     if version != 1:
         raise CheckpointError(f"unsupported checkpoint format_version: {version!r}")
+    for section in ("config", "params"):
+        if not isinstance(obj.get(section), dict):
+            raise CheckpointError(f"checkpoint has no {section!r} object")
     store = ParameterStore()
     for name in sorted(obj["params"]):
         entry = obj["params"][name]
+        for key in ("shape", "values"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise CheckpointError(f"parameter {name!r} has no {key!r} field")
         shape = entry["shape"]
+        if not isinstance(shape, list) or not all(
+            type(size) is int and size >= 0 for size in shape
+        ):
+            raise CheckpointError(
+                f"parameter {name!r} has shape {shape!r}, not a list of sizes"
+            )
         not_finite = f"parameter {name!r} holds a value that is not a finite number"
         try:
             values = np.array(entry["values"])

@@ -23,6 +23,7 @@ from .layout import (
     BBox,
     Corpus,
     Document,
+    check_int_fields,
     collapse_word_relation,
     derive_word_level,
 )
@@ -31,7 +32,6 @@ from .nn import (
     AttentionBias,
     CheckpointError,
     EncoderConfig,
-    Pack,
     ParameterStore,
     encoder_forward,
     init_encoder_params,
@@ -69,6 +69,7 @@ class ROPConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.task_level not in TASK_LEVELS:
             raise ValueError(f"unknown task_level {self.task_level!r}")
         if self.bbox_level not in TASK_LEVELS:
@@ -163,27 +164,26 @@ def pack_inputs(
 def split_batch(batch: list, max_tokens: int) -> list[list]:
     """Cut a batch of ``((texts, boxes, spans), ...)`` examples into sub-batches.
 
-    The sub-batches are consecutive runs of documents that ``Pack.group``
-    keeps in one pack: each has at most ``max_tokens`` tokens and attention
-    arrays no larger than one ``max_tokens`` document's, so the graph built
-    for one is no larger than that document's graph either.
+    The sub-batches are consecutive runs of documents, each run as one
+    forward, so that none is larger than one ``max_tokens`` document: it
+    has at most ``max_tokens`` tokens, and B documents of at most ``width``
+    tokens pad their attention to no more cells than that document's,
+    ``B * width**2 <= max_tokens**2``. A larger document goes alone. This is
+    the only place a batch is cut.
     """
-    packs = Pack.group([len(example[0][0]) for example in batch], max_tokens)
-    return [batch[p.first : p.first + len(p.lengths)] for p in packs]
-
-
-def inference_groups(examples: list, batch_size: int, max_tokens: int) -> list[list]:
-    """The groups inference scores in one forward each: consecutive runs of
-    at most ``batch_size`` examples, each cut by ``split_batch``.
-
-    Capping a group at one training batch keeps inference memory at what a
-    training step needs, however many documents there are.
-    """
-    return [
-        part
-        for start in range(0, len(examples), batch_size)
-        for part in split_batch(examples[start : start + batch_size], max_tokens)
-    ]
+    parts: list[list] = []
+    rows = width = 0
+    for example in batch:
+        n = len(example[0][0])
+        wider = max(width, n)
+        if not parts or rows + n > max_tokens or (
+            (len(parts[-1]) + 1) * wider * wider > max_tokens * max_tokens
+        ):
+            parts.append([])
+            rows, wider = 0, n
+        parts[-1].append(example)
+        rows, width = rows + n, wider
+    return parts
 
 
 def score_blocks(scores: np.ndarray, spans: Sequence[Spans]) -> list[np.ndarray]:
@@ -448,8 +448,9 @@ class ROPModel:
         ``texts`` and ``boxes`` hold the tokens of one or more documents one
         after another, and ``spans`` one span list per document, each over
         its own tokens (see ``pack_inputs``). One forward runs over all
-        tokens; the result holds each document's (n, n) score matrix,
-        flattened row-major, one after another.
+        tokens, however many: callers bound it by what they pack, as
+        ``split_batch`` does. The result holds each document's (n, n) score
+        matrix, flattened row-major, one after another.
         """
         lengths = [check_span_tiling(doc) for doc in spans]
         states = encoder_forward(
@@ -465,42 +466,45 @@ class ROPModel:
             pool_elements(states, shifted, sizes), sizes
         )
 
-    def score_document(self, doc: Document) -> np.ndarray:
-        """(n, n) raw pair scores; n counts task elements."""
-        texts, boxes, spans = tokens_for_document(
-            doc, self.config.task_level, self.config.bbox_level
-        )
-        n = len(spans)
-        return self.scores(texts, boxes, [spans]).data.reshape(n, n)
+    def decode_inputs(
+        self,
+        examples: list,
+        bias: Optional[Callable[[list], Optional[AttentionBias]]] = None,
+        enforce_acyclic: bool = False,
+    ) -> list[Relation]:
+        """Decoded relation of each ``((texts, boxes, spans), ...)`` example.
+
+        The examples are scored one forward per group: consecutive runs of
+        at most ``config.batch_size`` examples, each cut by ``split_batch``
+        under the token budget, so that inference needs no more memory than
+        a training step however many examples there are. ``bias``, when
+        given, maps a group's examples to its attention bias. Packed scores
+        may differ from one document's own in the last bits, so only a score
+        within about 1e-14 of the threshold can decode differently.
+        """
+        budget = _token_budget(self.config, self.encoder_config)
+        size, threshold = self.config.batch_size, self.config.threshold
+        relations = []
+        for start in range(0, len(examples), size):
+            for group in split_batch(examples[start : start + size], budget):
+                inputs = [example[0] for example in group]
+                group_bias = None if bias is None else bias(group)
+                scores = self.scores(*pack_inputs(inputs), group_bias).data
+                for block in score_blocks(scores, [spans for _, _, spans in inputs]):
+                    relations.append(decode(block, threshold, enforce_acyclic))
+        return relations
 
     def predict(
         self, docs: Union[Document, Sequence[Document]], enforce_acyclic: bool = False
     ) -> Union[Relation, list[Relation]]:
-        """Decoded relation of one document, or one per document of a sequence.
-
-        A sequence is scored in ``inference_groups`` of at most
-        ``config.batch_size`` documents under the token budget, one forward
-        per group. Packed scores may differ from one document's own in the
-        last bits, so only a score within about 1e-14 of the threshold can
-        decode differently. One document is scored alone, by
-        ``score_document``.
-        """
-        threshold = self.config.threshold
-        if isinstance(docs, Document):
-            return decode(self.score_document(docs), threshold, enforce_acyclic)
+        """Decoded relation of one document, or one per document of a sequence
+        (see ``decode_inputs``)."""
+        one = isinstance(docs, Document)
         framing = (self.config.task_level, self.config.bbox_level)
-        # One-field examples, in the (inputs, ...) form split_batch reads.
+        docs = [docs] if one else docs
         examples = [(tokens_for_document(doc, *framing),) for doc in docs]
-        budget = _token_budget(self.config, self.encoder_config)
-        relations = []
-        for group in inference_groups(examples, self.config.batch_size, budget):
-            inputs = [example[0] for example in group]
-            scores = self.scores(*pack_inputs(inputs)).data
-            relations += [
-                decode(block, threshold, enforce_acyclic)
-                for block in score_blocks(scores, [spans for _, _, spans in inputs])
-            ]
-        return relations
+        relations = self.decode_inputs(examples, enforce_acyclic=enforce_acyclic)
+        return relations[0] if one else relations
 
     def save(self, path) -> None:
         config = {"encoder": self.encoder_config.to_dict(), "rop": self.config.to_dict()}
@@ -508,16 +512,17 @@ class ROPModel:
 
     @classmethod
     def load(cls, path) -> "ROPModel":
-        """Read a checkpoint; its parameter names and shapes must fit its config."""
+        """Read a checkpoint; its config sections must be valid, and its
+        parameter names and shapes must fit them."""
         try:
             config, store = load_checkpoint(path)
+            model = cls(
+                _config_section(EncoderConfig, config, "encoder"),
+                _config_section(ROPConfig, config, "rop"),
+                store,
+            )
         except CheckpointError as exc:
             raise CheckpointError(f"{path}: {exc}") from None
-        model = cls(
-            EncoderConfig.from_dict(config["encoder"]),
-            ROPConfig.from_dict(config["rop"]),
-            store,
-        )
         expected = cls.create(
             model.encoder_config, model.config, np.random.default_rng(0)
         ).store
@@ -531,6 +536,16 @@ class ROPModel:
                     f"config needs {needed.get(name, 'absent')}"
                 )
         return model
+
+
+def _config_section(cls, config: dict, name: str):
+    """The checkpoint config's section ``name`` as a ``cls`` instance."""
+    if not isinstance(config.get(name), dict):
+        raise CheckpointError(f"config has no {name!r} section")
+    try:
+        return cls.from_dict(config[name])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"config section {name!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

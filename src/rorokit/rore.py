@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
-from .layout import BBox, Corpus, Document
+from .layout import BBox, Corpus, Document, check_int_fields
 from .metrics import corpus_f1
 from .nn import AttentionBias, EncoderConfig, ParameterStore, encoder_forward
 from .relations import CycleError, Relation, is_acyclic, transitive_closure
@@ -25,12 +25,9 @@ from .rop import (
     ROPConfig,
     ROPModel,
     check_span_tiling,
-    decode,
     fit,
     gp_loss,
-    inference_groups,
     pack_inputs,
-    score_blocks,
     split_batch,
     tokens_for_document,
 )
@@ -178,6 +175,7 @@ class DemoConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.relation_kind not in MATRIX_KINDS:
             raise ValueError(f"unknown relation_kind {self.relation_kind!r}")
         if self.label_source not in ("ground_truth", "pseudo"):
@@ -228,9 +226,12 @@ def _train_linking_arm(
     document's relation matrix to its attention through an ``AttentionBias``.
     """
     rng = np.random.default_rng(config.seed)
-    model = ROPModel.create(
-        encoder_config, ROPConfig(head_dim=config.head_dim), rng
+    arm_config = ROPConfig(
+        head_dim=config.head_dim,
+        batch_size=config.batch_size,
+        max_tokens=encoder_config.max_tokens,
     )
+    model = ROPModel.create(encoder_config, arm_config, rng)
     lambdas: list[Tensor] = []
     if biased and config.freeze_lambda:
         k = _biased_layer_count(encoder_config.layers, config.bias_layers)
@@ -240,13 +241,13 @@ def _train_linking_arm(
             model.store, encoder_config.layers, config.bias_layers, config.lambda_init
         )
 
-    def bias(rhos) -> Optional[AttentionBias]:
-        """One matrix per packed document, weighted by the arm's lambdas."""
-        return AttentionBias(rhos, lambdas) if biased else None
+    def bias(group: list) -> Optional[AttentionBias]:
+        """The group's relation matrices, weighted by the arm's lambdas."""
+        return AttentionBias([rho for _, _, rho in group], lambdas) if biased else None
 
     def batch_loss(batch: list) -> Tensor:
-        inputs, links, rhos = zip(*batch)
-        return gp_loss(model.scores(*pack_inputs(inputs), bias(rhos)), links)
+        inputs, links, _ = zip(*batch)
+        return gp_loss(model.scores(*pack_inputs(inputs), bias(batch)), links)
 
     losses, _, _ = fit(
         model.store,
@@ -260,7 +261,7 @@ def _train_linking_arm(
     )
 
     def evaluate(examples: list[tuple]) -> float:
-        predicted = predict_links(model, examples, bias, config.batch_size)
+        predicted = model.decode_inputs(examples, bias)
         return corpus_f1(zip([links for _, links, _ in examples], predicted)).f1
 
     return {
@@ -268,26 +269,6 @@ def _train_linking_arm(
         "test_f1": evaluate(test_examples),
         "final_loss": losses[-1],
     }
-
-
-def predict_links(
-    model: ROPModel,
-    examples: list[tuple],
-    bias: Callable[[tuple], Optional[AttentionBias]],
-    batch_size: int,
-) -> list[Relation]:
-    """Decoded links of each ``(inputs, links, rho)`` example.
-
-    Examples are scored in ``inference_groups`` of at most ``batch_size``
-    documents under the encoder's token budget, one forward per group;
-    ``bias`` maps a group's rho matrices to its attention bias, or None.
-    """
-    relations = []
-    for group in inference_groups(examples, batch_size, model.encoder_config.max_tokens):
-        inputs, _, rhos = zip(*group)
-        scores = model.scores(*pack_inputs(inputs), bias(rhos)).data
-        relations += [decode(b) for b in score_blocks(scores, [s for _, _, s in inputs])]
-    return relations
 
 
 def rore_demo_entity_linking(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import BBox, Corpus, Document, Segment, Word
+from .layout import BBox, Corpus, Document, Segment, Word, check_int_fields
 from .relations import Relation
 
 PAGE = 1000
@@ -61,6 +61,7 @@ class SynthConfig:
     validation_fraction: float = 0.0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.n_docs <= 0:
             raise GenerationError("n_docs must be positive")
         for name in (

@@ -287,6 +287,98 @@ def test_checkpoint_values_are_checked_at_load(tmp_path, capsys, corrupt, reason
         assert f"{model}: parameter 'gp.bq' {reason}" in err
 
 
+def without(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+def edit_bq(field, value):
+    def corrupt(obj):
+        param = obj["params"]["gp.bq"]
+        if value is None:
+            del param[field]
+        else:
+            param[field] = value
+        return obj
+
+    return corrupt
+
+
+def edit_rop(field, value):
+    def corrupt(obj):
+        obj["config"]["rop"][field] = value
+        return obj
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, reason",
+    [
+        (without("params"), "checkpoint has no 'params' object"),
+        (without("config"), "checkpoint has no 'config' object"),
+        (edit_bq("shape", None), "parameter 'gp.bq' has no 'shape' field"),
+        (edit_bq("shape", [-1, -128]),
+         "parameter 'gp.bq' has shape [-1, -128], not a list of sizes"),
+        (edit_rop("bogus", 1),
+         "config section 'rop': ROPConfig.__init__() got an unexpected keyword "
+         "argument 'bogus'"),
+        (edit_rop("epochs", 1.5),
+         "config section 'rop': epochs must be an integer, got 1.5"),
+        (lambda obj: [obj], "checkpoint holds a JSON list, not an object"),
+    ],
+    ids=["no-params", "no-config", "no-shape", "negative-shape", "unknown-key",
+         "float-count", "list"],
+)
+def test_checkpoint_structure_is_checked_at_load(tmp_path, capsys, corrupt, reason):
+    corpus = write_corpus(tmp_path, n_docs=2)
+    model = write_model(tmp_path)
+    model.write_text(json.dumps(corrupt(json.loads(model.read_text()))))
+    for argv in (["predict", "--out-corpus", str(tmp_path / "out.jsonl")], ["eval"]):
+        code, out, err = run(capsys, argv[0], str(corpus), "--model", str(model),
+                             *argv[1:])
+        assert code == 1 and out == ""
+        assert f"{model}: {reason}" in err
+
+
+@pytest.mark.parametrize(
+    "command, sections, reason",
+    [
+        ("train", {"rop": {"epochs": 1.5}},
+         "bad ROPConfig section: epochs must be an integer, got 1.5"),
+        ("train", {"rop": {"batch_size": 2.5}},
+         "bad ROPConfig section: batch_size must be an integer, got 2.5"),
+        ("train", {"rop": {"patience": True}},
+         "bad ROPConfig section: patience must be an integer, got True"),
+        ("train", {"encoder": {"layers": 1.0}},
+         "bad EncoderConfig section: layers must be an integer, got 1.0"),
+        ("demo-rore", {"demo": {"epochs": 1.5}},
+         "bad DemoConfig section: epochs must be an integer, got 1.5"),
+        ("demo-rore", {"demo": {"bias_layers": 1.5}},
+         "bad DemoConfig section: bias_layers must be an integer, got 1.5"),
+        ("demo-rore", {"demo": {"n_docs": "x"}},
+         "bad demo section: n_docs must be an integer, got 'x'"),
+        ("synth", {"synth": {"n_docs": 2.5}},
+         "bad SynthConfig section: n_docs must be an integer, got 2.5"),
+        ("synth", {"synth": {"grid_rows": [2, 4.5]}},
+         "bad SynthConfig section: grid_rows entry must be an integer, got 4.5"),
+        ("synth", {"synth": {"grid_rows": [2, 3, 4]}},
+         "bad SynthConfig section: grid_rows must be a pair of integers, "
+         "got [2, 3, 4]"),
+    ],
+    ids=["rop-float", "rop-batch-float", "rop-bool", "encoder-float", "demo-float",
+         "demo-optional-float", "demo-n-docs", "synth-float", "synth-range-entry",
+         "synth-range-length"],
+)
+def test_config_counts_must_be_integers(tmp_path, capsys, command, sections, reason):
+    argv = [command, "--config", str(write_config(tmp_path, sections))]
+    if command == "train":
+        corpus = write_corpus(tmp_path, n_docs=2)
+        argv += [str(corpus), "--model", str(tmp_path / "model.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert reason in err
+
+
 def oversized_setup(tmp_path):
     """A corpus and a model whose token budget only some documents fit."""
     corpus = write_corpus(tmp_path, n_docs=8)

@@ -41,7 +41,7 @@ from rorokit.rop import (
     train,
 )
 from rorokit.relations import Relation
-from rorokit.rore import init_lambda_params, predict_links
+from rorokit.rore import init_lambda_params
 from rorokit.synth import SynthConfig, synth_generate
 
 TINY_ENCODER = EncoderConfig(layers=1, model_dim=8, heads=2, ffn_dim=16)
@@ -485,8 +485,8 @@ def test_model_round_trips_through_checkpoint(tmp_path):
     loaded = ROPModel.load(path)
     assert loaded.encoder_config == model.encoder_config
     assert loaded.config == model.config
-    doc = corpus.documents[0]
-    assert np.array_equal(loaded.score_document(doc), model.score_document(doc))
+    inputs = pack_inputs([tokens_for_document(corpus.documents[0])])
+    assert np.array_equal(loaded.scores(*inputs).data, model.scores(*inputs).data)
 
 
 def test_pseudo_labels_match_gold_after_overfitting():
@@ -590,7 +590,8 @@ def assert_close(got, want, name, floor=0.0):
 @pytest.mark.parametrize("bias_kind", [None, "trainable", "frozen"])
 @pytest.mark.parametrize("diagonal", [True, False])
 def test_packed_batch_matches_per_document_composite(max_tokens, bias_kind, diagonal):
-    # max_tokens=64 splits the 2- and 60-token documents over several packs.
+    # One forward packs all six documents whatever max_tokens is; under 64
+    # they hold more tokens than the budget, which bounds each document only.
     model, docs = packed_batch(max_tokens)
     lambdas = lambdas_for(model, bias_kind) if bias_kind else None
     inputs, labels, rhos = zip(*docs)
@@ -651,8 +652,9 @@ def test_graph_size_does_not_grow_with_batch_size():
 
 
 def test_packed_attention_stays_within_one_document_budget(monkeypatch):
-    # Six documents of up to 8 tokens under max_tokens=8: no padded
-    # attention array may hold more cells than one 8-token document's.
+    # Six documents of up to 8 tokens under max_tokens=8: the callers that
+    # cut a batch keep every padded attention array within one 8-token
+    # document's cells, for training sub-batches and list prediction alike.
     model, docs = packed_batch(max_tokens=8, lengths=(8, 3, 3, 8, 2, 2))
     cells = []
     original = nn.softmax_lastdim
@@ -662,13 +664,19 @@ def test_packed_attention_stays_within_one_document_budget(monkeypatch):
         return original(x)
 
     monkeypatch.setattr(nn, "softmax_lastdim", recording)
-    inputs, labels, _ = zip(*docs)
-    scores = model.scores(*pack_inputs(inputs))
     heads = model.encoder_config.heads
-    assert cells and max(cells) <= heads * 8 * 8
-    assert len(cells) > model.encoder_config.layers  # the batch was split
-    want = np.concatenate([model.scores(*pack_inputs([i])).data for i in inputs])
-    assert_close(scores.data, want, "scores")
+    parts = split_batch(list(docs), 8)
+    scores = [model.scores(*pack_inputs([i for i, _, _ in p])).data for p in parts]
+    assert len(parts) > 1 and max(cells) <= heads * 8 * 8
+    want = np.concatenate([model.scores(*pack_inputs([i])).data for i, _, _ in docs])
+    assert_close(np.concatenate(scores), want, "scores")
+
+    cells.clear()
+    pages = [page_from(f"p{i}", inputs) for i, (inputs, _, _) in enumerate(docs)]
+    predicted = model.predict(pages)
+    assert len(cells) > model.encoder_config.layers  # the list was cut
+    assert max(cells) <= heads * 8 * 8
+    assert predicted == [model.predict(page) for page in pages]
 
 
 # --- packed inference against per-document inference ---
@@ -699,6 +707,13 @@ def mixed_pages(batch_size, max_tokens):
     return model, pages
 
 
+def document_scores(model, page):
+    """One page's (n, n) scores from a forward over it alone."""
+    inputs = tokens_for_document(page, model.config.task_level, model.config.bbox_level)
+    n = len(inputs[2])
+    return model.scores(*pack_inputs([inputs])).data.reshape(n, n)
+
+
 def record_groups(monkeypatch):
     """Token counts of every document list ``ROPModel.scores`` is called on."""
     groups = []
@@ -720,8 +735,8 @@ def test_packed_predict_matches_per_document_predict(
 ):
     model, pages = mixed_pages(batch_size, max_tokens)
     threshold = model.config.threshold
-    single = [decode(model.score_document(page), threshold) for page in pages]
-    repaired = [decode(model.score_document(page), threshold, True) for page in pages]
+    single = [decode(document_scores(model, page), threshold) for page in pages]
+    repaired = [decode(document_scores(model, page), threshold, True) for page in pages]
     assert [model.predict(page) for page in pages] == single
     groups = record_groups(monkeypatch)
     assert model.predict(pages) == single
@@ -737,7 +752,7 @@ def test_packed_and_per_document_predictions_differ_only_at_the_threshold():
     # Head weights scaled up so scores reach trained magnitudes.
     for name in ("gp.Wq", "gp.Wk"):
         model.store[name].data *= 30.0
-    single = [model.score_document(page) for page in pages]
+    single = [document_scores(model, page) for page in pages]
     inputs = [tokens_for_document(page) for page in pages]
     packed = score_blocks(
         model.scores(*pack_inputs(inputs)).data, [spans for _, _, spans in inputs]
@@ -764,17 +779,36 @@ def test_packed_and_per_document_predictions_differ_only_at_the_threshold():
 @pytest.mark.parametrize("bias_kind", [None, "trainable", "frozen"])
 def test_grouped_link_prediction_matches_per_document(monkeypatch, bias_kind):
     model, docs = packed_batch(64, MIXED_LENGTHS)
+    model = replace(model, config=replace(model.config, batch_size=3))
     lambdas = lambdas_for(model, bias_kind) if bias_kind else None
 
-    def bias(rhos):
+    def bias(group):
+        rhos = [rho for _, _, rho in group]
         return AttentionBias(rhos, lambdas) if lambdas is not None else None
 
-    want = [
-        decode(model.scores(*pack_inputs([i]), bias([r])).data.reshape(len(i[2]), -1))
-        for i, _, r in docs
-    ]
+    want = []
+    for doc in docs:
+        inputs = doc[0]
+        scores = model.scores(*pack_inputs([inputs]), bias([doc])).data
+        want.append(decode(scores.reshape(len(inputs[2]), -1)))
     groups = record_groups(monkeypatch)
-    assert predict_links(model, docs, bias, batch_size=3) == want
+    biases = []
+    recording = ROPModel.scores
+
+    def keep_bias(self, texts, boxes, spans, bias=None):
+        biases.append(bias)
+        return recording(self, texts, boxes, spans, bias)
+
+    # A random model's scores move by about 1e-6 under this bias, too little
+    # to change a decoded pair, so each forward's bias is checked directly.
+    monkeypatch.setattr(ROPModel, "scores", keep_bias)
+    assert model.decode_inputs(docs, bias) == want
+    if lambdas is None:
+        assert biases == [None] * len(groups)
+    else:
+        rhos = [rho for b in biases for rho in b.rho]
+        assert all(np.array_equal(r, d[2]) for r, d in zip(rhos, docs))
+        assert len(rhos) == len(docs)
     assert sum(len(g) for g in groups) == len(docs)
     assert all(len(g) <= 3 and sum(g) <= 64 for g in groups)
     assert len(groups) == 8  # as in the (3, 64) predict case above
