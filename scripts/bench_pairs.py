@@ -10,12 +10,14 @@ workload (``--claim``) runs ``PAIRS`` untraced pairs on seed 0 and
 ``HELD_OUT_PAIRS`` on the held-out seed 1; every other workload runs
 ``OTHER_PAIRS`` untraced pairs on seed 0, so that its metrics get a spread
 too. Without ``--claim`` every workload runs ``OTHER_PAIRS`` and the report
-records ``"claim": null``. Every workload runs one traced pair on seed 0.
+records ``"claim": null``. Every workload runs ``TRACED_PAIRS`` traced pairs
+on seed 0, and its per-layer values are the medians of each side's traced
+runs, so that one run taken under a burst of host load does not set them.
 Pairs alternate which side runs first. The output holds every run, per-metric
 medians and quartiles (inclusive method) for each side, the change's wins on
 the claimed metric, per workload whether the change's seed-0 determinism
 hashes and input digests equal the parent's (``outputs_equal``), the
-per-layer deltas of the traced pairs, and the machine block.
+per-layer medians and their deltas, and the machine block.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional
 
 WORKLOADS = ("rop-train", "rop-predict", "relations-eval", "rore-link")
 METRIC = "docs_per_s"
-PAIRS, HELD_OUT_PAIRS, OTHER_PAIRS = 10, 3, 3
+PAIRS, HELD_OUT_PAIRS, OTHER_PAIRS, TRACED_PAIRS = 10, 3, 3, 3
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -113,18 +115,24 @@ def outputs_equal(runs: list) -> dict:
 
 
 def layer_deltas(runs: list) -> dict:
+    """Per workload and metric: each side's median over its traced runs."""
     deltas = {}
     for workload in WORKLOADS:
-        traced = {r["side"]: r["metrics"] for r in runs
-                  if r["trace"] and r["workload"] == workload}
-        if len(traced) < 2:
+        traced: dict = {"parent": {}, "change": {}}
+        for r in runs:
+            if r["trace"] and r["workload"] == workload:
+                for name, value in r["metrics"].items():
+                    traced[r["side"]].setdefault(name, []).append(value)
+        if not traced["parent"] or not traced["change"]:
             continue
-        deltas[workload] = {
-            name: {"parent": traced["parent"][name], "change": value,
-                   "delta": value - traced["parent"][name]}
-            for name, value in traced["change"].items()
-            if value or traced["parent"].get(name)
-        }
+        row = {}
+        for name, values in traced["change"].items():
+            parent = statistics.median(traced["parent"].get(name, [0.0]))
+            change = statistics.median(values)
+            if change or parent:
+                row[name] = {"parent": parent, "change": change,
+                             "delta": change - parent, "n": len(values)}
+        deltas[workload] = row
     return deltas
 
 
@@ -149,7 +157,7 @@ def main(argv=None) -> int:
         if workload != args.claim:
             run_pairs(sides, workload, 0, OTHER_PAIRS, seconds, 0, runs)
     for workload in WORKLOADS:
-        run_pairs(sides, workload, 0, 1, seconds, 1, runs)
+        run_pairs(sides, workload, 0, TRACED_PAIRS, seconds, 1, runs)
 
     claim = None
     if args.claim is not None:

@@ -139,6 +139,12 @@ class ParameterStore:
             p.grad = None
 
     def opt_state(self, name: str) -> dict:
+        """AdamW state: step count ``t``, moments ``m`` and ``v``, and ``rows``.
+
+        ``rows`` is a 2-D parameter's sticky mask of the rows whose gradient
+        has ever been non-zero; it is ``None`` once every row is in it, and
+        always for 1-D and 0-D parameters (see ``optimizer_step``).
+        """
         if name not in self._params:
             raise ParameterError(f"parameter {name!r} is not initialized")
         if name not in self._opt_state:
@@ -147,6 +153,7 @@ class ParameterStore:
                 "t": 0,
                 "m": np.zeros_like(p.data),
                 "v": np.zeros_like(p.data),
+                "rows": np.zeros(len(p.data), dtype=bool) if p.data.ndim == 2 else None,
             }
         return self._opt_state[name]
 
@@ -491,28 +498,88 @@ def optimizer_step(
     Every gradient is checked before any parameter moves: a missing or
     non-finite gradient raises, naming the parameter, and leaves the store
     unchanged.
+
+    Row-sparse and exact: a 2-D parameter keeps a sticky mask of the rows
+    whose gradient has ever been non-zero (``opt_state(name)["rows"]``), and
+    only those rows get the full moment and parameter update. Every other
+    row has had only zero gradients, so its moments are still exactly 0 and
+    the update reduces to the decoupled weight decay
+    ``p -= lr * (0.0 + wd * p)``, which is all the step computes for it
+    (the full formula's Adam term is +0.0 there, so the ``0.0 +`` keeps a
+    -0.0 parameter as it leaves it). A parameter whose every row is in the
+    mask, and every 1-D or 0-D parameter, gets the same formula over all
+    its rows and is no longer scanned. NaN and
+    ±inf compare non-zero, so the finiteness check looks only at rows
+    with a non-zero gradient. The arithmetic runs in place, with two
+    scratch buffers shared by all parameters.
     """
     params = store.items()
+    masks = []
     for name, p in params:
         if p.grad is None:
             raise MissingGradientError(f"parameter {name!r} has no gradient")
-        if not np.isfinite(p.grad).all():
+        rows = store.opt_state(name)["rows"]
+        checked = p.grad
+        if rows is not None:
+            touched = (p.grad != 0).any(axis=1)
+            checked = p.grad[touched]
+            rows = rows | touched
+        if not np.isfinite(checked).all():
             raise NonFiniteGradientError(
                 f"parameter {name!r} has a non-finite gradient"
             )
-    for name, p in params:
+        masks.append(rows)
+    scratch = np.empty((2, max((p.data.size for _, p in params), default=0)))
+    hyper = (learning_rate, weight_decay, beta1, beta2, eps)
+    for (name, p), rows in zip(params, masks):
         state = store.opt_state(name)
         state["t"] += 1
-        t = state["t"]
-        # New moment arrays each step: updating them in place measured
-        # slower per step inside the training loops.
-        state["m"] = beta1 * state["m"] + (1.0 - beta1) * p.grad
-        state["v"] = beta2 * state["v"] + (1.0 - beta2) * p.grad**2
-        m_hat = state["m"] / (1.0 - beta1**t)
-        v_hat = state["v"] / (1.0 - beta2**t)
-        p.data -= learning_rate * (
-            m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data
-        )
+        if rows is not None and rows.all():
+            rows = None
+        state["rows"] = rows
+        if rows is None:
+            _adamw(p.data, p.grad, state["m"], state["v"], state["t"], hyper, scratch)
+            continue
+        # Decay every row, then overwrite the masked rows with their full
+        # update, computed from copies of their values before the decay.
+        idx = np.flatnonzero(rows)
+        data, m, v = p.data[idx], state["m"][idx], state["v"][idx]
+        _decay(p.data, 0.0, learning_rate, weight_decay, scratch[0])
+        _adamw(data, p.grad[idx], m, v, state["t"], hyper, scratch)
+        p.data[idx], state["m"][idx], state["v"][idx] = data, m, v
+
+
+def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A view of the front of a flat scratch buffer, shaped like ``like``."""
+    return scratch[: like.size].reshape(like.shape)
+
+
+def _decay(data, direction, learning_rate, weight_decay, scratch) -> None:
+    """``data -= lr * (direction + wd * data)`` in place: AdamW's last line."""
+    s = _buffer(scratch, data)
+    np.multiply(data, weight_decay, out=s)
+    np.add(direction, s, out=s)
+    s *= learning_rate
+    data -= s
+
+
+def _adamw(data, grad, m, v, t, hyper, scratch) -> None:
+    """The AdamW formula, in place on ``data``, ``m`` and ``v`` of one shape."""
+    learning_rate, weight_decay, beta1, beta2, eps = hyper
+    s, d = _buffer(scratch[0], data), _buffer(scratch[1], data)
+    np.multiply(grad, 1.0 - beta1, out=s)
+    m *= beta1
+    m += s
+    np.multiply(grad, grad, out=s)
+    s *= 1.0 - beta2
+    v *= beta2
+    v += s
+    np.divide(m, 1.0 - beta1**t, out=d)
+    np.divide(v, 1.0 - beta2**t, out=s)
+    np.sqrt(s, out=s)
+    s += eps
+    d /= s
+    _decay(data, d, learning_rate, weight_decay, scratch[0])
 
 
 # ---------------------------------------------------------------------------

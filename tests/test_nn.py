@@ -371,6 +371,164 @@ def test_adamw_updates_scalar_parameters():
     assert lam.item() < 0.5
 
 
+def reference_adamw(store, state, learning_rate, weight_decay=0.01,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """The dense AdamW step: the whole formula over every element.
+
+    ``state`` maps each name to its own ``t``, ``m`` and ``v``; no gradient
+    check, since the oracle tests only compare finite steps.
+    """
+    for name, p in store.items():
+        st = state.setdefault(
+            name, {"t": 0, "m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
+        )
+        st["t"] += 1
+        t = st["t"]
+        st["m"] = beta1 * st["m"] + (1.0 - beta1) * p.grad
+        st["v"] = beta2 * st["v"] + (1.0 - beta2) * p.grad**2
+        m_hat = st["m"] / (1.0 - beta1**t)
+        v_hat = st["v"] / (1.0 - beta2**t)
+        p.data -= learning_rate * (
+            m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data
+        )
+
+
+def oracle_store():
+    """A table, a late table, a weight, a bias and a scalar, with signed zeros."""
+    rng = np.random.default_rng(7)
+    store = ParameterStore()
+    for name, shape in [("once", (6, 3)), ("late", (5, 3)), ("w", (4, 3)),
+                        ("b", (3,)), ("s", ())]:
+        values = rng.normal(size=shape)
+        values.flat[-1] = -0.0
+        store.add(name, values)
+    return store
+
+
+def oracle_grads(step, rng):
+    """Step ``step``'s gradients: row 1 of ``once`` only at step 0, row 2 of
+    ``late`` from step 3 on, row 0 of ``w`` always zero (partly -0.0)."""
+    once = np.zeros((6, 3))
+    once[4] = -0.0
+    if step == 0:
+        once[1] = rng.normal(size=3)
+    once[3] = rng.normal(size=3)
+    late = np.zeros((5, 3))
+    if step >= 3:
+        late[2] = rng.normal(size=3)
+    w = rng.normal(size=(4, 3))
+    w[0] = [0.0, -0.0, 0.0]
+    return {"once": once, "late": late, "w": w, "b": rng.normal(size=3),
+            "s": np.array(rng.normal())}
+
+
+def assert_same_bytes(store, ref, ref_state):
+    for name, p in store.items():
+        assert p.data.tobytes() == ref[name].data.tobytes(), name
+        st = store.opt_state(name)
+        assert st["t"] == ref_state[name]["t"], name
+        for key in ("m", "v"):
+            assert np.asarray(st[key]).tobytes() == np.asarray(
+                ref_state[name][key]).tobytes(), (name, key)
+
+
+@pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+def test_adamw_row_sparse_step_matches_dense_reference_bytes(weight_decay):
+    store, ref, ref_state = oracle_store(), oracle_store(), {}
+    rng = np.random.default_rng(3)
+    for step in range(6):
+        for name, grad in oracle_grads(step, rng).items():
+            store[name].grad = grad.copy()
+            ref[name].grad = grad.copy()
+        optimizer_step(store, learning_rate=0.05, weight_decay=weight_decay)
+        reference_adamw(ref, ref_state, learning_rate=0.05, weight_decay=weight_decay)
+        assert_same_bytes(store, ref, ref_state)
+    # The masks are the rows that ever had a non-zero gradient.
+    assert store.opt_state("once")["rows"].tolist() == [0, 1, 0, 1, 0, 0]
+    assert store.opt_state("late")["rows"].tolist() == [0, 0, 1, 0, 0]
+    assert store.opt_state("w")["rows"].tolist() == [0, 1, 1, 1]
+    assert store.opt_state("b")["rows"] is None
+    assert store.opt_state("s")["rows"] is None
+    # Idle rows keep exactly zero moments.
+    assert not store.opt_state("once")["m"][[0, 2, 4, 5]].any()
+    assert store["once"].data[-1, -1] == 0.0
+    assert np.signbit(store["once"].data[-1, -1])
+
+
+def test_adamw_table_turns_dense_once_every_row_had_a_gradient():
+    store, ref, ref_state = ParameterStore(), ParameterStore(), {}
+    for s in (store, ref):
+        s.add("table", np.arange(12.0).reshape(4, 3))
+    for step in range(5):
+        grad = np.zeros((4, 3))
+        grad[step % 4] = step + 1.0
+        store["table"].grad, ref["table"].grad = grad.copy(), grad.copy()
+        optimizer_step(store, learning_rate=0.1)
+        reference_adamw(ref, ref_state, learning_rate=0.1)
+        assert_same_bytes(store, ref, ref_state)
+        expected = None if step >= 3 else [r <= step for r in range(4)]
+        rows = store.opt_state("table")["rows"]
+        assert (rows if rows is None else rows.tolist()) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adamw_refuses_non_finite_gradient_in_an_idle_table_row(bad):
+    store = oracle_store()
+    rng = np.random.default_rng(3)
+    for step in range(2):
+        for name, grad in oracle_grads(step, rng).items():
+            store[name].grad = grad
+        optimizer_step(store, learning_rate=0.05)
+    before = {
+        name: (p.data.copy(), {k: np.copy(v) for k, v in store.opt_state(name).items()})
+        for name, p in store.items()
+    }
+    grads = oracle_grads(2, rng)
+    grads["late"][4, 1] = bad  # a row of a table that never had a gradient
+    for name, grad in grads.items():
+        store[name].grad = grad
+    with pytest.raises(NonFiniteGradientError, match="'late'"):
+        optimizer_step(store, learning_rate=0.05)
+    for name, p in store.items():
+        data, state = before[name]
+        assert p.data.tobytes() == data.tobytes(), name
+        after = store.opt_state(name)
+        assert after["t"] == state["t"]
+        for key in ("m", "v", "rows"):
+            assert np.asarray(after[key]).tobytes() == np.asarray(state[key]).tobytes()
+
+
+def test_training_and_demo_match_the_dense_reference_step(monkeypatch, tmp_path):
+    from rorokit import rop
+    from rorokit.rore import DemoConfig, rore_demo_entity_linking
+    from rorokit.synth import SynthConfig, synth_forms, synth_generate
+
+    corpus = synth_generate(SynthConfig(n_docs=24), seed=0)
+    forms = synth_forms(20, seed=2)
+    config = rop.ROPConfig(epochs=2, batch_size=8, seed=0)
+
+    def run(tag):
+        model, report = rop.train(corpus, config)
+        model.save(tmp_path / f"{tag}.json")
+        demo = rore_demo_entity_linking(forms, DemoConfig(epochs=2, seed=5))
+        return ((tmp_path / f"{tag}.json").read_bytes(),
+                json.dumps(report.to_dict()), json.dumps(demo, sort_keys=True))
+
+    sparse = run("sparse")
+    states = {}
+
+    def dense_step(store, learning_rate):
+        # Holding each store keeps its id from being reused by a later one.
+        _, state = states.setdefault(id(store), (store, {}))
+        reference_adamw(store, state, learning_rate)
+
+    monkeypatch.setattr(rop, "optimizer_step", dense_step)
+    dense = run("dense")
+    assert sparse[0] == dense[0]
+    assert sparse[1] == dense[1]
+    assert sparse[2] == dense[2]
+
+
 # --- checkpoints ---
 
 
