@@ -21,11 +21,11 @@ from .layout import (
     Corpus,
     CorpusParseError,
     Document,
-    ValidationError,
     corpus_stats,
     check_integer,
     derive_word_level,
     load_corpus,
+    read_json_lines,
     save_corpus,
     validate_annotation,
 )
@@ -41,7 +41,6 @@ from .metrics import (
 from .nn import EncoderConfig, MissingGradientError
 from .relations import (
     Relation,
-    RelationError,
     relation_from_json,
     relation_to_json,
     transitive_closure,
@@ -50,20 +49,14 @@ from .render import render_svg
 from .rop import ROPConfig, ROPModel, filter_usable, predict_pseudo_labels
 from .rop import train as train_rop
 from .rore import DemoConfig, rore_demo_entity_linking
-from .synth import GenerationError, SynthConfig, synth_forms, synth_generate
+from .synth import SynthConfig, synth_forms, synth_generate
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 
-_DOMAIN_ERRORS = (
-    ValidationError,
-    RelationError,
-    GenerationError,
-    AutodiffError,
-    MissingGradientError,
-    ValueError,
-)
+# ValueError covers the package's domain errors; CorpusParseError is caught first.
+_DOMAIN_ERRORS = (AutodiffError, MissingGradientError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +100,6 @@ def _build(cls, section: dict, overrides: Optional[dict] = None):
         raise ValueError(f"bad {cls.__name__} section: {exc}")
 
 
-def _read_jsonl(path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CorpusParseError(lineno, str(exc))
-    return rows
-
-
 def _select_split(corpus: Corpus, split: str) -> list[Document]:
     if split == "all":
         return list(corpus.documents)
@@ -134,8 +114,7 @@ def _select_split(corpus: Corpus, split: str) -> list[Document]:
 
 
 def cmd_validate(args) -> int:
-    rows = _read_jsonl(args.corpus)
-    reports = [validate_annotation(row) for row in rows]
+    reports = [validate_annotation(row) for _, row in read_json_lines(args.corpus)]
     ok = all(r.ok for r in reports)
     for report in reports:
         if not report.ok:

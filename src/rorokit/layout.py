@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .relations import Relation, is_acyclic, transitive_closure
 
@@ -268,16 +268,9 @@ def document_from_dict(obj: dict, allow_cyclic: bool = False) -> Document:
     return doc
 
 
-def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
-    """Load a JSON-lines corpus, validating every invariant.
-
-    Raises :class:`CorpusParseError` with the line number on malformed JSON
-    and :class:`ValidationError` naming the document on invariant breaches,
-    or naming the id and both line numbers when a document id repeats.
-    """
-    documents = []
-    split: dict[str, str] = {}
-    first_line: dict[str, int] = {}
+def read_json_lines(path) -> Iterator[tuple[int, object]]:
+    """(line number, value) of each non-blank line of a JSON-lines file;
+    malformed JSON raises :class:`CorpusParseError` with the line number."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -286,15 +279,32 @@ def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusParseError(lineno, str(exc)) from exc
-            doc = document_from_dict(obj, allow_cyclic=allow_cyclic)
-            if doc.id in first_line:
-                raise ValidationError(
-                    f"line {lineno}: duplicate document id {doc.id!r} "
-                    f"(first on line {first_line[doc.id]})"
-                )
-            first_line[doc.id] = lineno
-            documents.append(doc)
-            split[doc.id] = obj.get("split", "train")
+            yield lineno, obj
+
+
+def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
+    """Load a JSON-lines corpus, validating every invariant.
+
+    Raises :class:`CorpusParseError` with the line number on malformed JSON
+    or a line that is not a JSON object, and :class:`ValidationError`
+    naming the document on invariant breaches, or naming the id and both
+    line numbers when a document id repeats.
+    """
+    documents = []
+    split: dict[str, str] = {}
+    first_line: dict[str, int] = {}
+    for lineno, obj in read_json_lines(path):
+        if not isinstance(obj, dict):
+            raise CorpusParseError(lineno, f"holds a JSON {type(obj).__name__}, not an object")
+        doc = document_from_dict(obj, allow_cyclic=allow_cyclic)
+        if doc.id in first_line:
+            raise ValidationError(
+                f"line {lineno}: duplicate document id {doc.id!r} "
+                f"(first on line {first_line[doc.id]})"
+            )
+        first_line[doc.id] = lineno
+        documents.append(doc)
+        split[doc.id] = obj.get("split", "train")
     return Corpus(tuple(documents), split)
 
 
@@ -446,14 +456,18 @@ def validate_annotation(doc) -> AnnotationReport:
     """Report isdr problems in a document: cycles, ranges, duplicates, self-pairs.
 
     Accepts either a parsed :class:`Document` (duplicates are then impossible,
-    set semantics) or a raw JSON dict, which additionally surfaces duplicate
-    pairs and schema problems instead of raising.
+    set semantics) or a raw JSON value, which additionally surfaces duplicate
+    pairs and schema problems, a value that is not an object included,
+    instead of raising.
     """
     if isinstance(doc, Document):
         doc_id = doc.id
         n = doc.n_segments
         raw_pairs = doc.isdr.sorted_pairs() if doc.isdr is not None else []
         schema_errors: list[str] = []
+    elif not isinstance(doc, dict):
+        doc_id, n, raw_pairs = "<missing id>", 0, []
+        schema_errors = [f"document is a JSON {type(doc).__name__}, not an object"]
     else:
         doc_id = str(doc.get("id", "<missing id>"))
         schema_errors = []
@@ -463,6 +477,9 @@ def validate_annotation(doc) -> AnnotationReport:
             n = 0
             schema_errors.append("missing or malformed 'segments'")
         raw = doc.get("isdr") or []
+        if not isinstance(raw, list):
+            schema_errors.append(f"'isdr' is a JSON {type(raw).__name__}, not a list")
+            raw = []
         raw_pairs = []
         for p in raw:
             try:

@@ -212,7 +212,7 @@ def init_encoder_params(
         store.add(base + "ln1.bias", np.zeros(d))
         for proj in ("Wq", "Wk", "Wv", "Wo"):
             store.add(base + "attn." + proj, rng.normal(0.0, 0.02, size=(d, d)))
-        for proj in ("bq", "bk", "bv", "bo"):
+        for proj in ("bq", "bv", "bo"):
             store.add(base + "attn." + proj, np.zeros(d))
         store.add(base + "ln2.gain", np.ones(d))
         store.add(base + "ln2.bias", np.zeros(d))
@@ -471,7 +471,8 @@ def encoder_forward(
         base = f"enc.l{layer}."
         h = layer_norm(x, params[base + "ln1.gain"], params[base + "ln1.bias"])
         q = linear(h, params[base + "attn.Wq"], params[base + "attn.bq"])
-        k = linear(h, params[base + "attn.Wk"], params[base + "attn.bk"])
+        # No key bias: the softmax cancels the q.b it adds to a query's logits.
+        k = h @ params[base + "attn.Wk"]
         v = linear(h, params[base + "attn.Wv"], params[base + "attn.bv"])
         attended = attention(q, k, v, config.heads, bias, layer, pack)
         x = linear(attended, params[base + "attn.Wo"], params[base + "attn.bo"], x)
@@ -595,7 +596,7 @@ def _checkpoint_chunks(config: dict, store: ParameterStore) -> Iterator[str]:
     """
     yield (
         '{"config": ' + json.dumps(config, sort_keys=True)
-        + ', "format_version": 1, "params": {'
+        + ', "format_version": 2, "params": {'
     )
     for i, (name, tensor) in enumerate(store.items()):
         entry = {"shape": list(tensor.shape), "values": tensor.data.reshape(-1).tolist()}
@@ -629,7 +630,7 @@ def checkpoint_from_json(text: str) -> tuple[dict, ParameterStore]:
         kind = type(obj).__name__
         raise CheckpointError(f"checkpoint holds a JSON {kind}, not an object")
     version = obj.get("format_version")
-    if version != 1:
+    if version != 2:
         raise CheckpointError(f"unsupported checkpoint format_version: {version!r}")
     for section in ("config", "params"):
         if not isinstance(obj.get(section), dict):

@@ -138,7 +138,19 @@ def relation_to_dict(rel: Relation) -> dict:
 
 
 def relation_from_dict(obj: dict) -> Relation:
-    return Relation.from_pairs(obj["n"], obj["pairs"])
+    """The relation of ``{"n": N, "pairs": [[i, j], ...]}``; anything else
+    raises ``RelationError`` naming the missing or malformed field."""
+    if not isinstance(obj, dict):
+        raise RelationError(f"relation is a JSON {type(obj).__name__}, not an object")
+    n, pairs = obj.get("n"), obj.get("pairs")
+    if type(n) is not int:
+        raise RelationError(f"relation field 'n' is missing or not an integer: {n!r}")
+    if not isinstance(pairs, list):
+        raise RelationError("relation field 'pairs' is missing or not a list")
+    for pair in pairs:
+        if not (isinstance(pair, list) and [type(i) for i in pair] == [int, int]):
+            raise RelationError(f"relation pair {pair!r} is not two integers")
+    return Relation.from_pairs(n, pairs)
 
 
 def relation_to_json(rel: Relation) -> str:

@@ -57,7 +57,6 @@ class ROPConfig:
     task_level: str = "segment"
     bbox_level: str = "segment"
     max_elements: int = 0  # 0 means the per-level default
-    max_tokens: int = 2048
     threshold: float = 0.0
     head_dim: int = 128
     learning_rate: float = 1e-3
@@ -74,8 +73,8 @@ class ROPConfig:
             raise ValueError(f"unknown task_level {self.task_level!r}")
         if self.bbox_level not in TASK_LEVELS:
             raise ValueError(f"unknown bbox_level {self.bbox_level!r}")
-        if self.max_elements < 0 or self.max_tokens < 1:
-            raise ValueError("element and token budgets must be positive")
+        if self.max_elements < 0:
+            raise ValueError("max_elements must be non-negative")
         if self.head_dim < 1:
             raise ValueError("head_dim must be positive")
         if self.epochs < 1 or self.patience < 1 or self.batch_size < 1:
@@ -482,7 +481,7 @@ class ROPModel:
         may differ from one document's own in the last bits, so only a score
         within about 1e-14 of the threshold can decode differently.
         """
-        budget = _token_budget(self.config, self.encoder_config)
+        budget = self.encoder_config.max_tokens
         size, threshold = self.config.batch_size, self.config.threshold
         relations = []
         for start in range(0, len(examples), size):
@@ -633,11 +632,6 @@ def fit(
     return losses, scores, best_epoch
 
 
-def _token_budget(config: ROPConfig, encoder_config: EncoderConfig) -> int:
-    """Most tokens one document may have: the tighter of the two configs."""
-    return min(config.max_tokens, encoder_config.max_tokens)
-
-
 def _skip_reason(
     doc: Document, config: ROPConfig, encoder_config: EncoderConfig
 ) -> Optional[str]:
@@ -652,9 +646,9 @@ def _skip_reason(
             f"{n_elements} {config.task_level} elements exceed the budget of "
             f"{config.effective_max_elements}"
         )
-    token_budget = _token_budget(config, encoder_config)
-    if doc.n_words > token_budget:
-        return f"{doc.n_words} tokens exceed the budget of {token_budget}"
+    budget = encoder_config.max_tokens
+    if doc.n_words > budget:
+        return f"{doc.n_words} tokens exceed the budget of {budget}"
     return None
 
 
@@ -690,8 +684,7 @@ def train(
     on a perfect score, and restores the best snapshot before returning.
     """
     config = config if config is not None else ROPConfig()
-    if encoder_config is None:
-        encoder_config = EncoderConfig(max_tokens=config.max_tokens)
+    encoder_config = encoder_config if encoder_config is not None else EncoderConfig()
     rng = np.random.default_rng(config.seed)
 
     skipped: list[dict] = []
@@ -718,7 +711,6 @@ def train(
     val_golds = [target_relation(d, config.task_level) for d in val_docs]
 
     model = ROPModel.create(encoder_config, config, rng)
-    token_budget = _token_budget(config, encoder_config)
 
     def batch_loss(batch: list) -> Tensor:
         inputs, labels = zip(*batch)
@@ -739,7 +731,7 @@ def train(
         config.batch_size,
         validation_f1 if val_docs else None,
         config.patience,
-        lambda batch: split_batch(batch, token_budget),
+        lambda batch: split_batch(batch, encoder_config.max_tokens),
     )
     report = TrainReport(
         epochs_run=len(train_losses),

@@ -226,11 +226,7 @@ def _train_linking_arm(
     document's relation matrix to its attention through an ``AttentionBias``.
     """
     rng = np.random.default_rng(config.seed)
-    arm_config = ROPConfig(
-        head_dim=config.head_dim,
-        batch_size=config.batch_size,
-        max_tokens=encoder_config.max_tokens,
-    )
+    arm_config = ROPConfig(head_dim=config.head_dim, batch_size=config.batch_size)
     model = ROPModel.create(encoder_config, arm_config, rng)
     lambdas: list[Tensor] = []
     if biased and config.freeze_lambda:

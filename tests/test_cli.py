@@ -72,6 +72,45 @@ def test_validate_reports_cycles(tmp_path, capsys):
     assert "loop" in err
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("[1, 2]", "document is a JSON list, not an object"),
+        ('"x"', "document is a JSON str, not an object"),
+        ({"isdr": 5}, "'isdr' is a JSON int, not a list"),
+        ({"isdr": "01"}, "'isdr' is a JSON str, not a list"),
+    ],
+    ids=["list", "string", "int-isdr", "string-isdr"],
+)
+def test_validate_reports_malformed_documents(tmp_path, capsys, line, reason):
+    corpus = write_corpus(tmp_path, n_docs=2)
+    lines = corpus.read_text().splitlines()
+    if isinstance(line, dict):
+        line = json.dumps({**json.loads(lines[1]), **line})
+    lines[1] = line
+    corpus.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "validate", str(corpus))
+    assert code == 1
+    first, second = json.loads(out)["documents"]
+    assert first["ok"] and not second["ok"]
+    assert second["schema_errors"] == [reason]
+    assert reason in err
+
+
+@pytest.mark.parametrize("line, kind", [("[1, 2]", "list"), ('"x"', "str")],
+                         ids=["list", "string"])
+@pytest.mark.parametrize(
+    "command", [["stats"], ["convert"], ["eval", "--heuristic"], ["render"]],
+    ids=["stats", "convert", "eval", "render"],
+)
+def test_corpus_line_that_is_not_an_object_exits_2(tmp_path, capsys, line, kind, command):
+    corpus = write_corpus(tmp_path, n_docs=2)
+    corpus.write_text(corpus.read_text() + line + "\n")
+    code, out, err = run(capsys, command[0], str(corpus), *command[1:])
+    assert code == 2 and out == ""
+    assert f"error: line 3: holds a JSON {kind}, not an object" in err
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/corpus.jsonl")
     assert code == 2 and "error" in err
@@ -114,6 +153,28 @@ def test_closure_bad_json_exits_2(tmp_path, capsys):
     rel.write_text("{not json")
     code, _, _ = run(capsys, "closure", str(rel))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[[0, 1]]", "relation is a JSON list, not an object"),
+        ('{"pairs": []}', "relation field 'n' is missing or not an integer: None"),
+        ('{"n": "3", "pairs": []}',
+         "relation field 'n' is missing or not an integer: '3'"),
+        ('{"n": 3}', "relation field 'pairs' is missing or not a list"),
+        ('{"n": 3, "pairs": [[0]]}', "relation pair [0] is not two integers"),
+        ('{"n": 3, "pairs": [[0, 1.5]]}', "relation pair [0, 1.5] is not two integers"),
+        ('{"n": 3, "pairs": [0]}', "relation pair 0 is not two integers"),
+    ],
+    ids=["list", "no-n", "string-n", "no-pairs", "short-pair", "float-pair", "int-pair"],
+)
+def test_closure_malformed_relation_exits_1(tmp_path, capsys, text, reason):
+    rel = tmp_path / "rel.json"
+    rel.write_text(text)
+    code, out, err = run(capsys, "closure", str(rel))
+    assert code == 1 and out == ""
+    assert f"error: {reason}" in err
 
 
 def test_convert_produces_word_level_corpus(tmp_path, capsys):
@@ -325,9 +386,14 @@ def edit_rop(field, value):
         (edit_rop("epochs", 1.5),
          "config section 'rop': epochs must be an integer, got 1.5"),
         (lambda obj: [obj], "checkpoint holds a JSON list, not an object"),
+        (lambda obj: {**obj, "format_version": 1},
+         "unsupported checkpoint format_version: 1"),
+        (edit_rop("max_tokens", 2048),
+         "config section 'rop': ROPConfig.__init__() got an unexpected keyword "
+         "argument 'max_tokens'"),
     ],
     ids=["no-params", "no-config", "no-shape", "negative-shape", "unknown-key",
-         "float-count", "list"],
+         "float-count", "list", "format-1", "rop-max-tokens"],
 )
 def test_checkpoint_structure_is_checked_at_load(tmp_path, capsys, corrupt, reason):
     corpus = write_corpus(tmp_path, n_docs=2)

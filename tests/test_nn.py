@@ -560,7 +560,7 @@ def test_saved_checkpoint_streams_the_json_text(tmp_path):
     text = checkpoint_to_json(config, store)
     assert path.read_bytes() == (text + "\n").encode("utf-8")
     whole = {
-        "format_version": 1,
+        "format_version": 2,
         "config": config,
         "params": {
             name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
