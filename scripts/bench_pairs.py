@@ -14,10 +14,13 @@ records ``"claim": null``. Every workload runs ``TRACED_PAIRS`` traced pairs
 on seed 0, and its per-layer values are the medians of each side's traced
 runs, so that one run taken under a burst of host load does not set them.
 Pairs alternate which side runs first. The output holds every run, per-metric
-medians and quartiles (inclusive method) for each side, the change's wins on
-the claimed metric, per workload whether the change's seed-0 determinism
-hashes and input digests equal the parent's (``outputs_equal``), the
-per-layer medians and their deltas, and the machine block.
+medians and quartiles (inclusive method) for each side, per workload whether
+the change's seed-0 determinism hashes and input digests equal the parent's
+(``outputs_equal``), the per-layer medians and their deltas, and the machine
+block. Its ``verdict`` reads the medians against the bounds of the change's
+``BENCHMARK.json``, and counts the change's wins on the claimed metric to
+read the claim against the rule that the change wins at least nine tenths of
+its pairs by a median gain above the parent's interquartile distance.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def spread(values: list[float]) -> dict:
     return out
 
 
-def summarize(runs: list, claim: Optional[str]) -> dict:
+def summarize(runs: list) -> dict:
     summary: dict = {}
     for r in runs:
         if r["trace"]:
@@ -90,14 +93,67 @@ def summarize(runs: list, claim: Optional[str]) -> dict:
             row[name]["change_over_parent"] = (
                 row[name]["change"]["median"] / row[name]["parent"]["median"]
             )
-        if claim is not None and key.startswith(claim + " "):
-            pairs: dict = {}
-            for r in runs:
-                if not r["trace"] and f"{r['workload']} seed {r['seed']}" == key:
-                    pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"][METRIC]
-            row[METRIC]["change_wins"] = sum(p["change"] > p["parent"] for p in pairs.values())
-            row[METRIC]["pairs"] = len(pairs)
     return summary
+
+
+def claim_pairs(runs: list, key: str) -> list[tuple[float, float]]:
+    """(parent, change) values of the claimed metric, one per untraced pair
+    of the summary row ``key``."""
+    pairs: dict = {}
+    for r in runs:
+        if not r["trace"] and f"{r['workload']} seed {r['seed']}" == key:
+            pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"][METRIC]
+    return [(p["parent"], p["change"]) for _, p in sorted(pairs.items())]
+
+
+def verdict(summary: dict, runs: list, claim: Optional[str], end_to_end: list) -> dict:
+    """The report read against the end-to-end metrics of ``BENCHMARK.json``.
+
+    ``claim`` has, per seed of the claimed workload, the change's wins on the
+    claimed metric out of its pairs, the gain of the change's median over the
+    parent's, the distance between the parent's quartiles, and ``met``: at
+    least nine tenths of the pairs won and a gain above that distance.
+    ``end_to_end`` has, per summary row and metric, the change/parent median
+    ratio oriented so that above 1 is better, the metric's bound, and
+    ``within_bound``: the change's median is worse than the parent's by no
+    more than the bound, as a fraction of the parent's.
+    """
+    specs = {spec["name"]: spec for spec in end_to_end}
+
+    def gain(parent: float, change: float, name: str) -> float:
+        return change - parent if specs[name]["better"] == "higher" else parent - change
+
+    out: dict = {"claim": None, "end_to_end": {}}
+    for key, row in summary.items():
+        out["end_to_end"][key] = {}
+        for name, sides in row.items():
+            if name not in specs:
+                continue
+            parent, change = sides["parent"]["median"], sides["change"]["median"]
+            ratio = None
+            if parent and change:
+                ratio = change / parent if specs[name]["better"] == "higher" else parent / change
+            out["end_to_end"][key][name] = {
+                "ratio": ratio,
+                "bound": specs[name]["bound"],
+                "within_bound": -gain(parent, change, name) <= specs[name]["bound"] * abs(parent),
+            }
+    if claim is not None:
+        out["claim"] = {}
+        for key, row in summary.items():
+            if not key.startswith(claim + " "):
+                continue
+            pairs = claim_pairs(runs, key)
+            wins = sum(gain(p, c, METRIC) > 0 for p, c in pairs)
+            parent = row[METRIC]["parent"]
+            median_gain = gain(parent["median"], row[METRIC]["change"]["median"], METRIC)
+            iqr = parent["q3"] - parent["q1"]
+            out["claim"][key] = {
+                "metric": METRIC, "wins": wins, "pairs": len(pairs),
+                "median_gain": median_gain, "parent_iqr": iqr,
+                "met": wins >= 0.9 * len(pairs) and median_gain > iqr,
+            }
+    return out
 
 
 def outputs_equal(runs: list) -> dict:
@@ -159,6 +215,7 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         run_pairs(sides, workload, 0, TRACED_PAIRS, seconds, 1, runs)
 
+    summary = summarize(runs)
     claim = None
     if args.claim is not None:
         claim = {"workload": args.claim, "metric": METRIC, "seed": 0, "held_out_seed": 1}
@@ -167,7 +224,8 @@ def main(argv=None) -> int:
         "run_seconds": seconds,
         "machine": runs[0]["machine"],
         "all_correct": all(r["correct"] and not r["failed"] for r in runs),
-        "end_to_end": summarize(runs, args.claim),
+        "end_to_end": summary,
+        "verdict": verdict(summary, runs, args.claim, benchmark["end_to_end"]),
         "outputs_equal": outputs_equal(runs),
         "per_layer_traced": layer_deltas(runs),
         "runs": [{k: v for k, v in r.items() if k != "machine"} for r in runs],

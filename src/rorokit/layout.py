@@ -109,6 +109,8 @@ class Word:
     box: BBox
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise ValidationError(f"word text must be a string, got {self.text!r}")
         if not self.text:
             raise ValidationError("word text must be non-empty")
 
@@ -287,8 +289,9 @@ def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
 
     Raises :class:`CorpusParseError` with the line number on malformed JSON
     or a line that is not a JSON object, and :class:`ValidationError`
-    naming the document on invariant breaches, or naming the id and both
-    line numbers when a document id repeats.
+    naming the document on invariant breaches, naming the line and the
+    document for a ``split`` that is not one of ``SPLITS``, or naming the
+    id and both line numbers when a document id repeats.
     """
     documents = []
     split: dict[str, str] = {}
@@ -304,7 +307,13 @@ def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
             )
         first_line[doc.id] = lineno
         documents.append(doc)
-        split[doc.id] = obj.get("split", "train")
+        name = obj.get("split", "train")
+        if name not in SPLITS:
+            raise ValidationError(
+                f"line {lineno}: document {doc.id!r} has split {name!r}, "
+                f"not one of {', '.join(SPLITS)}"
+            )
+        split[doc.id] = name
     return Corpus(tuple(documents), split)
 
 

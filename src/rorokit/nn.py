@@ -100,11 +100,19 @@ class EncoderConfig:
 
 
 class ParameterStore:
-    """Named float64 parameters plus per-parameter optimizer state."""
+    """Named float64 parameters plus per-parameter optimizer state.
+
+    The first ``optimizer_step`` lays out the dense block: from then on the
+    ``data``, ``m`` and ``v`` of the parameters it found dense are views of
+    three contiguous arrays (see ``optimizer_step``). Write into a
+    parameter's ``data`` rather than rebind it; a rebound member leaves the
+    block dissolved.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._opt_state: dict[str, dict] = {}
+        self._block: Optional[_DenseBlock] = None
 
     def add(self, name: str, values: np.ndarray) -> Tensor:
         if name in self._params:
@@ -513,25 +521,47 @@ def optimizer_step(
     ±inf compare non-zero, so the finiteness check looks only at rows
     with a non-zero gradient. The arithmetic runs in place, with two
     scratch buffers shared by all parameters.
+
+    The dense block: after the store's first step, the parameters that
+    step found dense (every 1-D and 0-D one, and every 2-D one whose first
+    gradient touched all its rows) get their ``data``, ``m`` and ``v``
+    copied into three contiguous arrays, and keep views of them. Each
+    later step copies the members' gradients into one array, checks it
+    for finiteness once and updates every member with one ``_adamw``
+    call; the tables, and any parameter whose mask filled later or that
+    was added after the first step, keep the per-parameter path. The
+    result is byte-identical: ``_adamw`` is elementwise, so one call over
+    the concatenation does each element's float operations in the same
+    order as one call per parameter. A member whose ``data``, ``m`` or
+    ``v`` was rebound to another array dissolves the block, and from
+    then on every parameter takes the per-parameter path.
     """
-    params = store.items()
-    masks = []
-    for name, p in params:
+    block = store._block
+    if block is not None and not block.intact():
+        store._block = block = _DenseBlock([])
+    members = {name for name, _, _ in block.members} if block else ()
+    params, masks = [], []
+    for name, p in store.items():
         if p.grad is None:
             raise MissingGradientError(f"parameter {name!r} has no gradient")
+        if name in members:
+            continue
         rows = store.opt_state(name)["rows"]
         checked = p.grad
         if rows is not None:
             touched = (p.grad != 0).any(axis=1)
             checked = p.grad[touched]
             rows = rows | touched
-        if not np.isfinite(checked).all():
-            raise NonFiniteGradientError(
-                f"parameter {name!r} has a non-finite gradient"
-            )
+        _check_finite(name, checked)
+        params.append((name, p))
         masks.append(rows)
-    scratch = np.empty((2, max((p.data.size for _, p in params), default=0)))
+    if block:
+        block.gather_grads()
+    sizes = [p.data.size for _, p in params] + [block.grad.size if block else 0]
+    scratch = np.empty((2, max(sizes)))
     hyper = (learning_rate, weight_decay, beta1, beta2, eps)
+    if block:
+        block.step(hyper, scratch)
     for (name, p), rows in zip(params, masks):
         state = store.opt_state(name)
         state["t"] += 1
@@ -548,6 +578,69 @@ def optimizer_step(
         _decay(p.data, 0.0, learning_rate, weight_decay, scratch[0])
         _adamw(data, p.grad[idx], m, v, state["t"], hyper, scratch)
         p.data[idx], state["m"][idx], state["v"][idx] = data, m, v
+    if block is None:
+        store._block = _DenseBlock([
+            (name, p, store.opt_state(name)) for name, p in params
+            if store.opt_state(name)["rows"] is None
+        ])
+
+
+def _check_finite(name: str, grad: np.ndarray) -> None:
+    if not np.isfinite(grad).all():
+        raise NonFiniteGradientError(f"parameter {name!r} has a non-finite gradient")
+
+
+class _DenseBlock:
+    """Parameters whose ``data``, ``m`` and ``v`` are views of three
+    contiguous arrays, in store order, so that one ``_adamw`` call updates
+    them all (see ``optimizer_step``); ``grad`` gathers their gradients.
+
+    ``members`` holds (name, parameter, optimizer state) triples, which all
+    share one step count ``t``; empty, the block is dissolved for good.
+    """
+
+    def __init__(self, members: list[tuple[str, Tensor, dict]]):
+        self.members = members
+        total = sum(p.data.size for _, p, _ in members)
+        self.data, self.m, self.v, self.grad = np.empty((4, total))
+        self.views = []
+        start = 0
+        for _, p, state in members:
+            end = start + p.data.size
+            views = tuple(
+                block[start:end].reshape(p.data.shape)
+                for block in (self.data, self.m, self.v)
+            )
+            for view, values in zip(views, (p.data, state["m"], state["v"])):
+                view[...] = values
+            p.data, state["m"], state["v"] = views
+            self.views.append(views)
+            start = end
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def intact(self) -> bool:
+        """Whether every member still holds the block's views, so that an
+        update of the block is an update of the member."""
+        return all(
+            p.data is data and state["m"] is m and state["v"] is v
+            for (_, p, state), (data, m, v) in zip(self.members, self.views)
+        )
+
+    def gather_grads(self) -> None:
+        """Copy the members' gradients into ``grad`` and check them once;
+        a non-finite one raises, naming its member."""
+        np.concatenate([p.grad.reshape(-1) for _, p, _ in self.members], out=self.grad)
+        if not np.isfinite(self.grad).all():
+            for name, p, _ in self.members:
+                _check_finite(name, p.grad)
+
+    def step(self, hyper, scratch) -> None:
+        for _, _, state in self.members:
+            state["t"] += 1
+        t = self.members[0][2]["t"]
+        _adamw(self.data, self.grad, self.m, self.v, t, hyper, scratch)
 
 
 def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:

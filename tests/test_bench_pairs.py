@@ -1,0 +1,83 @@
+"""The verdict of scripts/bench_pairs.py, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "docs_per_s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+]
+
+
+def runs_of(workload, seed, parent, change, rss=(50.0, 50.0)):
+    """Untraced runs, one pair per (parent, change) docs_per_s value."""
+    runs = []
+    for pair, values in enumerate(zip(parent, change)):
+        for side, value, mb in zip(("parent", "change"), values, rss):
+            runs.append({"workload": workload, "seed": seed, "trace": 0, "side": side,
+                         "pair": pair, "metrics": {"docs_per_s": value, "peak_rss_mb": mb}})
+    return runs
+
+
+def read(runs, claim="rore-link"):
+    summary = bench_pairs.summarize(runs)
+    return bench_pairs.verdict(summary, runs, claim, END_TO_END)
+
+
+PARENT = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]
+
+
+def test_claim_met_with_nine_wins_and_a_gain_above_the_parent_spread():
+    change = [110.0] * 9 + [97.0]
+    out = read(runs_of("rore-link", 0, PARENT, change)
+               + runs_of("rore-link", 1, [100.0, 100.0, 100.0], [111.0, 112.0, 113.0]))
+    seed0 = out["claim"]["rore-link seed 0"]
+    assert (seed0["wins"], seed0["pairs"]) == (9, 10)
+    assert seed0["median_gain"] == pytest.approx(110.0 - 100.0)
+    assert seed0["parent_iqr"] == pytest.approx(100.875 - 99.125)  # inclusive quartiles
+    assert seed0["met"]
+    assert out["claim"]["rore-link seed 1"]["met"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [[110.0] * 8 + [97.0, 96.0], [value + 0.5 for value in PARENT]],
+    ids=["eight-wins", "gain-inside-spread"],
+)
+def test_claim_not_met(change):
+    seed0 = read(runs_of("rore-link", 0, PARENT, change))["claim"]["rore-link seed 0"]
+    assert seed0["wins"] == (8 if change[0] == 110.0 else 10)
+    assert not seed0["met"]
+
+
+def test_held_out_seed_needs_every_pair():
+    out = read(runs_of("rore-link", 1, [100.0, 100.0, 101.0], [120.0, 120.0, 99.0]))
+    assert out["claim"]["rore-link seed 1"]["wins"] == 2
+    assert not out["claim"]["rore-link seed 1"]["met"]
+
+
+def test_bounds_are_oriented_by_better():
+    runs = (runs_of("rop-train", 0, [100.0] * 3, [80.0] * 3, rss=(50.0, 54.0))
+            + runs_of("rop-predict", 0, [100.0] * 3, [70.0] * 3, rss=(50.0, 56.0))
+            + runs_of("relations-eval", 0, [100.0] * 3, [130.0] * 3, rss=(50.0, 40.0)))
+    out = read(runs, claim=None)
+    assert out["claim"] is None
+    train = out["end_to_end"]["rop-train seed 0"]
+    assert train["docs_per_s"]["ratio"] == pytest.approx(0.8)
+    assert train["docs_per_s"]["within_bound"]
+    assert train["peak_rss_mb"]["ratio"] == pytest.approx(50.0 / 54.0)
+    assert train["peak_rss_mb"]["within_bound"]
+    predict = out["end_to_end"]["rop-predict seed 0"]
+    assert not predict["docs_per_s"]["within_bound"]
+    assert not predict["peak_rss_mb"]["within_bound"]
+    relations = out["end_to_end"]["relations-eval seed 0"]
+    assert relations["docs_per_s"]["ratio"] == pytest.approx(1.3)
+    assert relations["peak_rss_mb"]["ratio"] == pytest.approx(1.25)
+    assert relations["docs_per_s"]["within_bound"] and relations["peak_rss_mb"]["within_bound"]

@@ -138,6 +138,41 @@ def test_stats_empty_corpus(tmp_path, capsys):
     assert stats["documents"] == 0 and stats["nonlinear_fraction"] is None
 
 
+def edit_second_document(corpus, edit):
+    """Apply ``edit`` to the second document of a corpus file; return its id."""
+    lines = corpus.read_text().splitlines()
+    obj = json.loads(lines[1])
+    edit(obj)
+    lines[1] = json.dumps(obj)
+    corpus.write_text("\n".join(lines) + "\n")
+    return obj["id"]
+
+
+@pytest.mark.parametrize("split", [["train"], 1, "dev"], ids=["list", "int", "unknown"])
+@pytest.mark.parametrize("command", [["stats"], ["eval", "--heuristic"]],
+                         ids=["stats", "eval"])
+def test_split_outside_the_split_names_exits_1(tmp_path, capsys, split, command):
+    corpus = write_corpus(tmp_path, n_docs=3)
+    doc_id = edit_second_document(corpus, lambda obj: obj.update(split=split))
+    code, out, err = run(capsys, command[0], str(corpus), *command[1:])
+    assert code == 1 and out == ""
+    assert (f"error: line 2: document {doc_id!r} has split {split!r}, "
+            "not one of train, validation, test") in err
+
+
+@pytest.mark.parametrize("text", [5, None, ["a"]], ids=["int", "null", "list"])
+def test_stats_rejects_word_text_that_is_not_a_string(tmp_path, capsys, text):
+    corpus = write_corpus(tmp_path, n_docs=3)
+
+    def edit(obj):
+        obj["segments"][0]["words"][0]["text"] = text
+
+    doc_id = edit_second_document(corpus, edit)
+    code, out, err = run(capsys, "stats", str(corpus))
+    assert code == 1 and out == ""
+    assert f"error: document {doc_id}: word text must be a string, got {text!r}" in err
+
+
 def test_closure_command(tmp_path, capsys):
     rel = tmp_path / "rel.json"
     rel.write_text('{"n": 3, "pairs": [[0, 1], [1, 2]]}')
@@ -288,6 +323,20 @@ def test_train_is_byte_deterministic(tmp_path, capsys):
         assert code == 0
         models.append(path.read_bytes())
     assert models[0] == models[1]
+
+
+def test_train_rejects_word_text_that_is_not_a_string(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, n_docs=6)
+
+    def edit(obj):
+        obj["segments"][-1]["words"][-1]["text"] = 5
+
+    doc_id = edit_second_document(corpus, edit)
+    model = tmp_path / "model.json"
+    code, out, err = run(capsys, "train", str(corpus), "--model", str(model),
+                         "--config", str(write_config(tmp_path, TRAIN_CFG)))
+    assert code == 1 and out == "" and not model.exists()
+    assert f"error: document {doc_id}: word text must be a string, got 5" in err
 
 
 def write_model(tmp_path, **encoder):

@@ -529,6 +529,134 @@ def test_training_and_demo_match_the_dense_reference_step(monkeypatch, tmp_path)
     assert sparse[2] == dense[2]
 
 
+def block_store():
+    """A fully touched weight (joins the dense block), a weight with an
+    always-zero row (stays masked), a bias and a scalar, each with a -0.0."""
+    rng = np.random.default_rng(11)
+    store = ParameterStore()
+    for name, shape in [("dense", (4, 3)), ("masked", (4, 3)), ("b", (3,)), ("s", ())]:
+        values = rng.normal(size=shape)
+        values.flat[-1] = -0.0
+        store.add(name, values)
+    return store
+
+
+def set_block_grads(stores, step, rng):
+    """The same gradients on every store: row 0 of ``masked`` always zero,
+    the -0.0 entries of ``dense`` and ``b`` a signed zero gradient."""
+    for name, p in stores[0].items():
+        grad = rng.normal(size=p.shape)
+        if name == "masked":
+            grad[0] = 0.0
+        if name in ("dense", "b"):
+            grad.flat[-1] = -0.0 if step % 2 else 0.0
+        for store in stores:
+            store[name].grad = grad.copy()
+
+
+@pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+def test_adamw_dense_block_matches_dense_reference_bytes(weight_decay):
+    store, ref, ref_state = block_store(), block_store(), {}
+    rng = np.random.default_rng(5)
+    for step in range(6):
+        set_block_grads((store, ref), step, rng)
+        optimizer_step(store, learning_rate=0.05, weight_decay=weight_decay)
+        reference_adamw(ref, ref_state, learning_rate=0.05, weight_decay=weight_decay)
+        assert_same_bytes(store, ref, ref_state)
+    assert store.opt_state("masked")["rows"].tolist() == [0, 1, 1, 1]
+    for name in ("dense", "b", "s"):
+        assert store.opt_state(name)["rows"] is None
+        assert store[name].shape == store.opt_state(name)["m"].shape
+    assert np.signbit(store["dense"].data.flat[-1])
+
+
+def test_adamw_dense_block_takes_one_call_from_the_second_step(monkeypatch):
+    from rorokit import nn
+
+    store = block_store()
+    store.add("table", np.ones((6, 3)))
+    adamw, sizes = nn._adamw, []
+
+    def counting(data, *args):
+        sizes.append(data.size)
+        adamw(data, *args)
+
+    monkeypatch.setattr(nn, "_adamw", counting)
+    rng = np.random.default_rng(5)
+    for step in range(4):
+        set_block_grads((store,), step, rng)
+        store["table"].grad[[0, 1, 3, 4, 5]] = 0.0  # only row 2 is ever touched
+        sizes.clear()
+        optimizer_step(store, learning_rate=0.05)
+        # First every parameter on its own; then one call for dense, b and s
+        # together (12 + 3 + 1 floats), one for masked's 3 touched rows and
+        # one for the table's row.
+        assert sorted(sizes) == ([1, 3, 3, 9, 12] if step == 0 else [3, 9, 16])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("member", ["dense", "s"])
+def test_adamw_refuses_non_finite_gradient_in_a_dense_block_member(member, bad):
+    store = block_store()
+    rng = np.random.default_rng(5)
+    for step in range(2):
+        set_block_grads((store,), step, rng)
+        optimizer_step(store, learning_rate=0.05)
+    before = {
+        name: (p.data.copy(), {k: np.copy(v) for k, v in store.opt_state(name).items()})
+        for name, p in store.items()
+    }
+    set_block_grads((store,), 2, rng)
+    store[member].grad.flat[0] = bad
+    with pytest.raises(NonFiniteGradientError, match=f"'{member}'"):
+        optimizer_step(store, learning_rate=0.05)
+    for name, p in store.items():
+        data, state = before[name]
+        assert p.data.tobytes() == data.tobytes(), name
+        after = store.opt_state(name)
+        assert after["t"] == state["t"]
+        for key in ("m", "v", "rows"):
+            assert np.asarray(after[key]).tobytes() == np.asarray(state[key]).tobytes()
+
+
+def test_adamw_in_place_write_between_steps_is_what_the_next_step_updates():
+    store, ref, ref_state = block_store(), block_store(), {}
+    rng = np.random.default_rng(5)
+    for step in range(4):
+        if step == 2:  # as rop.fit's restore of the best epoch writes
+            for s in (store, ref):
+                for name, p in s.items():
+                    p.data[...] = np.linspace(-1.0, 1.0, p.data.size).reshape(p.shape)
+        set_block_grads((store, ref), step, rng)
+        optimizer_step(store, learning_rate=0.05)
+        reference_adamw(ref, ref_state, learning_rate=0.05)
+        assert_same_bytes(store, ref, ref_state)
+
+
+@pytest.mark.parametrize("edit", ["data", "moments", "added"])
+def test_adamw_never_skips_an_array_rebound_or_added_after_the_layout(edit):
+    store, ref, ref_state = block_store(), block_store(), {}
+    rng = np.random.default_rng(5)
+    for step in range(5):
+        if step == 2 and edit == "data":
+            rebound = store["b"].data * 0.5
+            store["b"].data, ref["b"].data = rebound, rebound.copy()
+        elif step == 2 and edit == "moments":
+            state = store.opt_state("dense")
+            for key in ("m", "v"):
+                state[key] = state[key] * 0.5
+                ref_state["dense"][key] = ref_state["dense"][key] * 0.5
+        elif step == 2:
+            for s in (store, ref):
+                s.add("late", np.linspace(-1.0, 1.0, 3))
+        set_block_grads((store, ref), step, rng)
+        optimizer_step(store, learning_rate=0.05)
+        reference_adamw(ref, ref_state, learning_rate=0.05)
+        assert_same_bytes(store, ref, ref_state)
+    if edit == "data":
+        assert store["b"].data is rebound
+
+
 # --- checkpoints ---
 
 
