@@ -309,7 +309,10 @@ def gather_rows(table: Union[Tensor, Sequence[Tensor]], indices) -> Tensor:
     are summed, in table order, as one node.
 
     Backward adds into the touched rows of each ``table.grad`` in place; the
-    dense table gradient is allocated only when the table has none yet.
+    dense table gradient is allocated only when the table has none yet. The
+    gradient rows of each index list are ordered by a stable sort of the
+    indices and summed per distinct row by one ``np.add.reduceat``, so the
+    result may differ from sequential ``np.add.at`` in the last bits.
     """
     if isinstance(table, Tensor):
         table, indices = [table], [indices]
@@ -325,7 +328,10 @@ def gather_rows(table: Union[Tensor, Sequence[Tensor]], indices) -> Tensor:
             if t.requires_grad:
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
-                np.add.at(t.grad, idx, grad)
+                order = np.argsort(idx, kind="stable")
+                ids = idx[order]
+                starts = np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1))
+                t.grad[ids[starts]] += np.add.reduceat(grad[order], starts)
 
     out._backward = backward
     return out

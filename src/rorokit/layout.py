@@ -270,6 +270,18 @@ def document_from_dict(obj: dict, allow_cyclic: bool = False) -> Document:
     return doc
 
 
+def document_split(obj: dict) -> str:
+    """The split a corpus line names, ``"train"`` when it names none; a name
+    outside ``SPLITS`` raises :class:`ValidationError` naming the document."""
+    name = obj.get("split", "train")
+    if name not in SPLITS:
+        raise ValidationError(
+            f"document {str(obj.get('id', '<missing id>'))!r} has split {name!r}, "
+            f"not one of {', '.join(SPLITS)}"
+        )
+    return name
+
+
 def read_json_lines(path) -> Iterator[tuple[int, object]]:
     """(line number, value) of each non-blank line of a JSON-lines file;
     malformed JSON raises :class:`CorpusParseError` with the line number."""
@@ -307,13 +319,10 @@ def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
             )
         first_line[doc.id] = lineno
         documents.append(doc)
-        name = obj.get("split", "train")
-        if name not in SPLITS:
-            raise ValidationError(
-                f"line {lineno}: document {doc.id!r} has split {name!r}, "
-                f"not one of {', '.join(SPLITS)}"
-            )
-        split[doc.id] = name
+        try:
+            split[doc.id] = document_split(obj)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
     return Corpus(tuple(documents), split)
 
 
@@ -466,8 +475,8 @@ def validate_annotation(doc) -> AnnotationReport:
 
     Accepts either a parsed :class:`Document` (duplicates are then impossible,
     set semantics) or a raw JSON value, which additionally surfaces duplicate
-    pairs and schema problems, a value that is not an object included,
-    instead of raising.
+    pairs and, instead of raising, schema problems: a value that is not an
+    object, and each reason ``load_corpus`` would refuse the document for.
     """
     if isinstance(doc, Document):
         doc_id = doc.id
@@ -480,11 +489,20 @@ def validate_annotation(doc) -> AnnotationReport:
     else:
         doc_id = str(doc.get("id", "<missing id>"))
         schema_errors = []
+        # The isdr is reported pair by pair below; every other field goes
+        # through the checks that load_corpus runs.
+        for check in (
+            lambda: document_from_dict({**doc, "isdr": None}),
+            lambda: document_split(doc),
+        ):
+            try:
+                check()
+            except ValidationError as exc:
+                schema_errors.append(str(exc))
         try:
             n = len(doc["segments"])
         except (KeyError, TypeError):
             n = 0
-            schema_errors.append("missing or malformed 'segments'")
         raw = doc.get("isdr") or []
         if not isinstance(raw, list):
             schema_errors.append(f"'isdr' is a JSON {type(raw).__name__}, not a list")

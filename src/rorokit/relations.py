@@ -17,11 +17,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-# Dense boolean closure is used up to this many elements, per-source BFS above.
-_WARSHALL_MAX_N = 2048
-
 # Exhaustive permutation search refuses above this many elements (9! = 362880).
 BRUTE_FORCE_MAX_N = 9
 
@@ -200,24 +195,15 @@ def is_acyclic(rel: Relation) -> tuple[bool, Optional[OrderViolation]]:
     return True, None
 
 
-def _closure_warshall(rel: Relation) -> frozenset[tuple[int, int]]:
-    n = rel.element_count
-    m = np.zeros((n, n), dtype=bool)
-    for a, b in rel.pairs:
-        m[a, b] = True
-    for k in range(n):
-        col = m[:, k]
-        if col.any():
-            m[col] |= m[k]
-    rows, cols = np.nonzero(m)
-    return frozenset(zip(rows.tolist(), cols.tolist()))
+def transitive_closure(rel: Relation) -> Relation:
+    """Smallest transitive superset of ``rel`` over the same element set.
 
-
-def _closure_bfs(rel: Relation) -> frozenset[tuple[int, int]]:
+    Defined for any relation, cyclic or not. One graph search per source
+    element, so no N x N matrix is built, even for word-level documents.
+    """
     succ = rel.successors()
     out = set()
-    sources = sorted({a for a, _ in rel.pairs})
-    for s in sources:
+    for s in sorted({a for a, _ in rel.pairs}):
         seen = set()
         frontier = list(succ[s])
         while frontier:
@@ -227,25 +213,7 @@ def _closure_bfs(rel: Relation) -> frozenset[tuple[int, int]]:
             seen.add(node)
             frontier.extend(succ[node])
         out.update((s, t) for t in seen)
-    return frozenset(out)
-
-
-def transitive_closure(rel: Relation, method: Optional[str] = None) -> Relation:
-    """Smallest transitive superset of ``rel`` over the same element set.
-
-    Defined for any relation, cyclic or not. Dense boolean sweep for small
-    element counts; per-source BFS beyond that to avoid an N x N matrix on
-    word-level documents.
-    """
-    if method is None:
-        method = "warshall" if rel.element_count <= _WARSHALL_MAX_N else "bfs"
-    if method == "warshall":
-        pairs = _closure_warshall(rel)
-    elif method == "bfs":
-        pairs = _closure_bfs(rel)
-    else:
-        raise ValueError(f"unknown closure method {method!r}")
-    return Relation(rel.element_count, pairs)
+    return Relation(rel.element_count, frozenset(out))
 
 
 def is_strict_partial_order(rel: Relation) -> tuple[bool, Optional[OrderViolation]]:

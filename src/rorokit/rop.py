@@ -12,6 +12,7 @@ parameters.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence, Union
@@ -189,33 +190,56 @@ def score_blocks(scores: np.ndarray, spans: Sequence[Spans]) -> list[np.ndarray]
     """Packed flattened scores (see ``ROPModel.scores``) as each document's
     (n, n) matrix, given the documents' span lists."""
     sizes = [len(doc) for doc in spans]
-    cells = _row_slices([n * n for n in sizes])
-    return [scores[c].reshape(n, n) for c, n in zip(cells, sizes)]
+    starts = itertools.accumulate((n * n for n in sizes), initial=0)
+    return [scores[a : a + n * n].reshape(n, n) for a, n in zip(starts, sizes)]
 
 
-def _row_slices(counts: Sequence[int]) -> list[slice]:
-    """Consecutive row ranges of the given sizes, from row 0."""
-    slices, start = [], 0
-    for count in counts:
-        slices.append(slice(start, start + count))
-        start += count
-    return slices
+class _Padding:
+    """Documents packed one after another, laid out as one padded array.
 
+    ``counts`` gives each document's row count. ``pad`` turns the packed
+    rows into one zero-padded (B, n, ...) array, n being the largest count,
+    and ``unpad`` takes them back out. With ``pairs`` the documents'
+    flattened (count, count) blocks map to and from one (B, n, n) array
+    instead. When every document has n rows, as in a pack of one, both are
+    reshapes; only a ragged pack scatters into zero padding.
+    """
 
-def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def __init__(self, counts: Sequence[int], pairs: bool = False):
+        n = max(counts)
+        self.shape = (len(counts), n, n) if pairs else (len(counts), n)
+        self.mask = None  # the cells that hold the documents' rows, when ragged
+        if min(counts) < n:
+            rows = np.arange(n) < np.array(counts)[:, None]
+            self.mask = rows[:, :, None] & rows[:, None, :] if pairs else rows
+
+    def pad(self, packed: np.ndarray) -> np.ndarray:
+        shape = self.shape + packed.shape[1:]
+        if self.mask is None:
+            return packed.reshape(shape)
+        padded = np.zeros(shape)
+        padded[self.mask] = packed
+        return padded
+
+    def unpad(self, padded: np.ndarray) -> np.ndarray:
+        if self.mask is None:
+            return padded.reshape((-1,) + padded.shape[len(self.shape) :])
+        return padded[self.mask]
 
 
 def pool_elements(
     states: Tensor, spans: Spans, sizes: Optional[Sequence[int]] = None
 ) -> Tensor:
-    """Mean-pool token states into element states via one constant matmul
-    per document.
+    """Mean-pool token states into element states.
 
     Spans must be non-empty and tile the token axis exactly, in order. For
     documents packed row-wise in ``states`` they are the documents' spans
     one after another, each shifted by its document's first row, and
     ``sizes`` gives each document's element count; None means one document.
+    Pooling is one batched matmul of the documents' constant (elements,
+    tokens) pool matrices with their token states, padded only when the
+    documents differ in element or token count (see ``_Padding``). A pack
+    of one is bit-identical to the dense per-document matmul.
     """
     states = as_tensor(states)
     if states.ndim != 2:
@@ -227,27 +251,28 @@ def pool_elements(
     sizes = [len(spans)] if sizes is None else list(sizes)
     if sum(sizes) != len(spans) or min(sizes) < 1:
         raise ValueError(f"sizes {sizes} do not split {len(spans)} spans")
-    element_rows = _row_slices(sizes)
-    pools, token_rows = [], []
-    for rows in element_rows:
-        doc = spans[rows]
-        first = doc[0][0]
-        pool = np.zeros((len(doc), doc[-1][1] - first))
-        for i, (start, end) in enumerate(doc):
-            pool[i, start - first : end - first] = 1.0 / (end - start)
-        pools.append(pool)
-        token_rows.append(slice(first, doc[-1][1]))
+    firsts = list(itertools.accumulate(sizes, initial=0))[:-1]  # first elements
+    doc_tokens = [spans[f + n - 1][1] - spans[f][0] for f, n in zip(firsts, sizes)]
+    elements, tokens = _Padding(sizes), _Padding(doc_tokens)
+    (_, n_elements), (_, width) = elements.shape, tokens.shape
+    # Packed element e, of document b whose first element is f and first
+    # token row t0, is row b * n_elements + e - f of the (B * n_elements,
+    # width) pool; its token row t is column t - t0.
+    lengths = np.array([end - start for start, end in spans])
+    shift = [(b * n_elements - f) * width - spans[f][0] for b, f in enumerate(firsts)]
+    starts = np.arange(len(spans)) * width + np.repeat(shift, sizes)
+    pool = np.zeros(elements.shape + (width,))
+    pool.reshape(-1)[np.repeat(starts, lengths) + np.arange(n_tokens)] = np.repeat(
+        1.0 / lengths, lengths
+    )
     out = Tensor(
-        _stack_rows([pool @ states.data[r] for pool, r in zip(pools, token_rows)]),
-        states.requires_grad,
-        (states,),
+        elements.unpad(pool @ tokens.pad(states.data)), states.requires_grad, (states,)
     )
 
     def backward(grad):
         if states.requires_grad:
-            states._accumulate(
-                _stack_rows([pool.T @ grad[r] for pool, r in zip(pools, element_rows)])
-            )
+            pooled_grad = pool.transpose(0, 2, 1) @ elements.pad(grad)
+            states._accumulate(tokens.unpad(pooled_grad))
 
     out._backward = backward
     return out
@@ -285,42 +310,32 @@ class GlobalPointerHead:
 
         ``sizes`` gives the element count of each document packed row-wise
         in ``pooled``; None means one document, whose (n, n) matrix the
-        result then holds as n * n values.
+        result then holds as n * n values. All documents' scores are one
+        batched matmul of their queries and keys, padded only when the
+        documents differ in size (see ``_Padding``); a pack of one is
+        bit-identical to the per-document composite.
         """
         q = linear(pooled, self.store["gp.Wq"], self.store["gp.bq"])
         k = linear(pooled, self.store["gp.Wk"], self.store["gp.bk"])
-        rows = _row_slices([q.shape[0]] if sizes is None else sizes)
-        if rows[-1].stop != q.shape[0]:
+        sizes = [q.shape[0]] if sizes is None else sizes
+        if sum(sizes) != q.shape[0]:
             raise ValueError(
-                f"sizes cover {rows[-1].stop} elements, states have {q.shape[0]}"
+                f"sizes cover {sum(sizes)} elements, states have {q.shape[0]}"
             )
-        blocks = [q.data[r] @ k.data[r].T for r in rows]
-        data = _stack_rows([b.reshape(-1) for b in blocks])
+        rows, pairs = _Padding(sizes), _Padding(sizes, pairs=True)
+        qs, ks = rows.pad(q.data), rows.pad(k.data)
+        data = pairs.unpad(qs @ ks.transpose(0, 2, 1))
         out = Tensor(data, q.requires_grad or k.requires_grad, (q, k))
 
         def backward(grad):
-            flat = grad.reshape(-1)
-            cells = _row_slices([b.size for b in blocks])
-            grads = [flat[c].reshape(b.shape) for c, b in zip(cells, blocks)]
+            g = pairs.pad(grad)
             if q.requires_grad:
-                q._accumulate(_stack_rows([g @ k.data[r] for g, r in zip(grads, rows)]))
+                q._accumulate(rows.unpad(g @ ks))
             if k.requires_grad:
-                k._accumulate(_stack_rows([g.T @ q.data[r] for g, r in zip(grads, rows)]))
+                k._accumulate(rows.unpad(g.transpose(0, 2, 1) @ qs))
 
         out._backward = backward
         return out
-
-
-def _logsumexp_with_zero(values: np.ndarray) -> float:
-    """log(1 + sum(exp(values))), overflow-safe.
-
-    The implicit zero logit keeps the result nonnegative and lets it saturate
-    smoothly to 0 when every value is strongly negative.
-    """
-    if values.size == 0:
-        return 0.0
-    m = float(max(values.max(), 0.0))
-    return m + float(np.log1p(np.expm1(-m) + np.exp(values - m).sum()))
 
 
 def gp_loss(
@@ -342,46 +357,55 @@ def gp_loss(
     (n, n) matrices, flattened row-major, one after another, as
     ``GlobalPointerHead.scores`` gives them; the result is the mean loss over
     documents. A single relation stands for one document, whose scores may
-    also come as the (n, n) matrix itself.
+    also come as the (n, n) matrix itself. Both log-sum-exps are masked
+    per-document reductions over the documents' scores as one (B, n, n)
+    array, padded only when the documents differ in size.
     """
     scores = as_tensor(scores)
-    s = scores.data
     labels = [labels] if isinstance(labels, Relation) else list(labels)
-    cells = _row_slices([rel.element_count**2 for rel in labels])
-    if s.ndim > 2 or s.size != cells[-1].stop:
+    sizes = [rel.element_count for rel in labels]
+    n_cells = sum(n * n for n in sizes)
+    if scores.ndim > 2 or scores.data.size != n_cells:
         raise ValueError(
-            f"scores of shape {s.shape} do not hold the {cells[-1].stop} cells "
+            f"scores of shape {scores.shape} do not hold the {n_cells} cells "
             "the labels cover"
         )
-    flat = s.reshape(-1)
-    terms = []
-    for cell, rel in zip(cells, labels):
-        n = rel.element_count
-        block = flat[cell].reshape(n, n)
-        pos = np.zeros((n, n), dtype=bool)
-        for i, j in rel.pairs:
-            pos[i, j] = True
-        neg = ~pos
-        if not include_diagonal_negatives:
-            np.fill_diagonal(neg, False)
-        lse_neg = _logsumexp_with_zero(block[neg])
-        lse_pos = _logsumexp_with_zero(-block[pos])
-        value = lse_neg + lse_pos
-        if not np.isfinite(value):
-            raise AutodiffError(f"non-finite pair loss: {value}")
-        terms.append((block, pos, neg, lse_neg, lse_pos, value))
-    out = Tensor(sum(t[-1] for t in terms) / len(terms), scores.requires_grad, (scores,))
+    layout = _Padding(sizes, pairs=True)
+    s = layout.pad(scores.data.reshape(-1))
+    pos = np.zeros(s.shape, dtype=bool)
+    cells = [(b, i, j) for b, rel in enumerate(labels) for i, j in rel.pairs]
+    pos[tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)] = True
+    neg = ~pos if layout.mask is None else layout.mask & ~pos
+    if not include_diagonal_negatives:
+        diagonal = np.arange(s.shape[1])
+        neg[:, diagonal, diagonal] = False
+    # -inf outside each term's cells; exp turns them into exact zeros.
+    x_neg = np.where(neg, s, -np.inf)
+    x_pos = np.where(pos, -s, -np.inf)
+    lse_neg, lse_pos = _logsumexp_with_zero(x_neg), _logsumexp_with_zero(x_pos)
+    values = lse_neg + lse_pos
+    if not np.isfinite(values).all():
+        raise AutodiffError(f"non-finite pair loss: {values[~np.isfinite(values)][0]}")
+    out = Tensor(sum(values.tolist()) / len(labels), scores.requires_grad, (scores,))
 
     def backward(grad):
-        g = np.zeros(s.size)
-        for cell, (block, pos, neg, lse_neg, lse_pos, _) in zip(cells, terms):
-            view = g[cell].reshape(block.shape)
-            view[neg] = np.exp(block[neg] - lse_neg)
-            view[pos] = -np.exp(-block[pos] - lse_pos)
-        scores._accumulate(grad / len(terms) * g.reshape(s.shape))
+        g = np.exp(x_neg - lse_neg[:, None, None])
+        g -= np.exp(x_pos - lse_pos[:, None, None])
+        scores._accumulate(grad / len(labels) * layout.unpad(g).reshape(scores.shape))
 
     out._backward = backward
     return out
+
+
+def _logsumexp_with_zero(x: np.ndarray) -> np.ndarray:
+    """log(1 + sum(exp(x))) over the last two axes, overflow-safe.
+
+    The implicit zero logit keeps the result nonnegative and lets it saturate
+    smoothly to 0 when every value is strongly negative.
+    """
+    m = np.max(x, axis=(1, 2), initial=0.0)
+    total = np.exp(x - m[:, None, None]).sum(axis=(1, 2))
+    return m + np.log1p(np.expm1(-m) + total)
 
 
 def decode(
@@ -456,8 +480,8 @@ class ROPModel:
             self.encoder_config, self.store, texts, boxes, bias, lengths
         )
         shifted = [
-            (start + rows.start, end + rows.start)
-            for doc, rows in zip(spans, _row_slices(lengths))
+            (start + first, end + first)
+            for doc, first in zip(spans, itertools.accumulate(lengths, initial=0))
             for start, end in doc
         ]
         sizes = [len(doc) for doc in spans]

@@ -261,6 +261,28 @@ def test_row_sparse_gather_matches_dense_reference():
     assert not table.grad[[2, 3]].any()
 
 
+def test_gather_backward_matches_add_at_over_five_tables():
+    # Heavy repeats (40 lookups into 3 rows), then a second lookup that adds
+    # into the gradients the first one left.
+    rng = np.random.default_rng(51)
+    tables = [Tensor(rand(7, 3, seed=52 + t), requires_grad=True) for t in range(5)]
+    first = [rng.integers(0, 3, size=40) for _ in tables]
+    second = [rng.integers(0, 7, size=25) for _ in tables]
+    w1, w2 = rand(40, 3, seed=60), rand(25, 3, seed=61)
+    (gather_rows(tables, first) * Tensor(w1)).sum().backward()
+    (gather_rows(tables, second) * Tensor(w2)).sum().backward()
+    for t, a, b in zip(tables, first, second):
+        dense = np.zeros_like(t.data)
+        np.add.at(dense, a, w1)
+        np.add.at(dense, b, w2)
+        # Only the order of additions differs: bound the error by the
+        # magnitude of what was summed into each cell.
+        magnitude = np.zeros_like(dense)
+        np.add.at(magnitude, a, np.abs(w1))
+        np.add.at(magnitude, b, np.abs(w2))
+        assert (np.abs(t.grad - dense) <= 1e-15 * magnitude).all()
+
+
 def test_summed_lookups_are_bit_identical_to_chained_ones():
     tables = [Tensor(rand(6, 3, seed=s), requires_grad=True) for s in (47, 48, 49)]
     indices = [[4, 1, 4], [0, 0, 5], [2, 3, 1]]

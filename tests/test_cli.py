@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -109,6 +110,32 @@ def test_corpus_line_that_is_not_an_object_exits_2(tmp_path, capsys, line, kind,
     code, out, err = run(capsys, command[0], str(corpus), *command[1:])
     assert code == 2 and out == ""
     assert f"error: line 3: holds a JSON {kind}, not an object" in err
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda obj: obj.update(split=[1]),
+         "has split [1], not one of train, validation, test"),
+        (lambda obj: obj.update(split="dev"),
+         "has split 'dev', not one of train, validation, test"),
+        (lambda obj: obj["segments"][0]["words"][0].update(text=5),
+         "word text must be a string, got 5"),
+    ],
+    ids=["list-split", "unknown-split", "int-text"],
+)
+def test_validate_reports_what_load_corpus_refuses(tmp_path, capsys, edit, reason):
+    corpus = write_corpus(tmp_path, n_docs=2)
+    doc_id = edit_second_document(corpus, edit)
+    code, out, err = run(capsys, "validate", str(corpus))
+    assert code == 1
+    first, second = json.loads(out)["documents"]
+    assert first["ok"] and not second["ok"]
+    [message] = second["schema_errors"]
+    assert doc_id in message and message.endswith(reason)
+    assert reason in err
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        load_corpus(corpus)
 
 
 def test_validate_missing_file(capsys):

@@ -181,14 +181,6 @@ def test_closure_matches_composition_oracle(rel):
     assert transitive_closure(rel).pairs == closure_oracle(rel.pairs)
 
 
-@given(relations(max_n=8))
-def test_closure_methods_agree(rel):
-    assert (
-        transitive_closure(rel, method="warshall").pairs
-        == transitive_closure(rel, method="bfs").pairs
-    )
-
-
 @given(relations(max_n=12))
 def test_closure_idempotent(rel):
     once = transitive_closure(rel)
@@ -206,11 +198,6 @@ def test_closure_minimal_under_single_pair_removal(rel):
     closed = transitive_closure(rel)
     for p in closed.pairs - rel.pairs:
         assert not is_transitive(closed.pairs - {p})
-
-
-def test_closure_unknown_method():
-    with pytest.raises(ValueError):
-        transitive_closure(Relation.empty(1), method="magic")
 
 
 # --- order property checks ---

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rorokit import nn
+from rorokit import nn, rop
 from rorokit.autodiff import (
     AutodiffError,
     Tensor,
@@ -644,6 +644,116 @@ def test_single_document_scores_are_bit_identical_to_the_composite():
     for inputs, _, _ in docs:
         got = model.scores(*pack_inputs([inputs])).data
         assert np.array_equal(got, reference_scores(model, *inputs).data.reshape(-1))
+
+
+def formula_loss(block, rel, diagonal):
+    """One document's gp_loss and score gradient, term by term from the
+    docstring formula."""
+    n = rel.element_count
+    neg = [(i, j) for i in range(n) for j in range(n)
+           if (i, j) not in rel.pairs and (diagonal or i != j)]
+    z_neg = 1.0 + sum(math.exp(block[c]) for c in neg)
+    z_pos = 1.0 + sum(math.exp(-block[c]) for c in rel.pairs)
+    grad = np.zeros((n, n))
+    for c in neg:
+        grad[c] = math.exp(block[c]) / z_neg
+    for c in rel.pairs:
+        grad[c] = -math.exp(-block[c]) / z_pos
+    return math.log(z_neg) + math.log(z_pos), grad
+
+
+RAGGED_LABELS = [
+    Relation.empty(1),
+    Relation.from_pairs(2, [(0, 1)]),
+    Relation.empty(4),  # a relation with no pairs
+    Relation.from_pairs(7, [(0, 1), (1, 2), (2, 6), (3, 4), (5, 0)]),
+]
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_ragged_pack_loss_matches_the_formula_per_document(diagonal):
+    rng = np.random.default_rng(11)
+    blocks = [rng.normal(size=(r.element_count,) * 2) for r in RAGGED_LABELS]
+    scores = Tensor(np.concatenate([b.reshape(-1) for b in blocks]), requires_grad=True)
+    loss = gp_loss(scores, RAGGED_LABELS, diagonal)
+    loss.backward()
+    terms = [formula_loss(b, r, diagonal) for b, r in zip(blocks, RAGGED_LABELS)]
+    want = sum(value for value, _ in terms) / len(terms)
+    assert abs(loss.item() - want) <= 1e-12 * abs(want)
+    want_grad = np.concatenate([g.reshape(-1) for _, g in terms]) / len(terms)
+    assert np.abs(scores.grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+def test_ragged_pack_loss_rejects_one_non_finite_document():
+    blocks = [np.zeros(r.element_count**2) for r in RAGGED_LABELS]
+    blocks[2][5] = np.nan
+    with pytest.raises(AutodiffError):
+        gp_loss(Tensor(np.concatenate(blocks)), RAGGED_LABELS)
+
+
+def pack_of(token_counts, element_counts, seed=0, dim=5):
+    """Random token states of documents packed row-wise, and each document's
+    own random span tiling."""
+    rng = np.random.default_rng(seed)
+    spans = []
+    for t, e in zip(token_counts, element_counts):
+        cuts = sorted(rng.choice(np.arange(1, t), size=e - 1, replace=False).tolist())
+        bounds = [0, *cuts, t]
+        spans.append(list(zip(bounds, bounds[1:])))
+    return rng.normal(size=(sum(token_counts), dim)), spans
+
+
+@pytest.mark.parametrize(
+    "token_counts, element_counts",
+    [((6, 6, 6), (3, 3, 3)), ((1, 6, 3, 9), (1, 4, 3, 5))],
+    ids=["equal", "ragged"],
+)
+def test_batched_pooling_and_scores_match_per_document_composite(
+    token_counts, element_counts
+):
+    states, spans = pack_of(token_counts, element_counts)
+    store = ParameterStore()
+    head = GlobalPointerHead.create(5, 4, store, seed=3)
+    weights = np.random.default_rng(4).normal(size=sum(n * n for n in element_counts))
+    # Both layouts run: the equal pack is a reshape, the ragged one padded.
+    ragged = len(set(token_counts)) > 1
+    assert (rop._Padding(token_counts).mask is not None) == ragged
+    assert (rop._Padding(element_counts, pairs=True).mask is not None) == ragged
+
+    want_pooled, want_scores, want_states_grad = [], [], []
+    cells = np.cumsum([0] + [n * n for n in element_counts])
+    rows = np.cumsum([0, *token_counts])
+    for b, doc in enumerate(spans):
+        # The dense pooling matmul and unfused projections of reference_scores.
+        x = Tensor(states[rows[b] : rows[b + 1]], requires_grad=True)
+        pool = np.zeros((len(doc), token_counts[b]))
+        for i, (start, end) in enumerate(doc):
+            pool[i, start:end] = 1.0 / (end - start)
+        pooled = Tensor(pool) @ x
+        q = pooled @ store["gp.Wq"] + store["gp.bq"]
+        k = pooled @ store["gp.Wk"] + store["gp.bk"]
+        out = (q @ k.transpose()).reshape(-1)
+        (out * Tensor(weights[cells[b] : cells[b + 1]])).sum().backward()
+        want_pooled.append(pooled.data)
+        want_scores.append(out.data)
+        want_states_grad.append(x.grad)
+    want_head = {name: t.grad.copy() for name, t in store.items()}
+
+    store.zero_grads()
+    x = Tensor(states, requires_grad=True)
+    shifted = [(s + rows[b], e + rows[b]) for b, doc in enumerate(spans) for s, e in doc]
+    pooled = pool_elements(x, shifted, element_counts)
+    out = head.scores(pooled, element_counts)
+    (out * Tensor(weights)).sum().backward()
+    pairs = [
+        (pooled.data, np.concatenate(want_pooled)),
+        (out.data, np.concatenate(want_scores)),
+        (x.grad, np.concatenate(want_states_grad)),
+        *((store[name].grad, g) for name, g in want_head.items()),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def count_nodes(out):
