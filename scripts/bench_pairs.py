@@ -16,11 +16,13 @@ runs, so that one run taken under a burst of host load does not set them.
 Pairs alternate which side runs first. The output holds every run, per-metric
 medians and quartiles (inclusive method) for each side, per workload whether
 the change's seed-0 determinism hashes and input digests equal the parent's
-(``outputs_equal``), the per-layer medians and their deltas, and the machine
-block. Its ``verdict`` reads the medians against the bounds of the change's
-``BENCHMARK.json``, and counts the change's wins on the claimed metric to
-read the claim against the rule that the change wins at least nine tenths of
-its pairs by a median gain above the parent's interquartile distance.
+(``outputs_equal``), the per-layer medians and their deltas, the line count
+of ``src/rorokit/*.py`` in each checkout and its change (``src_lines``), and
+the machine block. Its ``verdict`` reads the medians against the bounds of
+the change's ``BENCHMARK.json``, and counts the change's wins on the claimed
+metric to read the claim against the rule that the change wins at least nine
+tenths of its pairs by a median gain above the parent's interquartile
+distance.
 """
 
 from __future__ import annotations
@@ -192,6 +194,16 @@ def layer_deltas(runs: list) -> dict:
     return deltas
 
 
+def src_lines(sides: dict) -> dict:
+    """Lines of ``src/rorokit/*.py`` in each checkout, and change minus parent."""
+    count = {
+        side: sum(len(path.read_text(encoding="utf-8").splitlines())
+                  for path in (checkout / "src" / "rorokit").glob("*.py"))
+        for side, checkout in sides.items()
+    }
+    return {**count, "delta": count["change"] - count["parent"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -227,6 +239,7 @@ def main(argv=None) -> int:
         "end_to_end": summary,
         "verdict": verdict(summary, runs, args.claim, benchmark["end_to_end"]),
         "outputs_equal": outputs_equal(runs),
+        "src_lines": src_lines(sides),
         "per_layer_traced": layer_deltas(runs),
         "runs": [{k: v for k, v in r.items() if k != "machine"} for r in runs],
     }

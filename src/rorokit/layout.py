@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Optional
 
-from .relations import Relation, is_acyclic, transitive_closure
+from .relations import Relation, index_pair, is_acyclic, transitive_closure
 
 COORD_MAX = 1000
 
@@ -250,12 +250,12 @@ def document_from_dict(obj: dict, allow_cyclic: bool = False) -> Document:
             )
             segments.append(Segment(raw_seg["id"], words, BBox(*raw_seg["box"])))
         n = len(segments)
-        isdr = None
-        if obj.get("isdr") is not None:
-            isdr = Relation.from_pairs(n, obj["isdr"])
-        links = None
-        if obj.get("links") is not None:
-            links = Relation.from_pairs(n, obj["links"])
+        isdr, links = (
+            None
+            if obj.get(name) is None
+            else Relation.from_pairs(n, [index_pair(p, name) for p in obj[name]])
+            for name in ("isdr", "links")
+        )
         doc = Document(doc_id, page[0], page[1], tuple(segments), isdr, links)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValidationError(f"document {doc_id}: malformed field ({exc})") from exc
@@ -510,9 +510,9 @@ def validate_annotation(doc) -> AnnotationReport:
         raw_pairs = []
         for p in raw:
             try:
-                raw_pairs.append((int(p[0]), int(p[1])))
-            except (TypeError, ValueError, IndexError):
-                schema_errors.append(f"malformed pair {p!r}")
+                raw_pairs.append(index_pair(p, "isdr"))
+            except ValueError as exc:
+                schema_errors.append(str(exc))
 
     index_errors = tuple(
         (a, b) for a, b in raw_pairs if not (0 <= a < n and 0 <= b < n)

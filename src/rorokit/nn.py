@@ -298,58 +298,51 @@ class AttentionBias:
         return self.lambdas[layer]
 
 
-@dataclass(frozen=True)
-class Pack:
-    """Packed documents whose attention shares one padded array.
+class Padding:
+    """Documents packed one after another, laid out as one zero-padded array.
 
-    Document ``b`` occupies slots ``b * width + [0, length)`` of the
-    (documents x width) grid; ``index`` maps the packed rows onto those
-    slots and is None when no slot is padding.
+    ``counts`` gives each document's row count. ``pad`` turns the packed
+    rows into one (B, n, ...) array, n being the largest count, and
+    ``unpad`` takes them back out. With ``pairs`` the documents' flattened
+    (count, count) blocks map to and from one (B, n, n) array instead.
+    ``shape`` is (B, n), or (B, n, n) with ``pairs``. ``mask`` marks the
+    cells that hold the documents' rows; it is None when every document has
+    n rows, as in a pack of one, and then both are reshapes. Only a ragged
+    pack scatters into zero padding and gathers back out, through the
+    precomputed flat indices of ``mask``.
     """
 
-    lengths: tuple[int, ...]
-    width: int
-    index: Optional[np.ndarray]
-    key_pad: Optional[np.ndarray]  # (B, 1, 1, width), True on padded keys
+    def __init__(self, counts: Sequence[int], pairs: bool = False):
+        self.counts = tuple(counts)
+        n = max(self.counts)
+        self.shape = (len(self.counts), n, n) if pairs else (len(self.counts), n)
+        self.mask = self._index = None
+        if min(self.counts) < n:
+            rows = np.arange(n) < np.array(self.counts)[:, None]
+            self.mask = rows[:, :, None] & rows[:, None, :] if pairs else rows
+            self._index = np.flatnonzero(self.mask)
 
-    @classmethod
-    def create(cls, lengths: Sequence[int]) -> "Pack":
-        lengths = tuple(lengths)
-        width = max(lengths)
-        index = key_pad = None
-        if min(lengths) != width:
-            index = np.concatenate(
-                [b * width + np.arange(n) for b, n in enumerate(lengths)]
-            )
-            key_pad = (np.arange(width) >= np.array(lengths)[:, None])[:, None, None, :]
-        return cls(lengths, width, index, key_pad)
+    def pad(self, packed: np.ndarray) -> np.ndarray:
+        shape = self.shape + packed.shape[1:]
+        if self._index is None:
+            return packed.reshape(shape)
+        padded = np.zeros(shape)
+        padded.reshape((-1,) + packed.shape[1:])[self._index] = packed
+        return padded
 
-    def split_heads(self, x: np.ndarray, heads: int) -> np.ndarray:
-        """(rows, d) -> (B, heads, width, d // heads); padded slots are 0."""
-        d = x.shape[1]
-        if self.index is not None:
-            padded = np.zeros((len(self.lengths) * self.width, d))
-            padded[self.index] = x
-            x = padded
-        return x.reshape(len(self.lengths), self.width, heads, d // heads).transpose(
-            0, 2, 1, 3
-        )
+    def unpad(self, padded: np.ndarray) -> np.ndarray:
+        rows = padded.reshape((-1,) + padded.shape[len(self.shape) :])
+        return rows if self._index is None else rows.take(self._index, axis=0)
 
-    def merge_heads(self, x: np.ndarray) -> np.ndarray:
-        """(B, heads, width, d_k) -> (rows, heads * d_k), padded slots dropped."""
-        b, heads, width, dk = x.shape
-        rows = x.transpose(0, 2, 1, 3).reshape(b * width, heads * dk)
-        return rows if self.index is None else rows[self.index]
 
-    def pad_square(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Per-document (n, n) matrices as (B, 1, width, width), zero-padded;
-        a lone document's matrix as it is."""
-        if len(blocks) == 1:
-            return blocks[0]
-        out = np.zeros((len(blocks), 1, self.width, self.width))
-        for b, block in enumerate(blocks):
-            out[b, 0, : len(block), : len(block)] = block
-        return out
+def _split_heads(layout: Padding, x: np.ndarray, heads: int) -> np.ndarray:
+    """(rows, d) -> (B, heads, width, d // heads); padded slots are 0."""
+    return layout.pad(x).reshape(layout.shape + (heads, -1)).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(layout: Padding, x: np.ndarray) -> np.ndarray:
+    """(B, heads, width, d_k) -> (rows, heads * d_k), padded slots dropped."""
+    return layout.unpad(x.transpose(0, 2, 1, 3)).reshape(-1, x.shape[1] * x.shape[3])
 
 
 def attention_weights(
@@ -358,7 +351,7 @@ def attention_weights(
     heads: int,
     bias: Optional[AttentionBias] = None,
     layer: int = 0,
-    pack: Optional[Pack] = None,
+    layout: Optional[Padding] = None,
 ) -> Tensor:
     """Per-head attention rows; every row sums to 1.
 
@@ -373,31 +366,32 @@ def attention_weights(
     n, d = q.shape
     if d % heads:
         raise ValueError("model dim must be divisible by heads")
-    if pack is None:
-        pack = Pack.create([n])
+    if layout is None:
+        layout = Padding([n])
     lam = None
     if bias is not None:
-        if [r.shape for r in bias.rho] != [(m, m) for m in pack.lengths]:
+        if [r.shape for r in bias.rho] != [(m, m) for m in layout.counts]:
             raise ValueError(
                 f"bias matrices are {[r.shape for r in bias.rho]}, expected "
-                f"{[(m, m) for m in pack.lengths]}"
+                f"{[(m, m) for m in layout.counts]}"
             )
         lam = bias.lambda_at(layer)
-    qh = pack.split_heads(q.data, heads)
-    kh = pack.split_heads(k.data, heads)
+    qh = _split_heads(layout, q.data, heads)
+    kh = _split_heads(layout, k.data, heads)
     scale = 1.0 / np.sqrt(d // heads)
     logits = qh @ kh.swapaxes(-1, -2)
     if lam is not None:
         # The biased logit is (q.k + lambda*rho) / sqrt(d_k): the bias
         # term shares the scaling divisor.
-        rho = pack.pad_square(bias.rho)
+        blocks = np.concatenate([r.reshape(-1) for r in bias.rho])
+        rho = Padding(layout.counts, pairs=True).pad(blocks)[:, None]
         logits = logits + lam.data * rho
     logits = logits * scale
-    if pack.key_pad is not None:
-        np.copyto(logits, -np.inf, where=pack.key_pad)
+    if layout.mask is not None:
+        np.copyto(logits, -np.inf, where=~layout.mask[:, None, None, :])
     parents = (q, k) if lam is None else (q, k, lam)
     out = Tensor(
-        logits[0] if len(pack.lengths) == 1 else logits,
+        logits[0] if len(layout.counts) == 1 else logits,
         any(p.requires_grad for p in parents),
         parents,
     )
@@ -407,9 +401,9 @@ def attention_weights(
         if lam is not None and lam.requires_grad:
             lam._accumulate((g * rho).sum())
         if q.requires_grad:
-            q._accumulate(pack.merge_heads(g @ kh))
+            q._accumulate(_merge_heads(layout, g @ kh))
         if k.requires_grad:
-            k._accumulate(pack.merge_heads(g.swapaxes(-1, -2) @ qh))
+            k._accumulate(_merge_heads(layout, g.swapaxes(-1, -2) @ qh))
 
     out._backward = backward
     return softmax_lastdim(out)
@@ -422,31 +416,31 @@ def attention(
     heads: int,
     bias: Optional[AttentionBias] = None,
     layer: int = 0,
-    pack: Optional[Pack] = None,
+    layout: Optional[Padding] = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention over projected q/k/v rows.
 
-    ``pack`` splits the rows into packed documents (see ``encoder_forward``);
+    ``layout`` splits the rows into packed documents (see ``encoder_forward``);
     None means the rows are one document. The weighted values, heads merged
     back, are one (n, d) node after the attention rows.
     """
     if v.shape != q.shape:
         raise ValueError(f"value shape {v.shape} must match query {q.shape}")
-    if pack is None:
-        pack = Pack.create([q.shape[0]])
-    weights = attention_weights(q, k, heads, bias, layer, pack)
-    vh = pack.split_heads(v.data, heads)
+    if layout is None:
+        layout = Padding([q.shape[0]])
+    weights = attention_weights(q, k, heads, bias, layer, layout)
+    vh = _split_heads(layout, v.data, heads)
     # A lone document's (heads, n, n) rows, viewed as a pack of one.
     rows = weights.data.reshape(vh.shape[:3] + (-1,))
     needs_grad = v.requires_grad or weights.requires_grad
-    out = Tensor(pack.merge_heads(rows @ vh), needs_grad, (weights, v))
+    out = Tensor(_merge_heads(layout, rows @ vh), needs_grad, (weights, v))
 
     def backward(grad):
-        g = pack.split_heads(grad, heads)
+        g = _split_heads(layout, grad, heads)
         if weights.requires_grad:
             weights._accumulate((g @ vh.swapaxes(-1, -2)).reshape(weights.shape))
         if v.requires_grad:
-            v._accumulate(pack.merge_heads(rows.swapaxes(-1, -2) @ g))
+            v._accumulate(_merge_heads(layout, rows.swapaxes(-1, -2) @ g))
 
     out._backward = backward
     return out
@@ -474,7 +468,7 @@ def encoder_forward(
         raise ValueError("tokens and boxes must align")
     lengths = [len(tokens)] if lengths is None else list(lengths)
     x = embed(config, params, list(zip(tokens, boxes)), lengths)
-    pack = Pack.create(lengths)
+    layout = Padding(lengths)
     for layer in range(config.layers):
         base = f"enc.l{layer}."
         h = layer_norm(x, params[base + "ln1.gain"], params[base + "ln1.bias"])
@@ -482,7 +476,7 @@ def encoder_forward(
         # No key bias: the softmax cancels the q.b it adds to a query's logits.
         k = h @ params[base + "attn.Wk"]
         v = linear(h, params[base + "attn.Wv"], params[base + "attn.bv"])
-        attended = attention(q, k, v, config.heads, bias, layer, pack)
+        attended = attention(q, k, v, config.heads, bias, layer, layout)
         x = linear(attended, params[base + "attn.Wo"], params[base + "attn.bo"], x)
         h = layer_norm(x, params[base + "ln2.gain"], params[base + "ln2.bias"])
         inner = linear(h, params[base + "ffn.W1"], params[base + "ffn.b1"]).relu()

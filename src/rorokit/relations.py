@@ -142,10 +142,15 @@ def relation_from_dict(obj: dict) -> Relation:
         raise RelationError(f"relation field 'n' is missing or not an integer: {n!r}")
     if not isinstance(pairs, list):
         raise RelationError("relation field 'pairs' is missing or not a list")
-    for pair in pairs:
-        if not (isinstance(pair, list) and [type(i) for i in pair] == [int, int]):
-            raise RelationError(f"relation pair {pair!r} is not two integers")
-    return Relation.from_pairs(n, pairs)
+    return Relation.from_pairs(n, [index_pair(pair) for pair in pairs])
+
+
+def index_pair(pair, field: str = "relation") -> tuple[int, int]:
+    """A JSON pair ``[i, j]`` as a tuple; a value that is not a list of two
+    integers (booleans are not) raises ``RelationError`` naming ``field``."""
+    if isinstance(pair, list) and [type(i) for i in pair] == [int, int]:
+        return pair[0], pair[1]
+    raise RelationError(f"{field} pair {pair!r} is not two integers")
 
 
 def relation_to_json(rel: Relation) -> str:

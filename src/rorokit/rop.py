@@ -33,6 +33,7 @@ from .nn import (
     AttentionBias,
     CheckpointError,
     EncoderConfig,
+    Padding,
     ParameterStore,
     encoder_forward,
     init_encoder_params,
@@ -148,19 +149,6 @@ def check_span_tiling(spans: Sequence[tuple[int, int]]) -> int:
     return cursor
 
 
-def pack_inputs(
-    inputs: Sequence[tuple[Sequence[str], Sequence[BBox], Spans]],
-) -> tuple[list[str], list[BBox], list[Spans]]:
-    """Several documents' (texts, boxes, spans) as one packed model input.
-
-    Tokens and boxes follow one another, document by document; the spans
-    stay one list per document, each over its own tokens.
-    """
-    texts = [t for doc_texts, _, _ in inputs for t in doc_texts]
-    boxes = [b for _, doc_boxes, _ in inputs for b in doc_boxes]
-    return texts, boxes, [spans for _, _, spans in inputs]
-
-
 def split_batch(batch: list, max_tokens: int) -> list[list]:
     """Cut a batch of ``((texts, boxes, spans), ...)`` examples into sub-batches.
 
@@ -194,39 +182,6 @@ def score_blocks(scores: np.ndarray, spans: Sequence[Spans]) -> list[np.ndarray]
     return [scores[a : a + n * n].reshape(n, n) for a, n in zip(starts, sizes)]
 
 
-class _Padding:
-    """Documents packed one after another, laid out as one padded array.
-
-    ``counts`` gives each document's row count. ``pad`` turns the packed
-    rows into one zero-padded (B, n, ...) array, n being the largest count,
-    and ``unpad`` takes them back out. With ``pairs`` the documents'
-    flattened (count, count) blocks map to and from one (B, n, n) array
-    instead. When every document has n rows, as in a pack of one, both are
-    reshapes; only a ragged pack scatters into zero padding.
-    """
-
-    def __init__(self, counts: Sequence[int], pairs: bool = False):
-        n = max(counts)
-        self.shape = (len(counts), n, n) if pairs else (len(counts), n)
-        self.mask = None  # the cells that hold the documents' rows, when ragged
-        if min(counts) < n:
-            rows = np.arange(n) < np.array(counts)[:, None]
-            self.mask = rows[:, :, None] & rows[:, None, :] if pairs else rows
-
-    def pad(self, packed: np.ndarray) -> np.ndarray:
-        shape = self.shape + packed.shape[1:]
-        if self.mask is None:
-            return packed.reshape(shape)
-        padded = np.zeros(shape)
-        padded[self.mask] = packed
-        return padded
-
-    def unpad(self, padded: np.ndarray) -> np.ndarray:
-        if self.mask is None:
-            return padded.reshape((-1,) + padded.shape[len(self.shape) :])
-        return padded[self.mask]
-
-
 def pool_elements(
     states: Tensor, spans: Spans, sizes: Optional[Sequence[int]] = None
 ) -> Tensor:
@@ -238,7 +193,7 @@ def pool_elements(
     ``sizes`` gives each document's element count; None means one document.
     Pooling is one batched matmul of the documents' constant (elements,
     tokens) pool matrices with their token states, padded only when the
-    documents differ in element or token count (see ``_Padding``). A pack
+    documents differ in element or token count (see ``nn.Padding``). A pack
     of one is bit-identical to the dense per-document matmul.
     """
     states = as_tensor(states)
@@ -253,7 +208,7 @@ def pool_elements(
         raise ValueError(f"sizes {sizes} do not split {len(spans)} spans")
     firsts = list(itertools.accumulate(sizes, initial=0))[:-1]  # first elements
     doc_tokens = [spans[f + n - 1][1] - spans[f][0] for f, n in zip(firsts, sizes)]
-    elements, tokens = _Padding(sizes), _Padding(doc_tokens)
+    elements, tokens = Padding(sizes), Padding(doc_tokens)
     (_, n_elements), (_, width) = elements.shape, tokens.shape
     # Packed element e, of document b whose first element is f and first
     # token row t0, is row b * n_elements + e - f of the (B * n_elements,
@@ -312,7 +267,7 @@ class GlobalPointerHead:
         in ``pooled``; None means one document, whose (n, n) matrix the
         result then holds as n * n values. All documents' scores are one
         batched matmul of their queries and keys, padded only when the
-        documents differ in size (see ``_Padding``); a pack of one is
+        documents differ in size (see ``nn.Padding``); a pack of one is
         bit-identical to the per-document composite.
         """
         q = linear(pooled, self.store["gp.Wq"], self.store["gp.bq"])
@@ -322,7 +277,7 @@ class GlobalPointerHead:
             raise ValueError(
                 f"sizes cover {sum(sizes)} elements, states have {q.shape[0]}"
             )
-        rows, pairs = _Padding(sizes), _Padding(sizes, pairs=True)
+        rows, pairs = Padding(sizes), Padding(sizes, pairs=True)
         qs, ks = rows.pad(q.data), rows.pad(k.data)
         data = pairs.unpad(qs @ ks.transpose(0, 2, 1))
         out = Tensor(data, q.requires_grad or k.requires_grad, (q, k))
@@ -370,7 +325,7 @@ def gp_loss(
             f"scores of shape {scores.shape} do not hold the {n_cells} cells "
             "the labels cover"
         )
-    layout = _Padding(sizes, pairs=True)
+    layout = Padding(sizes, pairs=True)
     s = layout.pad(scores.data.reshape(-1))
     pos = np.zeros(s.shape, dtype=bool)
     cells = [(b, i, j) for b, rel in enumerate(labels) for i, j in rel.pairs]
@@ -461,30 +416,36 @@ class ROPModel:
 
     def scores(
         self,
-        texts: Sequence[str],
-        boxes: Sequence[BBox],
-        spans: Sequence[Spans],
+        inputs: Sequence[tuple[Sequence[str], Sequence[BBox], Spans]],
         bias: Optional[AttentionBias] = None,
     ) -> Tensor:
-        """Encode the tokens, biased by ``bias``, pool by span and score every pair.
+        """Encode the documents, biased by ``bias``, pool by span and score
+        every pair.
 
-        ``texts`` and ``boxes`` hold the tokens of one or more documents one
-        after another, and ``spans`` one span list per document, each over
-        its own tokens (see ``pack_inputs``). One forward runs over all
-        tokens, however many: callers bound it by what they pack, as
-        ``split_batch`` does. The result holds each document's (n, n) score
-        matrix, flattened row-major, one after another.
+        ``inputs`` holds each document's (texts, boxes, spans), the spans over
+        its own tokens; a document whose texts, boxes and span coverage
+        disagree raises ``ValueError`` naming its position. One forward runs
+        over all the documents' tokens, however many: callers bound it by
+        what they pack, as ``split_batch`` does. The result holds each
+        document's (n, n) score matrix, flattened row-major, one after
+        another.
         """
-        lengths = [check_span_tiling(doc) for doc in spans]
+        texts, boxes, shifted, lengths, sizes = [], [], [], [], []
+        for position, (doc_texts, doc_boxes, spans) in enumerate(inputs):
+            n = check_span_tiling(spans)
+            if not len(doc_texts) == len(doc_boxes) == n:
+                raise ValueError(
+                    f"document {position} has {len(doc_texts)} texts, "
+                    f"{len(doc_boxes)} boxes and spans over {n} tokens"
+                )
+            shifted += [(start + len(texts), end + len(texts)) for start, end in spans]
+            texts += doc_texts
+            boxes += doc_boxes
+            lengths.append(n)
+            sizes.append(len(spans))
         states = encoder_forward(
             self.encoder_config, self.store, texts, boxes, bias, lengths
         )
-        shifted = [
-            (start + first, end + first)
-            for doc, first in zip(spans, itertools.accumulate(lengths, initial=0))
-            for start, end in doc
-        ]
-        sizes = [len(doc) for doc in spans]
         return GlobalPointerHead(self.store).scores(
             pool_elements(states, shifted, sizes), sizes
         )
@@ -512,7 +473,7 @@ class ROPModel:
             for group in split_batch(examples[start : start + size], budget):
                 inputs = [example[0] for example in group]
                 group_bias = None if bias is None else bias(group)
-                scores = self.scores(*pack_inputs(inputs), group_bias).data
+                scores = self.scores(inputs, group_bias).data
                 for block in score_blocks(scores, [spans for _, _, spans in inputs]):
                     relations.append(decode(block, threshold, enforce_acyclic))
         return relations
@@ -738,9 +699,7 @@ def train(
 
     def batch_loss(batch: list) -> Tensor:
         inputs, labels = zip(*batch)
-        return gp_loss(
-            model.scores(*pack_inputs(inputs)), labels, config.include_diagonal_negatives
-        )
+        return gp_loss(model.scores(inputs), labels, config.include_diagonal_negatives)
 
     def validation_f1() -> float:
         return corpus_f1(zip(val_golds, model.predict(val_docs))).f1

@@ -27,7 +27,6 @@ from .rop import (
     check_span_tiling,
     fit,
     gp_loss,
-    pack_inputs,
     split_batch,
     tokens_for_document,
 )
@@ -243,7 +242,7 @@ def _train_linking_arm(
 
     def batch_loss(batch: list) -> Tensor:
         inputs, links, _ = zip(*batch)
-        return gp_loss(model.scores(*pack_inputs(inputs), bias(batch)), links)
+        return gp_loss(model.scores(inputs, bias(batch)), links)
 
     losses, _, _ = fit(
         model.store,

@@ -81,3 +81,19 @@ def test_bounds_are_oriented_by_better():
     assert relations["docs_per_s"]["ratio"] == pytest.approx(1.3)
     assert relations["peak_rss_mb"]["ratio"] == pytest.approx(1.25)
     assert relations["docs_per_s"]["within_bound"] and relations["peak_rss_mb"]["within_bound"]
+
+
+def test_src_lines_counts_the_package_modules_of_each_checkout(tmp_path):
+    files = {
+        "parent": {"a.py": "x = 1\ny = 2\n\n", "b.py": "z = 3\n", "notes.txt": "n\n" * 9},
+        "change": {"a.py": "x = 1\n", "tests.md": "t\n"},
+    }
+    sides = {}
+    for side, contents in files.items():
+        package = tmp_path / side / "src" / "rorokit"
+        package.mkdir(parents=True)
+        for name, text in contents.items():
+            (package / name).write_text(text, encoding="utf-8")
+        (tmp_path / side / "outside.py").write_text("w = 0\n" * 5, encoding="utf-8")
+        sides[side] = tmp_path / side
+    assert bench_pairs.src_lines(sides) == {"parent": 4, "change": 1, "delta": -3}

@@ -187,6 +187,24 @@ def test_split_outside_the_split_names_exits_1(tmp_path, capsys, split, command)
             "not one of train, validation, test") in err
 
 
+@pytest.mark.parametrize("pair", [[0.9, 1.7], ["0", "1"], [True, False]],
+                         ids=["float", "string", "bool"])
+@pytest.mark.parametrize("field", ["isdr", "links"])
+def test_relation_pair_that_is_not_two_integers_is_refused(tmp_path, capsys, field, pair):
+    corpus = write_corpus(tmp_path, n_docs=3)
+    doc_id = edit_second_document(corpus, lambda obj: obj.update({field: [[0, 1], pair]}))
+    reason = f"{field} pair {pair!r} is not two integers"
+    code, out, err = run(capsys, "stats", str(corpus))
+    assert code == 1 and out == ""
+    assert f"error: document {doc_id}: {reason}" in err
+    code, out, err = run(capsys, "validate", str(corpus))
+    assert code == 1
+    first, second, third = json.loads(out)["documents"]
+    assert first["ok"] and third["ok"] and not second["ok"]
+    [message] = second["schema_errors"]
+    assert message.endswith(reason)
+
+
 @pytest.mark.parametrize("text", [5, None, ["a"]], ids=["int", "null", "list"])
 def test_stats_rejects_word_text_that_is_not_a_string(tmp_path, capsys, text):
     corpus = write_corpus(tmp_path, n_docs=3)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -306,6 +307,20 @@ def test_validate_flags_duplicates_and_ranges():
     assert not report.ok
     as_dict = report.to_dict()
     assert as_dict["ok"] is False and as_dict["id"] == "d"
+
+
+@pytest.mark.parametrize("pair", [[0.9, 1.7], ["0", "1"], [True, False]],
+                         ids=["float", "string", "bool"])
+@pytest.mark.parametrize("field", ["isdr", "links"])
+def test_relation_pair_that_is_not_two_integers_is_refused(field, pair):
+    raw = document_to_dict(chain_doc("d", n=3))
+    raw[field] = [[0, 1], pair]
+    reason = f"{field} pair {pair!r} is not two integers"
+    with pytest.raises(ValidationError, match=re.escape(f"document d: {reason}")):
+        document_from_dict(raw)
+    report = validate_annotation(raw)
+    [message] = report.schema_errors
+    assert message.endswith(reason) and not report.ok
 
 
 # --- gsdr ---

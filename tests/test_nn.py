@@ -13,6 +13,7 @@ from rorokit.nn import (
     EncoderConfig,
     MissingGradientError,
     NonFiniteGradientError,
+    Padding,
     ParameterError,
     ParameterStore,
     TokenOverflowError,
@@ -148,6 +149,41 @@ def test_sinusoidal_rows_bounded_and_distinct():
     dists = np.linalg.norm(lattice[:, None] - lattice[None, :], axis=-1)
     np.fill_diagonal(dists, np.inf)
     assert dists.min() > 1e-3
+
+
+# --- padded layout ---
+
+
+@pytest.mark.parametrize(
+    "counts", [(3, 3, 3), (5,), (1, 4, 2, 4)], ids=["uniform", "one", "ragged"]
+)
+@pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
+def test_padding_matches_per_document_layout(counts, pairs):
+    sizes = [n * n for n in counts] if pairs else list(counts)
+    packed = np.random.default_rng(0).normal(size=(sum(sizes),) + (() if pairs else (3,)))
+    packed[1] = -0.0  # told apart from +0.0 only bit for bit
+    layout = Padding(counts, pairs)
+    padded = layout.pad(packed)
+    # The reference: each document's rows, or (n, n) block, in its own
+    # corner of the (B, n, ...) array, and 0 in every other cell.
+    n = max(counts)
+    want = np.zeros((len(counts), n, n) if pairs else (len(counts), n, 3))
+    starts = np.cumsum([0, *sizes])
+    for b, m in enumerate(counts):
+        block = packed[starts[b] : starts[b + 1]]
+        if pairs:
+            want[b, :m, :m] = block.reshape(m, m)
+        else:
+            want[b, :m] = block
+    assert padded.tobytes() == want.tobytes()
+    assert layout.unpad(padded).tobytes() == packed.tobytes()
+    uniform = len(set(counts)) == 1
+    assert (layout.mask is None) == uniform
+    assert np.shares_memory(padded, packed) == uniform
+    if not uniform:
+        assert layout.mask.shape == padded.shape[: 3 if pairs else 2]
+        assert not np.signbit(padded[~layout.mask]).any()
+        assert not padded[~layout.mask].any()
 
 
 # --- attention ---

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rorokit import nn, rop
+from rorokit import nn
 from rorokit.autodiff import (
     AutodiffError,
     Tensor,
@@ -31,7 +31,6 @@ from rorokit.rop import (
     decode,
     fit,
     gp_loss,
-    pack_inputs,
     pool_elements,
     predict_pseudo_labels,
     score_blocks,
@@ -463,9 +462,9 @@ def test_training_graphs_stay_within_one_document(monkeypatch):
     seen = []
     original = ROPModel.scores
 
-    def recording(self, texts, boxes, spans, bias=None):
-        seen.append(len(texts))
-        return original(self, texts, boxes, spans, bias)
+    def recording(self, inputs, bias=None):
+        seen.append(sum(len(texts) for texts, _, _ in inputs))
+        return original(self, inputs, bias)
 
     monkeypatch.setattr(ROPModel, "scores", recording)
     train(corpus, ROPConfig(epochs=1, val_fraction=0.0), EncoderConfig(max_tokens=budget))
@@ -485,8 +484,8 @@ def test_model_round_trips_through_checkpoint(tmp_path):
     loaded = ROPModel.load(path)
     assert loaded.encoder_config == model.encoder_config
     assert loaded.config == model.config
-    inputs = pack_inputs([tokens_for_document(corpus.documents[0])])
-    assert np.array_equal(loaded.scores(*inputs).data, model.scores(*inputs).data)
+    inputs = [tokens_for_document(corpus.documents[0])]
+    assert np.array_equal(loaded.scores(inputs).data, model.scores(inputs).data)
 
 
 def test_pseudo_labels_match_gold_after_overfitting():
@@ -605,7 +604,7 @@ def test_packed_batch_matches_per_document_composite(max_tokens, bias_kind, diag
     ) * (1.0 / len(docs))
     ref_grads = gradients(model, ref_loss)
 
-    scores = model.scores(*pack_inputs(inputs), bias(rhos))
+    scores = model.scores(inputs, bias(rhos))
     loss = gp_loss(scores, labels, diagonal)
     grads = gradients(model, loss)
 
@@ -632,17 +631,33 @@ def test_every_stored_parameter_has_a_gradient():
             t.data *= 20.0
     lambdas = lambdas_for(model, "trainable")
     inputs, labels, rhos = zip(*docs)
-    scores = model.scores(*pack_inputs(inputs), AttentionBias(rhos, lambdas))
+    scores = model.scores(inputs, AttentionBias(rhos, lambdas))
     grads = gradients(model, gp_loss(scores, labels))
     assert sum(name.startswith("rore.lambda.") for name in grads) == len(lambdas)
     largest = {name: float(np.abs(g).max()) for name, g in grads.items()}
     assert {name: g for name, g in largest.items() if g <= 1e-8} == {}
 
 
+def test_scores_refuse_a_document_whose_tokens_do_not_line_up():
+    # Misaligned documents whose totals agree: packed, c's first token would
+    # take a's last box.
+    model, docs = packed_batch(lengths=(3, 4))
+    (texts_a, boxes_a, spans_a), (texts_c, boxes_c, spans_c) = (d[0] for d in docs)
+    a = (texts_a, boxes_a + boxes_c[:1], spans_a)
+    c = (texts_c, boxes_c[1:], spans_c)
+    with pytest.raises(ValueError, match="document 0 has 3 texts, 4 boxes"):
+        model.scores([a, c])
+    with pytest.raises(ValueError, match="document 1 has 4 texts, 3 boxes"):
+        model.scores([docs[0][0], c])
+    with pytest.raises(ValueError, match="document 1 .* spans over 3 tokens"):
+        model.scores([docs[1][0], (texts_c, boxes_c, spans_a)])
+    assert model.scores([d[0] for d in docs]).shape == (3 * 3 + 4 * 4,)
+
+
 def test_single_document_scores_are_bit_identical_to_the_composite():
     model, docs = packed_batch()
     for inputs, _, _ in docs:
-        got = model.scores(*pack_inputs([inputs])).data
+        got = model.scores([inputs]).data
         assert np.array_equal(got, reference_scores(model, *inputs).data.reshape(-1))
 
 
@@ -715,10 +730,6 @@ def test_batched_pooling_and_scores_match_per_document_composite(
     store = ParameterStore()
     head = GlobalPointerHead.create(5, 4, store, seed=3)
     weights = np.random.default_rng(4).normal(size=sum(n * n for n in element_counts))
-    # Both layouts run: the equal pack is a reshape, the ragged one padded.
-    ragged = len(set(token_counts)) > 1
-    assert (rop._Padding(token_counts).mask is not None) == ragged
-    assert (rop._Padding(element_counts, pairs=True).mask is not None) == ragged
 
     want_pooled, want_scores, want_states_grad = [], [], []
     cells = np.cumsum([0] + [n * n for n in element_counts])
@@ -771,7 +782,7 @@ def test_graph_size_does_not_grow_with_batch_size():
     inputs, labels, _ = zip(*docs)
 
     def batch_nodes(k):
-        scores = model.scores(*pack_inputs(inputs[:k]))
+        scores = model.scores(inputs[:k])
         return count_nodes(gp_loss(scores, labels[:k]))
 
     assert batch_nodes(20) == batch_nodes(1)
@@ -792,9 +803,9 @@ def test_packed_attention_stays_within_one_document_budget(monkeypatch):
     monkeypatch.setattr(nn, "softmax_lastdim", recording)
     heads = model.encoder_config.heads
     parts = split_batch(list(docs), 8)
-    scores = [model.scores(*pack_inputs([i for i, _, _ in p])).data for p in parts]
+    scores = [model.scores([i for i, _, _ in p]).data for p in parts]
     assert len(parts) > 1 and max(cells) <= heads * 8 * 8
-    want = np.concatenate([model.scores(*pack_inputs([i])).data for i, _, _ in docs])
+    want = np.concatenate([model.scores([i]).data for i, _, _ in docs])
     assert_close(np.concatenate(scores), want, "scores")
 
     cells.clear()
@@ -836,7 +847,7 @@ def document_scores(model, page):
     """One page's (n, n) scores from a forward over it alone."""
     inputs = tokens_for_document(page, model.config.task_level, model.config.bbox_level)
     n = len(inputs[2])
-    return model.scores(*pack_inputs([inputs])).data.reshape(n, n)
+    return model.scores([inputs]).data.reshape(n, n)
 
 
 def record_groups(monkeypatch):
@@ -844,9 +855,9 @@ def record_groups(monkeypatch):
     groups = []
     original = ROPModel.scores
 
-    def recording(self, texts, boxes, spans, bias=None):
-        groups.append([doc[-1][1] for doc in spans])
-        return original(self, texts, boxes, spans, bias)
+    def recording(self, inputs, bias=None):
+        groups.append([spans[-1][1] for _, _, spans in inputs])
+        return original(self, inputs, bias)
 
     monkeypatch.setattr(ROPModel, "scores", recording)
     return groups
@@ -880,7 +891,7 @@ def test_packed_and_per_document_predictions_differ_only_at_the_threshold():
     single = [document_scores(model, page) for page in pages]
     inputs = [tokens_for_document(page) for page in pages]
     packed = score_blocks(
-        model.scores(*pack_inputs(inputs)).data, [spans for _, _, spans in inputs]
+        model.scores(inputs).data, [spans for _, _, spans in inputs]
     )
     scale = max(np.abs(s).max() for s in single)
     assert scale > 1.0
@@ -914,15 +925,15 @@ def test_grouped_link_prediction_matches_per_document(monkeypatch, bias_kind):
     want = []
     for doc in docs:
         inputs = doc[0]
-        scores = model.scores(*pack_inputs([inputs]), bias([doc])).data
+        scores = model.scores([inputs], bias([doc])).data
         want.append(decode(scores.reshape(len(inputs[2]), -1)))
     groups = record_groups(monkeypatch)
     biases = []
     recording = ROPModel.scores
 
-    def keep_bias(self, texts, boxes, spans, bias=None):
+    def keep_bias(self, inputs, bias=None):
         biases.append(bias)
-        return recording(self, texts, boxes, spans, bias)
+        return recording(self, inputs, bias)
 
     # A random model's scores move by about 1e-6 under this bias, too little
     # to change a decoded pair, so each forward's bias is checked directly.

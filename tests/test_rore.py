@@ -214,11 +214,11 @@ def test_biased_model_scores_match_enhanced_encode(init):
     rel = Relation.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
     matrix = build_relation_matrix(rel, spans, "isdr")
     bias = AttentionBias(matrix.bits, lambda_params(model.store, encoder.layers))
-    biased = model.scores(texts, boxes, [spans], bias).data
+    biased = model.scores([(texts, boxes, spans)], bias).data
     states = enhanced_encode(texts, boxes, matrix, encoder, model.store)
     reference = GlobalPointerHead(model.store).scores(pool_elements(states, spans))
     assert np.array_equal(biased, reference.data)
-    unbiased = model.scores(texts, boxes, [spans]).data
+    unbiased = model.scores([(texts, boxes, spans)]).data
     if init == 0.0:
         assert np.allclose(biased, unbiased, atol=1e-12, rtol=0.0)
     else:
