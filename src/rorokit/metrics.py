@@ -83,10 +83,11 @@ def heuristic_reading_order(doc: Document) -> list[int]:
     """Row-major segment order: horizontal bands top-down, left-right within.
 
     A new band starts when the vertical gap between consecutive y-centers
-    exceeds half the median segment height. Deterministic for fixed input.
+    exceeds half the median segment height. Deterministic for fixed input;
+    a document without segments has the empty order.
     """
     if not doc.segments:
-        raise ValueError(f"document {doc.id} has no segments")
+        return []
     heights = sorted(s.box.height for s in doc.segments)
     median_height = heights[len(heights) // 2]
     threshold = median_height / 2.0

@@ -12,15 +12,18 @@ stays within each document, in zero-padded (documents x heads x width x
 width) arrays. One document is the one-pack, unpadded case.
 
 Everything is float64 and deterministic: same parameters and inputs give
-bit-identical outputs, and checkpoints serialize to byte-stable JSON.
+bit-identical outputs, and checkpoints serialize to byte-stable JSON that
+holds each parameter's exact float64 bytes.
 """
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -674,50 +677,37 @@ def _adamw(data, grad, m, v, t, hyper, scratch) -> None:
 # Checkpoints
 
 
-def _checkpoint_chunks(config: dict, store: ParameterStore) -> Iterator[str]:
-    """The checkpoint's JSON text in pieces, one parameter at a time.
-
-    Joined, the pieces equal ``json.dumps`` of the whole checkpoint object
-    with ``sort_keys``; writing them one by one never holds every
-    parameter's values as Python floats and text at once.
-    """
-    yield (
-        '{"config": ' + json.dumps(config, sort_keys=True)
-        + ', "format_version": 2, "params": {'
-    )
-    for i, (name, tensor) in enumerate(store.items()):
-        entry = {"shape": list(tensor.shape), "values": tensor.data.reshape(-1).tolist()}
-        separator = ", " if i else ""
-        yield f"{separator}{json.dumps(name)}: {json.dumps(entry, sort_keys=True)}"
-    yield "}}"
-
-
 def checkpoint_to_json(config: dict, store: ParameterStore) -> str:
-    # sort_keys + full-precision repr floats => byte-stable and lossless.
-    return "".join(_checkpoint_chunks(config, store))
+    """The checkpoint's JSON text: ``config`` and each parameter's ``shape``
+    as plain JSON, its ``values`` as base64 of its little-endian float64
+    bytes; ``sort_keys`` and the exact bytes make it byte-stable and lossless."""
+    params = {}
+    for name, t in store.items():
+        raw = base64.b64encode(t.data.astype("<f8", copy=False).tobytes())
+        params[name] = {"shape": list(t.shape), "values": raw.decode("ascii")}
+    obj = {"config": config, "format_version": 3, "params": params}
+    return json.dumps(obj, sort_keys=True)
 
 
 def save_checkpoint(path, config: dict, store: ParameterStore) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for chunk in _checkpoint_chunks(config, store):
-            fh.write(chunk)
-        fh.write("\n")
+        print(checkpoint_to_json(config, store), file=fh)
 
 
 def checkpoint_from_json(text: str) -> tuple[dict, ParameterStore]:
     """Config and parameters of a checkpoint's JSON text.
 
-    The text must hold an object with a ``config`` object and a ``params``
-    object, each parameter an object with a ``shape`` (a list of sizes) and
-    as many ``values`` as the shape needs, every value a finite number;
-    otherwise ``CheckpointError`` names the missing or unexpected field.
+    The text must hold a format-3 object with a ``config`` object and a
+    ``params`` object, each parameter an object with a ``shape`` (a list of
+    sizes) and ``values``, base64 of 8 bytes per element of the shape, each
+    a finite float64; otherwise ``CheckpointError`` names what is wrong.
     """
     obj = json.loads(text)
     if not isinstance(obj, dict):
         kind = type(obj).__name__
         raise CheckpointError(f"checkpoint holds a JSON {kind}, not an object")
     version = obj.get("format_version")
-    if version != 2:
+    if version != 3:
         raise CheckpointError(f"unsupported checkpoint format_version: {version!r}")
     for section in ("config", "params"):
         if not isinstance(obj.get(section), dict):
@@ -735,21 +725,24 @@ def checkpoint_from_json(text: str) -> tuple[dict, ParameterStore]:
             raise CheckpointError(
                 f"parameter {name!r} has shape {shape!r}, not a list of sizes"
             )
-        not_finite = f"parameter {name!r} holds a value that is not a finite number"
         try:
-            values = np.array(entry["values"])
-        except ValueError:  # ragged nesting
-            raise CheckpointError(not_finite) from None
-        needed = int(np.prod(shape))
-        if values.ndim != 1 or values.size != needed:
+            raw = base64.b64decode(entry["values"], validate=True)
+        except (TypeError, ValueError):  # not text, or not base64
             raise CheckpointError(
-                f"parameter {name!r} has {values.size} values, but its shape "
+                f"parameter {name!r} has values that are not base64 text"
+            ) from None
+        needed = 8 * math.prod(shape)
+        if len(raw) != needed:
+            raise CheckpointError(
+                f"parameter {name!r} has {len(raw)} value bytes, but its shape "
                 f"{shape} needs {needed}"
             )
-        # A string, bool or null among the values leaves the array non-numeric.
-        if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
-            raise CheckpointError(not_finite)
-        store.add(name, values.astype(np.float64).reshape(shape))
+        values = np.frombuffer(raw, dtype="<f8")
+        if not np.isfinite(values).all():
+            raise CheckpointError(
+                f"parameter {name!r} holds a value that is not a finite number"
+            )
+        store.add(name, values.reshape(shape))
     return obj["config"], store
 
 

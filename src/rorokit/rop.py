@@ -13,6 +13,7 @@ parameters.
 from __future__ import annotations
 
 import itertools
+import json
 import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence, Union
@@ -507,6 +508,8 @@ class ROPModel:
             )
         except CheckpointError as exc:
             raise CheckpointError(f"{path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
         expected = cls.create(
             model.encoder_config, model.config, np.random.default_rng(0)
         ).store
@@ -626,6 +629,8 @@ def _skip_reason(
     sequence would orphan pair labels and distort both loss and metrics.
     """
     n_elements = doc.n_segments if config.task_level == "segment" else doc.n_words
+    if n_elements == 0:
+        return f"no {config.task_level} elements"
     if n_elements > config.effective_max_elements:
         return (
             f"{n_elements} {config.task_level} elements exceed the budget of "

@@ -1,6 +1,8 @@
+import base64
 import json
 import re
 
+import numpy as np
 import pytest
 
 from rorokit.cli import main
@@ -393,6 +395,15 @@ def write_model(tmp_path, **encoder):
     return path
 
 
+def pack(values) -> str:
+    """A checkpoint's ``values`` text: base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unpack(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
 @pytest.mark.parametrize(
     "name, shape", [("enc.tok_embed", [4, 16]), ("gp.Wq", [16, 2])]
 )
@@ -403,7 +414,7 @@ def test_checkpoint_shapes_must_fit_config(tmp_path, capsys, name, shape):
     param = obj["params"][name]
     needed = param["shape"]
     param["shape"] = shape
-    param["values"] = param["values"][: shape[0] * shape[1]]
+    param["values"] = pack(unpack(param["values"])[: shape[0] * shape[1]])
     model.write_text(json.dumps(obj))
     for argv in (["predict", "--out-corpus", str(tmp_path / "out.jsonl")], ["eval"]):
         code, out, err = run(capsys, argv[0], str(corpus), "--model", str(model),
@@ -414,20 +425,42 @@ def test_checkpoint_shapes_must_fit_config(tmp_path, capsys, name, shape):
 
 
 def truncate_values(param):
-    param["values"] = param["values"][:-1]
+    param["values"] = pack(unpack(param["values"])[:-1])
 
 
-def poison_value(param):
-    param["values"][3] = float("nan")  # json.dumps writes the bare NaN token
+def cut_bytes(param):
+    raw = base64.b64decode(param["values"])
+    param["values"] = base64.b64encode(raw[:-3]).decode("ascii")
+
+
+def poison_value(value):
+    def corrupt(param):
+        values = unpack(param["values"])
+        values[3] = value
+        param["values"] = pack(values)
+
+    return corrupt
+
+
+def set_values(values):
+    return lambda param: param.update(values=values)
+
+
+NOT_BASE64 = "has values that are not base64 text"
 
 
 @pytest.mark.parametrize(
     "corrupt, reason",
     [
-        (truncate_values, "has 127 values, but its shape [128] needs 128"),
-        (poison_value, "holds a value that is not a finite number"),
+        (truncate_values, "has 1016 value bytes, but its shape [128] needs 1024"),
+        (cut_bytes, "has 1021 value bytes, but its shape [128] needs 1024"),
+        (poison_value(np.nan), "holds a value that is not a finite number"),
+        (poison_value(-np.inf), "holds a value that is not a finite number"),
+        (set_values([0.0] * 128), NOT_BASE64),
+        (set_values("AAAA*AAA"), NOT_BASE64),
+        (set_values("AAAAAAAAAAA"), NOT_BASE64),
     ],
-    ids=["truncated", "nan"],
+    ids=["truncated", "odd-bytes", "nan", "inf", "list", "not-base64", "bad-padding"],
 )
 def test_checkpoint_values_are_checked_at_load(tmp_path, capsys, corrupt, reason):
     corpus = write_corpus(tmp_path, n_docs=2)
@@ -440,6 +473,17 @@ def test_checkpoint_values_are_checked_at_load(tmp_path, capsys, corrupt, reason
                              *argv[1:])
         assert code == 1 and out == ""
         assert f"{model}: parameter 'gp.bq' {reason}" in err
+
+
+def test_checkpoint_that_is_not_json_is_named(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, n_docs=2)
+    model = tmp_path / "bad.json"
+    model.write_text("not json\n")
+    for argv in (["predict", "--out-corpus", str(tmp_path / "out.jsonl")], ["eval"]):
+        code, out, err = run(capsys, argv[0], str(corpus), "--model", str(model),
+                             *argv[1:])
+        assert code == 2 and out == ""
+        assert f"error: {model}: Expecting value: line 1 column 1 (char 0)" in err
 
 
 def without(key):
@@ -466,6 +510,13 @@ def edit_rop(field, value):
     return corrupt
 
 
+def as_format_2(obj):
+    """The same checkpoint as format 2 wrote it: values as JSON float lists."""
+    for param in obj["params"].values():
+        param["values"] = unpack(param["values"]).tolist()
+    return {**obj, "format_version": 2}
+
+
 @pytest.mark.parametrize(
     "corrupt, reason",
     [
@@ -482,12 +533,13 @@ def edit_rop(field, value):
         (lambda obj: [obj], "checkpoint holds a JSON list, not an object"),
         (lambda obj: {**obj, "format_version": 1},
          "unsupported checkpoint format_version: 1"),
+        (as_format_2, "unsupported checkpoint format_version: 2"),
         (edit_rop("max_tokens", 2048),
          "config section 'rop': ROPConfig.__init__() got an unexpected keyword "
          "argument 'max_tokens'"),
     ],
     ids=["no-params", "no-config", "no-shape", "negative-shape", "unknown-key",
-         "float-count", "list", "format-1", "rop-max-tokens"],
+         "float-count", "list", "format-1", "format-2", "rop-max-tokens"],
 )
 def test_checkpoint_structure_is_checked_at_load(tmp_path, capsys, corrupt, reason):
     corpus = write_corpus(tmp_path, n_docs=2)
@@ -586,6 +638,31 @@ def test_eval_skips_documents_over_the_token_budget(tmp_path, capsys):
     with pytest.warns(UserWarning, match="skipping document"):
         code, out, err = run(capsys, "eval", str(corpus), "--model", str(tiny))
     assert code == 1 and out == "" and "all 8 documents exceed" in err
+
+
+def test_a_document_without_segments_is_skipped_not_fatal(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, n_docs=8)
+    empty = {"id": "empty", "page": [100, 100], "segments": [], "isdr": []}
+    with open(corpus, "a") as fh:
+        fh.write(json.dumps(empty) + "\n")
+    skipped = [{"id": "empty", "reason": "no segment elements"}]
+    model = tmp_path / "model.json"
+    with pytest.warns(UserWarning, match="skipping document empty"):
+        code, out, _ = run(capsys, "train", str(corpus), "--model", str(model),
+                           "--config", str(write_config(tmp_path, TRAIN_CFG)))
+    assert code == 0 and json.loads(out)["skipped"] == skipped
+    with pytest.warns(UserWarning, match="skipping document empty"):
+        code, out, _ = run(capsys, "eval", str(corpus), "--model", str(model))
+    report = json.loads(out)
+    assert code == 0 and report["skipped"] == skipped
+    assert report["systems"][0]["docs"] == 8
+    with pytest.warns(UserWarning, match="skipping document empty"):
+        code, out, _ = run(capsys, "predict", str(corpus), "--model", str(model),
+                           "--out-corpus", str(tmp_path / "pred.jsonl"))
+    assert code == 0
+    assert json.loads(out)["documents"]["empty"] == {"skipped": "no segment elements"}
+    code, out, _ = run(capsys, "eval", str(corpus), "--heuristic")
+    assert code == 0 and json.loads(out)["systems"][0]["docs"] == 9
 
 
 def test_eval_without_systems_exits_1(tmp_path, capsys):

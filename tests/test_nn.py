@@ -1,3 +1,4 @@
+import base64
 import json
 from collections import namedtuple
 
@@ -696,26 +697,38 @@ def test_adamw_never_skips_an_array_rebound_or_added_after_the_layout(edit):
 # --- checkpoints ---
 
 
+def extreme_store():
+    """Edge values a lossless checkpoint keeps bit for bit: a negative zero,
+    subnormals (one in a 0-D parameter) and the largest finite float64 of
+    either sign."""
+    store = ParameterStore()
+    big = np.finfo(float).max
+    store.add("x", np.array([[-0.0, 5e-324], [big, -big]]))
+    store.add("s", np.array(np.finfo(float).tiny / 3))
+    return store
+
+
 def test_checkpoint_round_trip_exact_and_stable(tmp_path):
     cfg = EncoderConfig(layers=1, model_dim=4, heads=2, vocab_hash_size=8, ffn_dim=8)
-    store = init_encoder_params(cfg, seed=5)
-    text = checkpoint_to_json(cfg.to_dict(), store)
-    loaded_cfg, loaded = checkpoint_from_json(text)
-    assert EncoderConfig.from_dict(loaded_cfg) == cfg
-    assert loaded.names() == store.names()
-    for name, tensor in store.items():
-        assert np.array_equal(loaded[name].data, tensor.data)
-    assert checkpoint_to_json(loaded_cfg, loaded) == text
+    for store in (init_encoder_params(cfg, seed=5), extreme_store()):
+        text = checkpoint_to_json(cfg.to_dict(), store)
+        loaded_cfg, loaded = checkpoint_from_json(text)
+        assert EncoderConfig.from_dict(loaded_cfg) == cfg
+        assert loaded.names() == store.names()
+        for name, tensor in store.items():
+            assert loaded[name].data.shape == tensor.data.shape
+            assert loaded[name].data.tobytes() == tensor.data.tobytes()
+        assert checkpoint_to_json(loaded_cfg, loaded) == text
 
-    path = tmp_path / "model.json"
-    save_checkpoint(path, cfg.to_dict(), store)
-    save_checkpoint(tmp_path / "model2.json", cfg.to_dict(), store)
-    assert path.read_bytes() == (tmp_path / "model2.json").read_bytes()
-    cfg2, store2 = load_checkpoint(path)
-    assert store2.names() == store.names()
+        path = tmp_path / "model.json"
+        save_checkpoint(path, cfg.to_dict(), store)
+        save_checkpoint(tmp_path / "model2.json", cfg.to_dict(), store)
+        assert path.read_bytes() == (tmp_path / "model2.json").read_bytes()
+        cfg2, store2 = load_checkpoint(path)
+        assert store2.names() == store.names()
 
 
-def test_saved_checkpoint_streams_the_json_text(tmp_path):
+def test_saved_checkpoint_is_one_json_text(tmp_path):
     cfg = EncoderConfig(layers=1, model_dim=4, heads=2, vocab_hash_size=8, ffn_dim=8)
     store = init_encoder_params(cfg, seed=6)
     config = {"encoder": cfg.to_dict(), "note": {"b": [1.5, None], "a": "x"}}
@@ -724,10 +737,13 @@ def test_saved_checkpoint_streams_the_json_text(tmp_path):
     text = checkpoint_to_json(config, store)
     assert path.read_bytes() == (text + "\n").encode("utf-8")
     whole = {
-        "format_version": 2,
+        "format_version": 3,
         "config": config,
         "params": {
-            name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
+            name: {
+                "shape": list(t.shape),
+                "values": base64.b64encode(t.data.astype("<f8").tobytes()).decode(),
+            }
             for name, t in store.items()
         },
     }
