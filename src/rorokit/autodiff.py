@@ -230,12 +230,17 @@ class Tensor:
         return out
 
     def relu(self):
-        mask = self.data > 0
-        out = Tensor(np.where(mask, self.data, 0.0), self.requires_grad, (self,))
+        # Bit for bit np.where(x > 0, x, 0.0) without its branchy select:
+        # np.maximum may return either zero for x = -0.0, and adding +0.0
+        # turns -0.0 into +0.0 and leaves every other value as it is. A NaN
+        # input propagates instead of becoming 0.0.
+        value = np.maximum(self.data, 0.0)
+        value += 0.0
+        out = Tensor(value, self.requires_grad, (self,))
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * (self.data > 0))
 
         out._backward = backward
         return out

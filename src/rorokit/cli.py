@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Callable, Optional
 
 from .autodiff import AutodiffError
@@ -114,13 +115,15 @@ def _select_split(corpus: Corpus, split: str) -> list[Document]:
 
 
 def cmd_validate(args) -> int:
-    reports = [validate_annotation(row) for _, row in read_json_lines(args.corpus)]
-    ok = all(r.ok for r in reports)
-    for report in reports:
+    reports = [
+        (lineno, validate_annotation(row)) for lineno, row in read_json_lines(args.corpus)
+    ]
+    ok = all(r.ok for _, r in reports)
+    for lineno, report in reports:
         if not report.ok:
-            _note(f"invalid: {report.doc_id}: {report.to_dict()}")
+            _note(f"invalid: line {lineno}: {report.doc_id}: {report.to_dict()}")
     _emit_json(
-        {"ok": ok, "documents": [r.to_dict() for r in reports]}, args.output
+        {"ok": ok, "documents": [r.to_dict() for _, r in reports]}, args.output
     )
     return EXIT_OK if ok else EXIT_DOMAIN
 
@@ -240,6 +243,18 @@ def _system_table(
     return systems
 
 
+def _all_skipped(skipped: list[dict]) -> str:
+    """Why every document was skipped: each kind of reason with its count."""
+    kinds = Counter(
+        f"have {s['reason']}" if s["reason"].startswith("no ") else "exceed the model's budgets"
+        for s in skipped
+    )
+    if len(kinds) == 1:
+        return f"all {len(skipped)} documents {next(iter(kinds))}"
+    counts = ", ".join(f"{count} {kind}" for kind, count in kinds.items())
+    return f"all {len(skipped)} documents were skipped: {counts}"
+
+
 def cmd_eval(args) -> int:
     model = ROPModel.load(args.model) if args.model else None
     level = model.config.task_level if model is not None else "segment"
@@ -249,7 +264,7 @@ def cmd_eval(args) -> int:
     if model is not None:
         docs = filter_usable(docs, model.config, model.encoder_config, skipped)
         if not docs:
-            raise ValueError(f"all {len(skipped)} documents exceed the model's budgets")
+            raise ValueError(_all_skipped(skipped))
     systems = _system_table(args, model, docs, level)
     gold_fn = derive_word_level if level == "word" else None
     report = benchmark_report(

@@ -239,8 +239,21 @@ def document_to_dict(doc: Document, split: Optional[str] = None) -> dict:
     return out
 
 
+def document_id(obj: dict) -> str:
+    """The ``id`` of a corpus line; one that is missing or not a non-empty
+    string raises :class:`ValidationError`."""
+    doc_id = obj.get("id")
+    if not isinstance(doc_id, str) or not doc_id:
+        raise ValidationError(
+            f"document id must be a non-empty string, got {doc_id!r}"
+            if "id" in obj
+            else "document has no id"
+        )
+    return doc_id
+
+
 def document_from_dict(obj: dict, allow_cyclic: bool = False) -> Document:
-    doc_id = str(obj.get("id", "<missing id>"))
+    doc_id = document_id(obj)
     try:
         page = obj["page"]
         segments = []
@@ -301,7 +314,8 @@ def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
 
     Raises :class:`CorpusParseError` with the line number on malformed JSON
     or a line that is not a JSON object, and :class:`ValidationError`
-    naming the document on invariant breaches, naming the line and the
+    naming the document on invariant breaches, naming the line for an
+    ``id`` that is missing or not a non-empty string and the line and the
     document for a ``split`` that is not one of ``SPLITS``, or naming the
     id and both line numbers when a document id repeats.
     """
@@ -311,6 +325,11 @@ def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
     for lineno, obj in read_json_lines(path):
         if not isinstance(obj, dict):
             raise CorpusParseError(lineno, f"holds a JSON {type(obj).__name__}, not an object")
+        try:
+            document_id(obj)
+            split_name = document_split(obj)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
         doc = document_from_dict(obj, allow_cyclic=allow_cyclic)
         if doc.id in first_line:
             raise ValidationError(
@@ -319,10 +338,7 @@ def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
             )
         first_line[doc.id] = lineno
         documents.append(doc)
-        try:
-            split[doc.id] = document_split(obj)
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
+        split[doc.id] = split_name
     return Corpus(tuple(documents), split)
 
 

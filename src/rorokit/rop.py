@@ -382,7 +382,8 @@ def decode(
     n = s.shape[0]
     mask = s > threshold
     np.fill_diagonal(mask, False)
-    pairs = {(int(i), int(j)) for i, j in np.argwhere(mask)}
+    rows, cols = np.nonzero(mask)
+    pairs = set(zip(rows.tolist(), cols.tolist()))
     if enforce_acyclic:
         while True:
             rel = Relation.from_pairs(n, pairs)

@@ -53,6 +53,54 @@ def test_exp_log_relu():
     check(lambda: (q.relu() * q).sum(), {"q": q})
 
 
+def relu_oracle(x):
+    return np.where(x > 0, x, 0.0)
+
+
+EXTREMES = np.array([
+    -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, np.finfo(float).tiny,
+    np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, 1.0, -1.0,
+])
+
+
+def test_relu_forward_is_bit_identical_to_the_masked_select():
+    rng = np.random.default_rng(0)
+    # -0.0 at every position of every length up to 40 reaches both the SIMD
+    # body and the scalar tail of np.maximum.
+    for n in range(1, 41):
+        for pos in range(n):
+            x = rng.normal(size=n)
+            x[pos] = -0.0
+            assert Tensor(x).relu().data.tobytes() == relu_oracle(x).tobytes()
+    for x in (EXTREMES, rng.permutation(np.tile(EXTREMES, 7)).reshape(7, 13)):
+        assert Tensor(x).relu().data.tobytes() == relu_oracle(x).tobytes()
+    x = rng.normal(size=(28, 256))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    assert Tensor(x).relu().data.tobytes() == relu_oracle(x).tobytes()
+
+
+def test_relu_forward_is_positive_zero_whichever_zero_maximum_picks(monkeypatch):
+    # Which operand np.maximum returns for -0.0 against 0.0 is not specified;
+    # a platform that returns the first one must still give +0.0.
+    monkeypatch.setattr(np, "maximum", lambda a, b: np.where(a < b, b, a))
+    x = np.array([-0.0, 0.0, -1.0, 2.0, -0.0])
+    assert Tensor(x).relu().data.tobytes() == relu_oracle(x).tobytes()
+
+
+def test_relu_propagates_nan():
+    out = Tensor(np.array([np.nan, -1.0, 1.0])).relu().data
+    assert np.isnan(out[0]) and out[1:].tolist() == [0.0, 1.0]
+
+
+def test_relu_backward_passes_the_gradient_where_the_input_is_positive():
+    rng = np.random.default_rng(1)
+    x = np.concatenate([EXTREMES, rng.normal(size=20)])
+    w = rng.normal(size=x.shape)
+    q = Tensor(x, requires_grad=True)
+    (q.relu() * Tensor(w)).sum().backward()
+    assert q.grad.tobytes() == (w * (x > 0)).tobytes()
+
+
 def test_broadcast_add_and_mul_accumulate_correctly():
     m = Tensor(rand(4, 3, seed=6), requires_grad=True)
     row = Tensor(rand(3, seed=7), requires_grad=True)

@@ -174,7 +174,7 @@ def edit_second_document(corpus, edit):
     edit(obj)
     lines[1] = json.dumps(obj)
     corpus.write_text("\n".join(lines) + "\n")
-    return obj["id"]
+    return obj.get("id")
 
 
 @pytest.mark.parametrize("split", [["train"], 1, "dev"], ids=["list", "int", "unknown"])
@@ -218,6 +218,34 @@ def test_stats_rejects_word_text_that_is_not_a_string(tmp_path, capsys, text):
     code, out, err = run(capsys, "stats", str(corpus))
     assert code == 1 and out == ""
     assert f"error: document {doc_id}: word text must be a string, got {text!r}" in err
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda obj: obj.pop("id"), "document has no id"),
+        (lambda obj: obj.update(id=None), "document id must be a non-empty string, got None"),
+        (lambda obj: obj.update(id=5), "document id must be a non-empty string, got 5"),
+        (lambda obj: obj.update(id=""), "document id must be a non-empty string, got ''"),
+    ],
+    ids=["missing", "null", "int", "empty"],
+)
+def test_document_id_that_is_not_a_non_empty_string_is_refused(tmp_path, capsys, edit, reason):
+    corpus = write_corpus(tmp_path, n_docs=3)
+    edit_second_document(corpus, edit)
+    model = write_model(tmp_path)
+    for command in (["stats"], ["eval", "--heuristic"],
+                    ["predict", "--model", str(model), "--out-corpus", str(tmp_path / "p.jsonl")]):
+        code, out, err = run(capsys, command[0], str(corpus), *command[1:])
+        assert code == 1 and out == ""
+        assert f"error: line 2: {reason}" in err
+    assert not (tmp_path / "p.jsonl").exists()
+    code, out, err = run(capsys, "validate", str(corpus))
+    assert code == 1
+    first, second, third = json.loads(out)["documents"]
+    assert first["ok"] and third["ok"] and not second["ok"]
+    assert second["schema_errors"] == [reason]
+    assert "invalid: line 2: " in err
 
 
 def test_closure_command(tmp_path, capsys):
@@ -638,6 +666,27 @@ def test_eval_skips_documents_over_the_token_budget(tmp_path, capsys):
     with pytest.warns(UserWarning, match="skipping document"):
         code, out, err = run(capsys, "eval", str(corpus), "--model", str(tiny))
     assert code == 1 and out == "" and "all 8 documents exceed" in err
+
+
+def test_eval_names_why_every_document_was_skipped(tmp_path, capsys):
+    empty = {"id": "empty", "page": [100, 100], "segments": [], "isdr": []}
+    alone = tmp_path / "alone.jsonl"
+    alone.write_text(json.dumps(empty) + "\n")
+    model = write_model(tmp_path)
+    with pytest.warns(UserWarning, match="skipping document empty"):
+        code, out, err = run(capsys, "eval", str(alone), "--model", str(model))
+    assert code == 1 and out == ""
+    assert "error: all 1 documents have no segment elements" in err
+    assert "exceed" not in err
+    corpus = write_corpus(tmp_path, n_docs=8)
+    with open(corpus, "a") as fh:
+        fh.write(json.dumps(empty) + "\n")
+    tiny = write_model(tmp_path, max_tokens=1)
+    with pytest.warns(UserWarning, match="skipping document"):
+        code, out, err = run(capsys, "eval", str(corpus), "--model", str(tiny))
+    assert code == 1 and out == ""
+    assert ("error: all 9 documents were skipped: 8 exceed the model's budgets, "
+            "1 have no segment elements") in err
 
 
 def test_a_document_without_segments_is_skipped_not_fatal(tmp_path, capsys):

@@ -323,6 +323,29 @@ def test_relation_pair_that_is_not_two_integers_is_refused(field, pair):
     assert message.endswith(reason) and not report.ok
 
 
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda obj: obj.pop("id"), "document has no id"),
+        (lambda obj: obj.update(id=None), "document id must be a non-empty string, got None"),
+        (lambda obj: obj.update(id=5), "document id must be a non-empty string, got 5"),
+        (lambda obj: obj.update(id=""), "document id must be a non-empty string, got ''"),
+    ],
+    ids=["missing", "null", "int", "empty"],
+)
+def test_document_id_that_is_not_a_non_empty_string_is_refused(tmp_path, edit, reason):
+    raw = document_to_dict(chain_doc("d", n=2))
+    edit(raw)
+    with pytest.raises(ValidationError, match=re.escape(reason)):
+        document_from_dict(raw)
+    report = validate_annotation(raw)
+    assert report.schema_errors == (reason,) and not report.ok
+    path = tmp_path / "ids.jsonl"
+    path.write_text(json.dumps(document_to_dict(chain_doc("a"))) + "\n" + json.dumps(raw) + "\n")
+    with pytest.raises(ValidationError, match=re.escape(f"line 2: {reason}")):
+        load_corpus(path)
+
+
 # --- gsdr ---
 
 

@@ -39,7 +39,7 @@ from rorokit.rop import (
     tokens_for_document,
     train,
 )
-from rorokit.relations import Relation
+from rorokit.relations import Relation, is_acyclic
 from rorokit.rore import init_lambda_params
 from rorokit.synth import SynthConfig, synth_generate
 
@@ -286,6 +286,36 @@ def test_decode_depends_only_on_margin_signs(seed, gain):
     rng = np.random.default_rng(seed)
     scores = rng.normal(size=(5, 5))
     assert decode(scores) == decode(scores * gain)
+
+
+def decode_oracle(s, threshold=0.0, enforce_acyclic=False):
+    """decode as an ``np.argwhere`` walk with the same repair loop."""
+    n = s.shape[0]
+    mask = s > threshold
+    np.fill_diagonal(mask, False)
+    pairs = {(int(i), int(j)) for i, j in np.argwhere(mask)}
+    while enforce_acyclic:
+        rel = Relation.from_pairs(n, pairs)
+        ok, violation = is_acyclic(rel)
+        if ok:
+            return rel
+        cycle = violation.witness
+        pairs.discard(min(zip(cycle, cycle[1:]), key=lambda e: (s[e[0], e[1]], e)))
+    return Relation.from_pairs(n, pairs)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_decode_matches_the_argwhere_walk(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 13))
+    threshold = float(rng.choice([0.0, 0.25, -0.5]))
+    scores = rng.normal(-0.3, 1.0, size=(n, n))
+    scores[rng.random((n, n)) < 0.2] = threshold
+    np.fill_diagonal(scores, rng.choice([threshold, 5.0, -5.0]))
+    for repair in (False, True):
+        got = decode(scores, threshold, repair)
+        assert got == decode_oracle(scores, threshold, repair)
+        assert all(type(i) is int for pair in got.pairs for i in pair)
 
 
 # --- end-to-end gradient ---
