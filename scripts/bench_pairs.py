@@ -12,7 +12,8 @@ workload (``--claim``) runs ``PAIRS`` untraced pairs on seed 0 and
 too. Without ``--claim`` every workload runs ``OTHER_PAIRS`` and the report
 records ``"claim": null``. Every workload runs ``TRACED_PAIRS`` traced pairs
 on seed 0, and its per-layer values are the medians of each side's traced
-runs, so that one run taken under a burst of host load does not set them.
+runs, so that a slow spell of host load does not set them: with three
+traced pairs, two slow runs of one side were enough to move a median.
 Pairs alternate which side runs first. The output holds every run, per-metric
 medians and quartiles (inclusive method) for each side, per workload whether
 the change's seed-0 determinism hashes and input digests equal the parent's
@@ -37,7 +38,7 @@ from typing import Optional
 
 WORKLOADS = ("rop-train", "rop-predict", "relations-eval", "rore-link")
 METRIC = "docs_per_s"
-PAIRS, HELD_OUT_PAIRS, OTHER_PAIRS, TRACED_PAIRS = 10, 3, 3, 3
+PAIRS, HELD_OUT_PAIRS, OTHER_PAIRS, TRACED_PAIRS = 10, 3, 3, 7
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

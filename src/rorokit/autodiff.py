@@ -391,16 +391,16 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     One node. With ``xhat`` the normalized input, ``std`` the standard
-    deviation (``eps`` included) and ``g = grad * gain``, the input gradient
-    is ``(g - mean(g) - xhat * mean(g * xhat)) / std``.
+    deviation (1e-5 added to the variance) and ``g = grad * gain``, the input
+    gradient is ``(g - mean(g) - xhat * mean(g * xhat)) / std``.
     """
     scale = 1.0 / x.data.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
-    std = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** 0.5
+    std = ((centered * centered).sum(axis=-1, keepdims=True) * scale + 1e-5) ** 0.5
     xhat = centered / std
     out = Tensor(
         xhat * gain.data + bias.data,

@@ -156,8 +156,6 @@ def cmd_closure(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    if args.level != "word":
-        raise ValueError(f"unsupported conversion level {args.level!r}")
     corpus = load_corpus(args.corpus)
     converted = []
     for doc in corpus.documents:

@@ -70,7 +70,7 @@ class BBox:
 
     def __post_init__(self):
         for name in ("x0", "y0", "x1", "y1"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            check_integer(f"box {name}", getattr(self, name))
         if not (0 <= self.x0 <= self.x1 <= COORD_MAX):
             raise ValidationError(f"bad x extent: {self.as_list()}")
         if not (0 <= self.y0 <= self.y1 <= COORD_MAX):
@@ -122,7 +122,7 @@ class Segment:
     box: BBox
 
     def __post_init__(self):
-        object.__setattr__(self, "id", int(self.id))
+        check_integer("segment id", self.id)
         object.__setattr__(self, "words", tuple(self.words))
         if not self.words:
             raise ValidationError(f"segment {self.id} has no words")
@@ -144,8 +144,8 @@ class Document:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "page_width", int(self.page_width))
-        object.__setattr__(self, "page_height", int(self.page_height))
+        check_integer("page width", self.page_width)
+        check_integer("page height", self.page_height)
         if self.page_width <= 0 or self.page_height <= 0:
             raise ValidationError(f"document {self.id}: non-positive page size")
         ids = [s.id for s in self.segments]
@@ -378,25 +378,9 @@ def derive_word_level(doc: Document) -> Relation:
     return Relation(doc.n_words, frozenset(pairs))
 
 
-@dataclass(frozen=True)
-class DocumentNonlinearity:
-    doc_id: str
-    nonlinear: int
-    total: int
-
-    @property
-    def fraction(self) -> float:
-        return self.nonlinear / self.total if self.total else 0.0
-
-
-@dataclass(frozen=True)
-class NonlinearStats:
-    fraction: Optional[float]  # None when the corpus has no segments
-    per_document: tuple[DocumentNonlinearity, ...]
-
-
-def nonlinear_stats(corpus: Corpus, literal: bool = False) -> NonlinearStats:
-    """Fraction of segments involved in non-linear reading order.
+def nonlinear_stats(corpus: Corpus, literal: bool = False) -> Optional[float]:
+    """Fraction of segments involved in non-linear reading order; None when
+    the corpus has no segments.
 
     Default definition: a segment counts when its in-degree or out-degree in
     the isdr is at least 2 (it branches or joins). ``literal=True`` instead
@@ -406,7 +390,6 @@ def nonlinear_stats(corpus: Corpus, literal: bool = False) -> NonlinearStats:
     offenders = [d.id for d in corpus.documents if d.isdr is None]
     if offenders:
         raise ValidationError(f"documents missing isdr: {offenders}")
-    per_doc = []
     nonlinear = 0
     total = 0
     for doc in corpus.documents:
@@ -420,11 +403,9 @@ def nonlinear_stats(corpus: Corpus, literal: bool = False) -> NonlinearStats:
             count = sum(
                 1 for i in range(doc.n_segments) if indeg[i] >= 2 or outdeg[i] >= 2
             )
-        per_doc.append(DocumentNonlinearity(doc.id, count, doc.n_segments))
         nonlinear += count
         total += doc.n_segments
-    fraction = nonlinear / total if total else None
-    return NonlinearStats(fraction, tuple(per_doc))
+    return nonlinear / total if total else None
 
 
 @dataclass(frozen=True)
@@ -439,7 +420,7 @@ class CorpusStats:
 def corpus_stats(corpus: Corpus, literal_nonlinearity: bool = False) -> CorpusStats:
     n_pairs = sum(len(d.isdr.pairs) for d in corpus.documents if d.isdr is not None)
     if corpus.documents and all(d.isdr is not None for d in corpus.documents):
-        fraction = nonlinear_stats(corpus, literal=literal_nonlinearity).fraction
+        fraction = nonlinear_stats(corpus, literal=literal_nonlinearity)
     else:
         fraction = None
     return CorpusStats(
@@ -487,19 +468,12 @@ class AnnotationReport:
 
 
 def validate_annotation(doc) -> AnnotationReport:
-    """Report isdr problems in a document: cycles, ranges, duplicates, self-pairs.
-
-    Accepts either a parsed :class:`Document` (duplicates are then impossible,
-    set semantics) or a raw JSON value, which additionally surfaces duplicate
-    pairs and, instead of raising, schema problems: a value that is not an
-    object, and each reason ``load_corpus`` would refuse the document for.
+    """Report isdr problems in one corpus line's raw JSON value: cycles,
+    ranges, duplicates, self-pairs and, instead of raising, schema problems:
+    a value that is not an object, and each reason ``load_corpus`` would
+    refuse the document for.
     """
-    if isinstance(doc, Document):
-        doc_id = doc.id
-        n = doc.n_segments
-        raw_pairs = doc.isdr.sorted_pairs() if doc.isdr is not None else []
-        schema_errors: list[str] = []
-    elif not isinstance(doc, dict):
+    if not isinstance(doc, dict):
         doc_id, n, raw_pairs = "<missing id>", 0, []
         schema_errors = [f"document is a JSON {type(doc).__name__}, not an object"]
     else:

@@ -173,12 +173,12 @@ class ParameterStore:
 # Initialization
 
 
-def sinusoidal_rows(n_values: int, dim: int, min_period: float = 50.0,
-                    max_period: float = 2000.0) -> np.ndarray:
-    """Sin/cos features of the integers [0, n_values) across log-spaced periods."""
+def sinusoidal_rows(n_values: int, dim: int) -> np.ndarray:
+    """Sin/cos features of the integers [0, n_values) across periods
+    log-spaced from 50 to 2000."""
     if dim % 2:
         raise ValueError("sinusoidal feature dimension must be even")
-    periods = np.geomspace(min_period, max_period, dim // 2)
+    periods = np.geomspace(50.0, 2000.0, dim // 2)
     angles = 2.0 * np.pi * np.arange(n_values)[:, None] / periods[None, :]
     out = np.empty((n_values, dim))
     out[:, 0::2] = np.sin(angles)
@@ -492,14 +492,10 @@ def encoder_forward(
 
 
 def optimizer_step(
-    store: ParameterStore,
-    learning_rate: float,
-    weight_decay: float = 0.01,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    store: ParameterStore, learning_rate: float, weight_decay: float = 0.01
 ) -> None:
-    """One AdamW update (decoupled weight decay) over every stored parameter.
+    """One AdamW update (decoupled weight decay) over every stored parameter,
+    with beta1 0.9, beta2 0.999 and eps 1e-8.
 
     Every gradient is checked before any parameter moves: a missing or
     non-finite gradient raises, naming the parameter, and leaves the store
@@ -556,7 +552,7 @@ def optimizer_step(
         block.gather_grads()
     sizes = [p.data.size for _, p in params] + [block.grad.size if block else 0]
     scratch = np.empty((2, max(sizes)))
-    hyper = (learning_rate, weight_decay, beta1, beta2, eps)
+    hyper = (learning_rate, weight_decay)
     if block:
         block.step(hyper, scratch)
     for (name, p), rows in zip(params, masks):
@@ -656,7 +652,8 @@ def _decay(data, direction, learning_rate, weight_decay, scratch) -> None:
 
 def _adamw(data, grad, m, v, t, hyper, scratch) -> None:
     """The AdamW formula, in place on ``data``, ``m`` and ``v`` of one shape."""
-    learning_rate, weight_decay, beta1, beta2, eps = hyper
+    learning_rate, weight_decay = hyper
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     s, d = _buffer(scratch[0], data), _buffer(scratch[1], data)
     np.multiply(grad, 1.0 - beta1, out=s)
     m *= beta1

@@ -71,19 +71,23 @@ class OrderViolation:
 
 @dataclass(frozen=True)
 class Relation:
-    """A binary relation over elements ``0..element_count-1`` (set semantics)."""
+    """A binary relation over elements ``0..element_count-1`` (set semantics);
+    the count and every element are Python ``int``s (not bools), never coerced."""
 
     element_count: int
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        n = int(self.element_count)
+        n = self.element_count
+        if type(n) is not int:
+            raise RelationError(f"element_count must be an integer, got {n!r}")
         if n < 0:
             raise RelationError("element_count must be non-negative")
-        normalized = frozenset((int(a), int(b)) for a, b in self.pairs)
-        object.__setattr__(self, "element_count", n)
-        object.__setattr__(self, "pairs", normalized)
-        for a, b in normalized:
+        pairs = frozenset((a, b) for a, b in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        for a, b in pairs:
+            if type(a) is not int or type(b) is not int:
+                raise RelationError(f"pair ({a!r}, {b!r}) is not two integers")
             if not (0 <= a < n and 0 <= b < n):
                 raise RelationError(
                     f"pair ({a}, {b}) out of range for element_count={n}"
@@ -91,7 +95,7 @@ class Relation:
 
     @classmethod
     def from_pairs(cls, element_count: int, pairs: Iterable[Sequence[int]]) -> "Relation":
-        return cls(element_count, pairs)  # __post_init__ normalizes the pairs
+        return cls(element_count, pairs)  # __post_init__ builds the pair set
 
     @classmethod
     def empty(cls, element_count: int) -> "Relation":
@@ -128,23 +132,6 @@ class Relation:
         return len(self.pairs)
 
 
-def relation_to_dict(rel: Relation) -> dict:
-    return {"n": rel.element_count, "pairs": [list(p) for p in rel.sorted_pairs()]}
-
-
-def relation_from_dict(obj: dict) -> Relation:
-    """The relation of ``{"n": N, "pairs": [[i, j], ...]}``; anything else
-    raises ``RelationError`` naming the missing or malformed field."""
-    if not isinstance(obj, dict):
-        raise RelationError(f"relation is a JSON {type(obj).__name__}, not an object")
-    n, pairs = obj.get("n"), obj.get("pairs")
-    if type(n) is not int:
-        raise RelationError(f"relation field 'n' is missing or not an integer: {n!r}")
-    if not isinstance(pairs, list):
-        raise RelationError("relation field 'pairs' is missing or not a list")
-    return Relation.from_pairs(n, [index_pair(pair) for pair in pairs])
-
-
 def index_pair(pair, field: str = "relation") -> tuple[int, int]:
     """A JSON pair ``[i, j]`` as a tuple; a value that is not a list of two
     integers (booleans are not) raises ``RelationError`` naming ``field``."""
@@ -155,11 +142,22 @@ def index_pair(pair, field: str = "relation") -> tuple[int, int]:
 
 def relation_to_json(rel: Relation) -> str:
     """Serialize as ``{"n": N, "pairs": [[i,j],...]}``, pairs sorted."""
-    return json.dumps(relation_to_dict(rel))
+    pairs = [list(p) for p in rel.sorted_pairs()]
+    return json.dumps({"n": rel.element_count, "pairs": pairs})
 
 
 def relation_from_json(text: str) -> Relation:
-    return relation_from_dict(json.loads(text))
+    """The relation of ``{"n": N, "pairs": [[i, j], ...]}``; anything else
+    raises ``RelationError`` naming the missing or malformed field."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise RelationError(f"relation is a JSON {type(obj).__name__}, not an object")
+    n, pairs = obj.get("n"), obj.get("pairs")
+    if type(n) is not int:
+        raise RelationError(f"relation field 'n' is missing or not an integer: {n!r}")
+    if not isinstance(pairs, list):
+        raise RelationError("relation field 'pairs' is missing or not a list")
+    return Relation.from_pairs(n, [index_pair(pair) for pair in pairs])
 
 
 def is_acyclic(rel: Relation) -> tuple[bool, Optional[OrderViolation]]:

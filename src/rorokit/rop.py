@@ -175,14 +175,6 @@ def split_batch(batch: list, max_tokens: int) -> list[list]:
     return parts
 
 
-def score_blocks(scores: np.ndarray, spans: Sequence[Spans]) -> list[np.ndarray]:
-    """Packed flattened scores (see ``ROPModel.scores``) as each document's
-    (n, n) matrix, given the documents' span lists."""
-    sizes = [len(doc) for doc in spans]
-    starts = itertools.accumulate((n * n for n in sizes), initial=0)
-    return [scores[a : a + n * n].reshape(n, n) for a, n in zip(starts, sizes)]
-
-
 def pool_elements(
     states: Tensor, spans: Spans, sizes: Optional[Sequence[int]] = None
 ) -> Tensor:
@@ -260,16 +252,17 @@ class GlobalPointerHead:
         return cls(store)
 
     def scores(self, pooled: Tensor, sizes: Optional[Sequence[int]] = None) -> Tensor:
-        """Element states -> every document's (n_b, n_b) pair score matrix,
-        flattened row-major, one after another, as one node after the two
-        projections.
+        """Element states -> every document's pair scores, as one (B, n, n)
+        node after the two projections.
 
         ``sizes`` gives the element count of each document packed row-wise
-        in ``pooled``; None means one document, whose (n, n) matrix the
-        result then holds as n * n values. All documents' scores are one
-        batched matmul of their queries and keys, padded only when the
-        documents differ in size (see ``nn.Padding``); a pack of one is
-        bit-identical to the per-document composite.
+        in ``pooled``; None means one document. Document b's (n_b, n_b)
+        matrix is ``[b, :n_b, :n_b]``, as ``nn.Padding(sizes, pairs=True)``
+        lays it out; the other cells pair a zero query or key row, so they
+        are zero and their gradient reaches no document. All documents'
+        scores are one batched matmul of their queries and keys, padded only
+        when the documents differ in size; a pack of one is bit-identical to
+        the per-document composite.
         """
         q = linear(pooled, self.store["gp.Wq"], self.store["gp.bq"])
         k = linear(pooled, self.store["gp.Wk"], self.store["gp.bk"])
@@ -278,17 +271,16 @@ class GlobalPointerHead:
             raise ValueError(
                 f"sizes cover {sum(sizes)} elements, states have {q.shape[0]}"
             )
-        rows, pairs = Padding(sizes), Padding(sizes, pairs=True)
+        rows = Padding(sizes)
         qs, ks = rows.pad(q.data), rows.pad(k.data)
-        data = pairs.unpad(qs @ ks.transpose(0, 2, 1))
-        out = Tensor(data, q.requires_grad or k.requires_grad, (q, k))
+        needs_grad = q.requires_grad or k.requires_grad
+        out = Tensor(qs @ ks.transpose(0, 2, 1), needs_grad, (q, k))
 
         def backward(grad):
-            g = pairs.pad(grad)
             if q.requires_grad:
-                q._accumulate(rows.unpad(g @ ks))
+                q._accumulate(rows.unpad(grad @ ks))
             if k.requires_grad:
-                k._accumulate(rows.unpad(g.transpose(0, 2, 1) @ qs))
+                k._accumulate(rows.unpad(grad.transpose(0, 2, 1) @ qs))
 
         out._backward = backward
         return out
@@ -310,24 +302,22 @@ def gp_loss(
     labeled score is far above zero and every other score far below.
 
     ``labels`` holds one relation per document and ``scores`` the documents'
-    (n, n) matrices, flattened row-major, one after another, as
-    ``GlobalPointerHead.scores`` gives them; the result is the mean loss over
-    documents. A single relation stands for one document, whose scores may
-    also come as the (n, n) matrix itself. Both log-sum-exps are masked
-    per-document reductions over the documents' scores as one (B, n, n)
-    array, padded only when the documents differ in size.
+    matrices in one (B, n, n) array, as ``GlobalPointerHead.scores`` gives
+    them; the result is the mean loss over documents. A single relation
+    stands for one document, whose scores may also come as the (n, n)
+    matrix itself. Both log-sum-exps are masked per-document reductions, so
+    the cells outside each document's block take no part.
     """
     scores = as_tensor(scores)
     labels = [labels] if isinstance(labels, Relation) else list(labels)
-    sizes = [rel.element_count for rel in labels]
-    n_cells = sum(n * n for n in sizes)
-    if scores.ndim > 2 or scores.data.size != n_cells:
+    layout = Padding([rel.element_count for rel in labels], pairs=True)
+    lone = len(labels) == 1 and scores.shape == layout.shape[1:]
+    if scores.shape != layout.shape and not lone:
         raise ValueError(
-            f"scores of shape {scores.shape} do not hold the {n_cells} cells "
-            "the labels cover"
+            f"scores of shape {scores.shape} do not match the labels' "
+            f"{layout.shape}"
         )
-    layout = Padding(sizes, pairs=True)
-    s = layout.pad(scores.data.reshape(-1))
+    s = scores.data.reshape(layout.shape)
     pos = np.zeros(s.shape, dtype=bool)
     cells = [(b, i, j) for b, rel in enumerate(labels) for i, j in rel.pairs]
     pos[tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)] = True
@@ -347,7 +337,7 @@ def gp_loss(
     def backward(grad):
         g = np.exp(x_neg - lse_neg[:, None, None])
         g -= np.exp(x_pos - lse_pos[:, None, None])
-        scores._accumulate(grad / len(labels) * layout.unpad(g).reshape(scores.shape))
+        scores._accumulate(grad / len(labels) * g.reshape(scores.shape))
 
     out._backward = backward
     return out
@@ -428,9 +418,8 @@ class ROPModel:
         its own tokens; a document whose texts, boxes and span coverage
         disagree raises ``ValueError`` naming its position. One forward runs
         over all the documents' tokens, however many: callers bound it by
-        what they pack, as ``split_batch`` does. The result holds each
-        document's (n, n) score matrix, flattened row-major, one after
-        another.
+        what they pack, as ``split_batch`` does. The result is
+        ``GlobalPointerHead.scores``' (B, n, n) array.
         """
         texts, boxes, shifted, lengths, sizes = [], [], [], [], []
         for position, (doc_texts, doc_boxes, spans) in enumerate(inputs):
@@ -476,8 +465,9 @@ class ROPModel:
                 inputs = [example[0] for example in group]
                 group_bias = None if bias is None else bias(group)
                 scores = self.scores(inputs, group_bias).data
-                for block in score_blocks(scores, [spans for _, _, spans in inputs]):
-                    relations.append(decode(block, threshold, enforce_acyclic))
+                for block, (_, _, spans) in zip(scores, inputs):
+                    n = len(spans)
+                    relations.append(decode(block[:n, :n], threshold, enforce_acyclic))
         return relations
 
     def predict(

@@ -10,7 +10,6 @@ carrying the succession structure the biased arm should never do worse.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -57,18 +56,6 @@ class RelationMatrix:
             raise ValueError("bits entries must be 0 or 1")
         if np.diagonal(bits).any():
             raise ValueError("diagonal bits must be 0")
-
-    def ones(self) -> list[list[int]]:
-        return [[int(a), int(b)] for a, b in np.argwhere(self.bits)]
-
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-    def to_dict(self) -> dict:
-        return {"n": self.n_tokens, "ones": self.ones()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def build_relation_matrix(

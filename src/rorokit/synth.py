@@ -253,17 +253,13 @@ H_MARKERS = ("invoice", "ledger", "receipt", "billing")
 V_MARKERS = ("roster", "agenda", "survey", "census")
 
 
-def synth_forms(
-    n_docs: int = 300,
-    seed: int = 0,
-    train_fraction: float = 0.8,
-    validation_fraction: float = 0.0,
-) -> Corpus:
+def synth_forms(n_docs: int = 300, seed: int = 0) -> Corpus:
     """Form-like linking corpus: identical geometry, text-cued reading style.
 
     Every segment's first word comes from its document's style pool, so both
     the reading order and the key->value links are predictable from text, and
-    the succession pairs always contain the link pairs.
+    the succession pairs always contain the link pairs. The first 80% of the
+    documents are the train split, the rest the test split.
     """
     if n_docs <= 0:
         raise GenerationError("n_docs must be positive")
@@ -293,5 +289,4 @@ def synth_forms(
                 Relation.from_pairs(4, link_pairs),
             )
         )
-    split = _split_map([d.id for d in documents], train_fraction, validation_fraction)
-    return Corpus(tuple(documents), split)
+    return Corpus(tuple(documents), _split_map([d.id for d in documents], 0.8, 0.0))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rorokit.cli import main
-from rorokit.layout import load_corpus
+from rorokit.layout import derive_word_level, load_corpus
+from rorokit.metrics import corpus_f1
 from rorokit.nn import EncoderConfig, init_encoder_params
 from rorokit.relations import Relation
 from rorokit.rop import GlobalPointerHead, ROPConfig, ROPModel
@@ -248,6 +249,38 @@ def test_document_id_that_is_not_a_non_empty_string_is_refused(tmp_path, capsys,
     assert "invalid: line 2: " in err
 
 
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda obj: obj["segments"][0].update(box=[0.5, 0, 999, 999]),
+         "box x0 must be an integer, got 0.5"),
+        (lambda obj: obj["segments"][0].update(id=0.7),
+         "segment id must be an integer, got 0.7"),
+        (lambda obj: obj["segments"][0].update(id="0"),
+         "segment id must be an integer, got '0'"),
+        (lambda obj: obj.update(page=[1000.9, 1000]),
+         "page width must be an integer, got 1000.9"),
+    ],
+    ids=["float-box", "float-segment-id", "string-segment-id", "float-page"],
+)
+def test_layout_value_that_is_not_an_integer_is_refused(tmp_path, capsys, edit, reason):
+    corpus = write_corpus(tmp_path, n_docs=3)
+    doc_id = edit_second_document(corpus, edit)
+    message = f"document {doc_id}: malformed field ({reason})"
+    model = write_model(tmp_path)
+    for command in (["stats"], ["eval", "--heuristic"],
+                    ["predict", "--model", str(model), "--out-corpus", str(tmp_path / "p.jsonl")]):
+        code, out, err = run(capsys, command[0], str(corpus), *command[1:])
+        assert code == 1 and out == ""
+        assert f"error: {message}" in err
+    assert not (tmp_path / "p.jsonl").exists()
+    code, out, err = run(capsys, "validate", str(corpus))
+    assert code == 1
+    first, second, third = json.loads(out)["documents"]
+    assert first["ok"] and third["ok"] and not second["ok"]
+    assert second["schema_errors"] == [message]
+
+
 def test_closure_command(tmp_path, capsys):
     rel = tmp_path / "rel.json"
     rel.write_text('{"n": 3, "pairs": [[0, 1], [1, 2]]}')
@@ -414,12 +447,12 @@ def test_train_rejects_word_text_that_is_not_a_string(tmp_path, capsys):
     assert f"error: document {doc_id}: word text must be a string, got 5" in err
 
 
-def write_model(tmp_path, **encoder):
+def write_model(tmp_path, rop=ROPConfig(), **encoder):
     path = tmp_path / "model.json"
     config = EncoderConfig(**{"layers": 0, "model_dim": 16, "heads": 2, **encoder})
     store = init_encoder_params(config)
-    GlobalPointerHead.create(config.model_dim, ROPConfig().head_dim, store)
-    ROPModel(config, ROPConfig(), store).save(path)
+    GlobalPointerHead.create(config.model_dim, rop.head_dim, store)
+    ROPModel(config, rop, store).save(path)
     return path
 
 
@@ -714,6 +747,50 @@ def test_a_document_without_segments_is_skipped_not_fatal(tmp_path, capsys):
     assert code == 0 and json.loads(out)["systems"][0]["docs"] == 9
 
 
+def test_eval_scores_a_word_level_model_against_word_level_gold(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, n_docs=6)
+    model_path = write_model(tmp_path, rop=ROPConfig(task_level="word"))
+    code, out, _ = run(capsys, "eval", str(corpus), "--model", str(model_path),
+                       "--heuristic", "--no-ceiling")
+    assert code == 0
+    rows = {row["name"]: row for row in json.loads(out)["systems"]}
+    docs = list(load_corpus(corpus).documents)
+    golds = [derive_word_level(doc) for doc in docs]
+    predicted = ROPModel.load(model_path).predict(docs)
+    want = corpus_f1(zip(golds, predicted))
+    assert [rows["model"][k] for k in ("precision", "recall", "f1")] == [
+        want.precision, want.recall, want.f1
+    ]
+    # The heuristic reads chains in order, so read word by word it is the
+    # word-level gold exactly.
+    assert rows["heuristic"]["f1"] == 1.0
+    assert rows["heuristic"]["docs"] == rows["model"]["docs"] == 6
+
+
+def test_predict_collapses_a_word_level_model_onto_segments(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, n_docs=4)
+    # Zero projections and unit biases score every word pair alike, so the
+    # word-level prediction also links the words inside each segment.
+    model_path = write_model(tmp_path, rop=ROPConfig(task_level="word"))
+    model = ROPModel.load(model_path)
+    for name in ("gp.Wq", "gp.Wk"):
+        model.store[name].data[...] = 0.0
+    for name in ("gp.bq", "gp.bk"):
+        model.store[name].data[...] = 1.0
+    model.save(model_path)
+    predicted = tmp_path / "pred.jsonl"
+    code, out, _ = run(capsys, "predict", str(corpus), "--model", str(model_path),
+                       "--out-corpus", str(predicted))
+    assert code == 0
+    sidecar = json.loads(out)["documents"]
+    docs = load_corpus(predicted, allow_cyclic=True).documents
+    assert any(len(seg.words) > 1 for doc in docs for seg in doc.segments)
+    for doc in docs:
+        n = doc.n_segments
+        assert doc.isdr.pairs == {(a, b) for a in range(n) for b in range(n) if a != b}
+        assert sidecar[doc.id] == {"acyclic": n < 2, "num_pairs": len(doc.isdr)}
+
+
 def test_eval_without_systems_exits_1(tmp_path, capsys):
     corpus = write_corpus(tmp_path, n_docs=2)
     code, _, err = run(capsys, "eval", str(corpus))
@@ -766,6 +843,19 @@ def test_demo_rore_command(tmp_path, capsys):
     result = json.loads(out)
     assert {"f1_vanilla", "f1_rore"} <= set(result)
     assert "f1_rore" in err
+
+
+def test_demo_rore_seed_flag_overrides_the_demo_section(tmp_path, capsys):
+    encoder = {"layers": 1, "model_dim": 16, "heads": 2}
+    outputs = []
+    for seed, argv in ((1, ["--seed", "3"]), (3, [])):
+        demo = {"n_docs": 10, "epochs": 1, "seed": seed}
+        cfg = write_config(tmp_path, {"demo": demo, "encoder": encoder})
+        code, out, _ = run(capsys, "demo-rore", "--config", str(cfg), *argv)
+        assert code == 0
+        outputs.append(out)
+    assert json.loads(outputs[0])["config"]["seed"] == 3
+    assert outputs[0] == outputs[1]
 
 
 def test_demo_rore_pseudo_needs_model(tmp_path, capsys):

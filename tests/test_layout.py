@@ -235,8 +235,7 @@ def test_derived_relation_is_acyclic_and_collapses_back(n, words_per):
 
 def test_nonlinear_chain_is_zero():
     corpus = Corpus((chain_doc(n=3),))
-    stats = nonlinear_stats(corpus)
-    assert stats.fraction == 0.0
+    assert nonlinear_stats(corpus) == 0.0
 
 
 def test_nonlinear_star_is_one_third():
@@ -246,16 +245,15 @@ def test_nonlinear_star_is_one_third():
     doc = Document(
         "d", 1000, 1000, (a, b, c), Relation.from_pairs(3, [(0, 1), (0, 2)])
     )
-    stats = nonlinear_stats(Corpus((doc,)))
-    assert stats.fraction == pytest.approx(1 / 3)
-    assert stats.per_document[0].nonlinear == 1
+    # One of the three segments branches.
+    assert nonlinear_stats(Corpus((doc,))) == pytest.approx(1 / 3)
 
 
 def test_nonlinear_literal_reading_marks_interior_chain_segments():
     corpus = Corpus((chain_doc(n=4),))
     # Interior segments have exactly one predecessor and one successor.
-    assert nonlinear_stats(corpus, literal=True).fraction == pytest.approx(0.5)
-    assert nonlinear_stats(corpus, literal=False).fraction == 0.0
+    assert nonlinear_stats(corpus, literal=True) == pytest.approx(0.5)
+    assert nonlinear_stats(corpus, literal=False) == 0.0
 
 
 def test_nonlinear_requires_isdr():
@@ -277,7 +275,7 @@ def test_corpus_stats_counts():
 
 
 def test_validate_clean_document():
-    report = validate_annotation(chain_doc())
+    report = validate_annotation(document_to_dict(chain_doc()))
     assert report.ok
     assert report.cycle is None
 
@@ -343,6 +341,58 @@ def test_document_id_that_is_not_a_non_empty_string_is_refused(tmp_path, edit, r
     path = tmp_path / "ids.jsonl"
     path.write_text(json.dumps(document_to_dict(chain_doc("a"))) + "\n" + json.dumps(raw) + "\n")
     with pytest.raises(ValidationError, match=re.escape(f"line 2: {reason}")):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda: BBox(0.5, 0, 999, 999), "box x0 must be an integer, got 0.5"),
+        (lambda: BBox(0, True, 999, 999), "box y0 must be an integer, got True"),
+        (lambda: BBox(0, 0, "999", 999), "box x1 must be an integer, got '999'"),
+        (lambda: Segment(0.0, chain_doc().segments[0].words, BBox(0, 0, 999, 999)),
+         "segment id must be an integer, got 0.0"),
+        (lambda: Document("d", 1000.9, 1000, chain_doc().segments),
+         "page width must be an integer, got 1000.9"),
+        (lambda: Document("d", 1000, "1000", chain_doc().segments),
+         "page height must be an integer, got '1000'"),
+    ],
+    ids=["float-box", "bool-box", "string-box", "float-segment-id", "float-page",
+         "string-page"],
+)
+def test_layout_integers_are_not_coerced(make, reason):
+    with pytest.raises(TypeError, match=re.escape(reason)):
+        make()
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda obj: obj["segments"][0].update(box=[0.5, 0, 999, 999]),
+         "box x0 must be an integer, got 0.5"),
+        (lambda obj: obj["segments"][0]["words"][0].update(box=[0, True, 10, 10]),
+         "box y0 must be an integer, got True"),
+        (lambda obj: obj["segments"][0].update(id=0.7),
+         "segment id must be an integer, got 0.7"),
+        (lambda obj: obj["segments"][0].update(id="0"),
+         "segment id must be an integer, got '0'"),
+        (lambda obj: obj.update(page=[1000.9, 1000]),
+         "page width must be an integer, got 1000.9"),
+    ],
+    ids=["float-box", "bool-word-box", "float-segment-id", "string-segment-id",
+         "float-page"],
+)
+def test_corpus_line_with_a_non_integer_layout_value_is_refused(tmp_path, edit, reason):
+    raw = document_to_dict(chain_doc("d", n=2))
+    edit(raw)
+    message = f"document d: malformed field ({reason})"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        document_from_dict(raw)
+    report = validate_annotation(raw)
+    assert report.schema_errors == (message,) and not report.ok
+    path = tmp_path / "ints.jsonl"
+    path.write_text(json.dumps(raw) + "\n")
+    with pytest.raises(ValidationError, match=re.escape(message)):
         load_corpus(path)
 
 

@@ -1,6 +1,8 @@
 import itertools
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,24 @@ def test_relation_rejects_out_of_range():
         Relation.from_pairs(2, [(-1, 0)])
     with pytest.raises(RelationError):
         Relation(-1, frozenset())
+
+
+@pytest.mark.parametrize(
+    "count, pairs, reason",
+    [
+        (2, {(True, 1.9)}, "pair (True, 1.9) is not two integers"),
+        (2, {(0, 1.0)}, "pair (0, 1.0) is not two integers"),
+        (2, {("0", 1)}, "pair ('0', 1) is not two integers"),
+        (2, {(0, np.int64(1))}, "is not two integers"),
+        (2.5, {(0, 1)}, "element_count must be an integer, got 2.5"),
+        (True, frozenset(), "element_count must be an integer, got True"),
+    ],
+    ids=["bool-and-float", "float", "string", "numpy", "float-count", "bool-count"],
+)
+def test_relation_refuses_what_is_not_a_python_int(count, pairs, reason):
+    # Each was coerced before: (True, 1.9) became (1, 1), 2.5 became 2.
+    with pytest.raises(RelationError, match=re.escape(reason)):
+        Relation(count, pairs)
 
 
 def test_relation_degree_helpers():

@@ -33,7 +33,6 @@ from rorokit.rop import (
     gp_loss,
     pool_elements,
     predict_pseudo_labels,
-    score_blocks,
     split_batch,
     target_relation,
     tokens_for_document,
@@ -245,10 +244,18 @@ def test_loss_is_permutation_equivariant(perm, seed):
 
 
 def test_loss_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    both = r"shape \(2, 3\) do not match the labels' \(1, 2, 2\)"
+    with pytest.raises(ValueError, match=both):
         gp_loss(Tensor(np.zeros((2, 3))), Relation.empty(2))
     with pytest.raises(ValueError):
         gp_loss(Tensor(np.zeros((2, 2))), Relation.empty(3))
+    # Only the padded (B, n, n) array holds a pack; a lone matrix stands
+    # for one document, and flattened scores are refused.
+    with pytest.raises(ValueError, match=r"shape \(4,\) do not match"):
+        gp_loss(Tensor(np.zeros(4)), Relation.empty(2))
+    pack = r"shape \(2, 2\) do not match the labels' \(2, 2, 2\)"
+    with pytest.raises(ValueError, match=pack):
+        gp_loss(Tensor(np.zeros((2, 2))), [Relation.empty(2), Relation.empty(1)])
     with pytest.raises(AutodiffError):
         gp_loss(Tensor(np.full((2, 2), np.nan)), Relation.empty(2))
 
@@ -615,6 +622,21 @@ def assert_close(got, want, name):
     assert err <= 1e-10 * np.abs(want).max(), (name, err)
 
 
+def blocks_of(scores, inputs):
+    """Each document's (n, n) matrix in packed (B, n, n) scores."""
+    sizes = [len(spans) for _, _, spans in inputs]
+    return [scores[b, :n, :n] for b, n in enumerate(sizes)]
+
+
+def padded(blocks, fill=0.0):
+    """(n_b, n_b) blocks as one (B, n, n) array, ``fill`` outside them."""
+    n = max(len(block) for block in blocks)
+    out = np.full((len(blocks), n, n), fill)
+    for b, block in enumerate(blocks):
+        out[b, : len(block), : len(block)] = block
+    return out
+
+
 @pytest.mark.parametrize("max_tokens", [2048, 64])
 @pytest.mark.parametrize("bias_kind", [None, "trainable", "frozen"])
 @pytest.mark.parametrize("diagonal", [True, False])
@@ -639,7 +661,7 @@ def test_packed_batch_matches_per_document_composite(max_tokens, bias_kind, diag
     grads = gradients(model, loss)
 
     assert_close(loss.data, ref_loss.data, "loss")
-    want = np.concatenate([s.data.reshape(-1) for s in ref_scores])
+    want = padded([s.data for s in ref_scores])
     assert scores.shape == want.shape
     assert_close(scores.data, want, "scores")
     assert grads.keys() == ref_grads.keys()
@@ -681,14 +703,14 @@ def test_scores_refuse_a_document_whose_tokens_do_not_line_up():
         model.scores([docs[0][0], c])
     with pytest.raises(ValueError, match="document 1 .* spans over 3 tokens"):
         model.scores([docs[1][0], (texts_c, boxes_c, spans_a)])
-    assert model.scores([d[0] for d in docs]).shape == (3 * 3 + 4 * 4,)
+    assert model.scores([d[0] for d in docs]).shape == (2, 4, 4)
 
 
 def test_single_document_scores_are_bit_identical_to_the_composite():
     model, docs = packed_batch()
     for inputs, _, _ in docs:
         got = model.scores([inputs]).data
-        assert np.array_equal(got, reference_scores(model, *inputs).data.reshape(-1))
+        assert np.array_equal(got, reference_scores(model, *inputs).data[None])
 
 
 def formula_loss(block, rel, diagonal):
@@ -719,21 +741,22 @@ RAGGED_LABELS = [
 def test_ragged_pack_loss_matches_the_formula_per_document(diagonal):
     rng = np.random.default_rng(11)
     blocks = [rng.normal(size=(r.element_count,) * 2) for r in RAGGED_LABELS]
-    scores = Tensor(np.concatenate([b.reshape(-1) for b in blocks]), requires_grad=True)
+    # The cells outside the documents' blocks take no part.
+    scores = Tensor(padded(blocks, fill=50.0), requires_grad=True)
     loss = gp_loss(scores, RAGGED_LABELS, diagonal)
     loss.backward()
     terms = [formula_loss(b, r, diagonal) for b, r in zip(blocks, RAGGED_LABELS)]
     want = sum(value for value, _ in terms) / len(terms)
     assert abs(loss.item() - want) <= 1e-12 * abs(want)
-    want_grad = np.concatenate([g.reshape(-1) for _, g in terms]) / len(terms)
+    want_grad = padded([g for _, g in terms]) / len(terms)
     assert np.abs(scores.grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
 
 def test_ragged_pack_loss_rejects_one_non_finite_document():
-    blocks = [np.zeros(r.element_count**2) for r in RAGGED_LABELS]
-    blocks[2][5] = np.nan
+    blocks = [np.zeros((r.element_count,) * 2) for r in RAGGED_LABELS]
+    blocks[2][1, 1] = np.nan
     with pytest.raises(AutodiffError):
-        gp_loss(Tensor(np.concatenate(blocks)), RAGGED_LABELS)
+        gp_loss(Tensor(padded(blocks)), RAGGED_LABELS)
 
 
 def pack_of(token_counts, element_counts, seed=0, dim=5):
@@ -759,10 +782,11 @@ def test_batched_pooling_and_scores_match_per_document_composite(
     states, spans = pack_of(token_counts, element_counts)
     store = ParameterStore()
     head = GlobalPointerHead.create(5, 4, store, seed=3)
-    weights = np.random.default_rng(4).normal(size=sum(n * n for n in element_counts))
+    # Weights on the padded cells too: their gradient reaches no document.
+    n = max(element_counts)
+    weights = np.random.default_rng(4).normal(size=(len(element_counts), n, n))
 
     want_pooled, want_scores, want_states_grad = [], [], []
-    cells = np.cumsum([0] + [n * n for n in element_counts])
     rows = np.cumsum([0, *token_counts])
     for b, doc in enumerate(spans):
         # The dense pooling matmul and unfused projections of reference_scores.
@@ -773,8 +797,9 @@ def test_batched_pooling_and_scores_match_per_document_composite(
         pooled = Tensor(pool) @ x
         q = pooled @ store["gp.Wq"] + store["gp.bq"]
         k = pooled @ store["gp.Wk"] + store["gp.bk"]
-        out = (q @ k.transpose()).reshape(-1)
-        (out * Tensor(weights[cells[b] : cells[b + 1]])).sum().backward()
+        out = q @ k.transpose()
+        m = element_counts[b]
+        (out * Tensor(weights[b, :m, :m])).sum().backward()
         want_pooled.append(pooled.data)
         want_scores.append(out.data)
         want_states_grad.append(x.grad)
@@ -788,7 +813,7 @@ def test_batched_pooling_and_scores_match_per_document_composite(
     (out * Tensor(weights)).sum().backward()
     pairs = [
         (pooled.data, np.concatenate(want_pooled)),
-        (out.data, np.concatenate(want_scores)),
+        (out.data, padded(want_scores)),
         (x.grad, np.concatenate(want_states_grad)),
         *((store[name].grad, g) for name, g in want_head.items()),
     ]
@@ -833,10 +858,13 @@ def test_packed_attention_stays_within_one_document_budget(monkeypatch):
     monkeypatch.setattr(nn, "softmax_lastdim", recording)
     heads = model.encoder_config.heads
     parts = split_batch(list(docs), 8)
-    scores = [model.scores([i for i, _, _ in p]).data for p in parts]
+    scores = []
+    for part in parts:
+        inputs = [i for i, _, _ in part]
+        scores += blocks_of(model.scores(inputs).data, inputs)
     assert len(parts) > 1 and max(cells) <= heads * 8 * 8
-    want = np.concatenate([model.scores([i]).data for i, _, _ in docs])
-    assert_close(np.concatenate(scores), want, "scores")
+    want = [model.scores([i]).data[0] for i, _, _ in docs]
+    assert_close(padded(scores), padded(want), "scores")
 
     cells.clear()
     pages = [page_from(f"p{i}", inputs) for i, (inputs, _, _) in enumerate(docs)]
@@ -920,9 +948,7 @@ def test_packed_and_per_document_predictions_differ_only_at_the_threshold():
         model.store[name].data *= 30.0
     single = [document_scores(model, page) for page in pages]
     inputs = [tokens_for_document(page) for page in pages]
-    packed = score_blocks(
-        model.scores(inputs).data, [spans for _, _, spans in inputs]
-    )
+    packed = blocks_of(model.scores(inputs).data, inputs)
     scale = max(np.abs(s).max() for s in single)
     assert scale > 1.0
     gap = max(np.abs(p - s).max() for p, s in zip(packed, single))
