@@ -2,28 +2,31 @@
 """Compare two rorokit checkouts on the perfbench workloads, in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --claim rore-link --out BENCH_packed_inference.json
+        --claim rop-train --metric setup_s --out BENCH_corpus_io.json
 
-Each run is a fresh ``perfbench/run.py`` process started in its own checkout,
-for the ``run_seconds`` of the change's ``BENCHMARK.json``. A claimed
-workload (``--claim``) runs ``PAIRS`` untraced pairs on seed 0 and
-``HELD_OUT_PAIRS`` on the held-out seed 1; every other workload runs
-``OTHER_PAIRS`` untraced pairs on seed 0, so that its metrics get a spread
-too. Without ``--claim`` every workload runs ``OTHER_PAIRS`` and the report
-records ``"claim": null``. Every workload runs ``TRACED_PAIRS`` traced pairs
-on seed 0, and its per-layer values are the medians of each side's traced
-runs, so that a slow spell of host load does not set them: with three
-traced pairs, two slow runs of one side were enough to move a median.
-Pairs alternate which side runs first. The output holds every run, per-metric
-medians and quartiles (inclusive method) for each side, per workload whether
-the change's seed-0 determinism hashes and input digests equal the parent's
-(``outputs_equal``), the per-layer medians and their deltas, the line count
-of ``src/rorokit/*.py`` in each checkout and its change (``src_lines``), and
-the machine block. Its ``verdict`` reads the medians against the bounds of
-the change's ``BENCHMARK.json``, and counts the change's wins on the claimed
-metric to read the claim against the rule that the change wins at least nine
-tenths of its pairs by a median gain above the parent's interquartile
-distance.
+Each run is a fresh ``perfbench/run.py`` process started in its own
+checkout, for the ``run_seconds`` of the change's ``BENCHMARK.json``. A
+claimed workload (``--claim``) runs ``PAIRS`` untraced pairs on seed 0 and
+``HELD_OUT_PAIRS`` on the held-out seed 1, and its gain is read on
+``--metric``, one of the end-to-end metrics of ``BENCHMARK.json``
+(``docs_per_s`` by default) in the direction its ``better`` gives; every
+other workload runs ``OTHER_PAIRS`` untraced pairs on seed 0, so that its
+metrics get a spread too: on a 2-vCPU host three pairs could not tell a ±10%
+change. Without ``--claim`` every workload runs ``OTHER_PAIRS`` and the
+report records ``"claim": null``. Every workload runs ``TRACED_PAIRS``
+traced pairs on seed 0, and its per-layer values are the medians of each
+side's traced runs, so that a slow spell of host load does not set them:
+with three traced pairs, two slow runs of one side were enough to move a
+median. Pairs alternate which side runs first. The output holds every run,
+per-metric medians and quartiles (inclusive method) for each side, per
+workload whether the change's seed-0 determinism hashes and input digests
+equal the parent's (``outputs_equal``), the per-layer medians and their
+deltas, the line count of ``src/rorokit/*.py`` in each checkout and its
+change (``src_lines``), and the machine block. Its ``verdict`` reads the
+medians against the bounds of the change's ``BENCHMARK.json``, and counts
+the change's wins on the claimed metric to read the claim against the rule
+that the change wins at least nine tenths of its pairs by a median gain
+above the parent's interquartile distance.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from pathlib import Path
 from typing import Optional
 
 WORKLOADS = ("rop-train", "rop-predict", "relations-eval", "rore-link")
-METRIC = "docs_per_s"
-PAIRS, HELD_OUT_PAIRS, OTHER_PAIRS, TRACED_PAIRS = 10, 3, 3, 7
+DEFAULT_METRIC = "docs_per_s"
+PAIRS, HELD_OUT_PAIRS, OTHER_PAIRS, TRACED_PAIRS = 10, 3, 5, 7
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -99,21 +102,23 @@ def summarize(runs: list) -> dict:
     return summary
 
 
-def claim_pairs(runs: list, key: str) -> list[tuple[float, float]]:
-    """(parent, change) values of the claimed metric, one per untraced pair
-    of the summary row ``key``."""
+def claim_pairs(runs: list, key: str, metric: str) -> list[tuple[float, float]]:
+    """(parent, change) values of ``metric``, one per untraced pair of the
+    summary row ``key``."""
     pairs: dict = {}
     for r in runs:
         if not r["trace"] and f"{r['workload']} seed {r['seed']}" == key:
-            pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"][METRIC]
+            pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"][metric]
     return [(p["parent"], p["change"]) for _, p in sorted(pairs.items())]
 
 
-def verdict(summary: dict, runs: list, claim: Optional[str], end_to_end: list) -> dict:
+def verdict(summary: dict, runs: list, claim: Optional[str], end_to_end: list,
+            metric: str = DEFAULT_METRIC) -> dict:
     """The report read against the end-to-end metrics of ``BENCHMARK.json``.
 
-    ``claim`` has, per seed of the claimed workload, the change's wins on the
-    claimed metric out of its pairs, the gain of the change's median over the
+    ``claim`` has, per seed of the claimed workload, the change's wins on
+    ``metric`` out of its pairs (a win is a value better in the direction of
+    the metric's ``better``), the gain of the change's median over the
     parent's, the distance between the parent's quartiles, and ``met``: at
     least nine tenths of the pairs won and a gain above that distance.
     ``end_to_end`` has, per summary row and metric, the change/parent median
@@ -146,13 +151,13 @@ def verdict(summary: dict, runs: list, claim: Optional[str], end_to_end: list) -
         for key, row in summary.items():
             if not key.startswith(claim + " "):
                 continue
-            pairs = claim_pairs(runs, key)
-            wins = sum(gain(p, c, METRIC) > 0 for p, c in pairs)
-            parent = row[METRIC]["parent"]
-            median_gain = gain(parent["median"], row[METRIC]["change"]["median"], METRIC)
+            pairs = claim_pairs(runs, key, metric)
+            wins = sum(gain(p, c, metric) > 0 for p, c in pairs)
+            parent = row[metric]["parent"]
+            median_gain = gain(parent["median"], row[metric]["change"]["median"], metric)
             iqr = parent["q3"] - parent["q1"]
             out["claim"][key] = {
-                "metric": METRIC, "wins": wins, "pairs": len(pairs),
+                "metric": metric, "wins": wins, "pairs": len(pairs),
                 "median_gain": median_gain, "parent_iqr": iqr,
                 "met": wins >= 0.9 * len(pairs) and median_gain > iqr,
             }
@@ -211,11 +216,17 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--claim", choices=WORKLOADS,
-                        help="the workload whose docs_per_s gain is claimed; "
+                        help="the workload whose gain is claimed; "
                              "without it no gain is claimed")
+    parser.add_argument("--metric", default=DEFAULT_METRIC,
+                        help="the end-to-end metric of BENCHMARK.json the claim "
+                             f"is read on (default {DEFAULT_METRIC})")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [spec["name"] for spec in benchmark["end_to_end"]]
+    if args.metric not in names:
+        parser.error(f"--metric must be one of {', '.join(names)}, not {args.metric!r}")
     seconds = benchmark["run_seconds"]
 
     runs: list = []
@@ -231,14 +242,14 @@ def main(argv=None) -> int:
     summary = summarize(runs)
     claim = None
     if args.claim is not None:
-        claim = {"workload": args.claim, "metric": METRIC, "seed": 0, "held_out_seed": 1}
+        claim = {"workload": args.claim, "metric": args.metric, "seed": 0, "held_out_seed": 1}
     report = {
         "claim": claim,
         "run_seconds": seconds,
         "machine": runs[0]["machine"],
         "all_correct": all(r["correct"] and not r["failed"] for r in runs),
         "end_to_end": summary,
-        "verdict": verdict(summary, runs, args.claim, benchmark["end_to_end"]),
+        "verdict": verdict(summary, runs, args.claim, benchmark["end_to_end"], args.metric),
         "outputs_equal": outputs_equal(runs),
         "src_lines": src_lines(sides),
         "per_layer_traced": layer_deltas(runs),

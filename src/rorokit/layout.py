@@ -69,23 +69,18 @@ class BBox:
     y1: int
 
     def __post_init__(self):
-        for name in ("x0", "y0", "x1", "y1"):
-            check_integer(f"box {name}", getattr(self, name))
-        if not (0 <= self.x0 <= self.x1 <= COORD_MAX):
+        x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
+        if not (type(x0) is int and type(y0) is int and type(x1) is int and type(y1) is int):
+            # An int subclass passes; anything else is named, first field first.
+            for name in ("x0", "y0", "x1", "y1"):
+                check_integer(f"box {name}", getattr(self, name))
+        if not (0 <= x0 <= x1 <= COORD_MAX):
             raise ValidationError(f"bad x extent: {self.as_list()}")
-        if not (0 <= self.y0 <= self.y1 <= COORD_MAX):
+        if not (0 <= y0 <= y1 <= COORD_MAX):
             raise ValidationError(f"bad y extent: {self.as_list()}")
 
     def as_list(self) -> list[int]:
         return [self.x0, self.y0, self.x1, self.y1]
-
-    def contains(self, other: "BBox") -> bool:
-        return (
-            self.x0 <= other.x0
-            and self.y0 <= other.y0
-            and other.x1 <= self.x1
-            and other.y1 <= self.y1
-        )
 
     def overlaps(self, other: "BBox") -> bool:
         return not (
@@ -122,14 +117,19 @@ class Segment:
     box: BBox
 
     def __post_init__(self):
-        check_integer("segment id", self.id)
+        if type(self.id) is not int:
+            check_integer("segment id", self.id)
         object.__setattr__(self, "words", tuple(self.words))
         if not self.words:
             raise ValidationError(f"segment {self.id} has no words")
+        # Each word box must lie inside the segment box; edges may touch.
+        box = self.box
+        x0, y0, x1, y1 = box.x0, box.y0, box.x1, box.y1
         for w in self.words:
-            if not self.box.contains(w.box):
+            b = w.box
+            if not (x0 <= b.x0 and y0 <= b.y0 and b.x1 <= x1 and b.y1 <= y1):
                 raise ValidationError(
-                    f"segment {self.id} box does not contain word box {w.box.as_list()}"
+                    f"segment {self.id} box does not contain word box {b.as_list()}"
                 )
 
 

@@ -135,8 +135,10 @@ class Relation:
 def index_pair(pair, field: str = "relation") -> tuple[int, int]:
     """A JSON pair ``[i, j]`` as a tuple; a value that is not a list of two
     integers (booleans are not) raises ``RelationError`` naming ``field``."""
-    if isinstance(pair, list) and [type(i) for i in pair] == [int, int]:
-        return pair[0], pair[1]
+    if isinstance(pair, list) and len(pair) == 2:
+        a, b = pair
+        if type(a) is int and type(b) is int:
+            return a, b
     raise RelationError(f"{field} pair {pair!r} is not two integers")
 
 
@@ -253,9 +255,13 @@ def is_strict_total_order(rel: Relation) -> tuple[bool, Optional[OrderViolation]
 
 
 def permutation_to_relation(perm: Sequence[int]) -> Relation:
-    """Relation holding exactly the adjacent pairs of a permutation of [0, n)."""
+    """Relation holding exactly the adjacent pairs of a permutation of [0, n);
+    every element must be a Python ``int`` (not a bool), never coerced."""
     n = len(perm)
-    values = [int(p) for p in perm]
+    values = list(perm)
+    for p in values:
+        if type(p) is not int:
+            raise InvalidPermutationError(f"permutation element {p!r} is not an integer")
     if sorted(values) != list(range(n)):
         raise InvalidPermutationError(
             f"sequence is not a permutation of [0, {n}): {values}"

@@ -20,6 +20,7 @@ links coincide with a subset of the succession pairs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,12 +72,26 @@ class SynthConfig:
             lo, hi = getattr(self, name)
             if not (1 <= lo <= hi):
                 raise GenerationError(f"{name} range must satisfy 1 <= lo <= hi")
-        if not self.mix or any(w < 0 for w in self.mix.values()):
+        if not self.mix:
+            raise GenerationError("mix must be non-empty with non-negative weights")
+        weights = self.mix.values()
+        for kind, weight in zip(self.mix, weights):
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                raise GenerationError(f"mix weight of {kind!r} must be a number, got {weight!r}")
+        if any(w < 0 for w in weights):
             raise GenerationError("mix must be non-empty with non-negative weights")
         unknown = set(self.mix) - set(KINDS)
         if unknown:
             raise GenerationError(f"unknown layout kinds: {sorted(unknown)}")
-        if sum(self.mix.values()) <= 0:
+        # The kind draw in synth_generate makes none of Generator.choice's
+        # checks. A weight must be finite as a float64: NaN fails `<=`.
+        for kind, weight in zip(self.mix, weights):
+            if not abs(weight) <= sys.float_info.max:
+                raise GenerationError(f"mix weight of {kind!r} must be finite, got {weight!r}")
+        total = sum(weights)
+        if not total <= sys.float_info.max:
+            raise GenerationError(f"mix weights must have a finite sum, got {total!r}")
+        if total <= 0:
             raise GenerationError("mix weights must sum to a positive value")
         if not (0 <= self.train_fraction + self.validation_fraction <= 1):
             raise GenerationError("split fractions must sum to at most 1")
@@ -209,10 +224,14 @@ def synth_generate(config: SynthConfig, seed: int) -> Corpus:
     rng = np.random.default_rng(seed)
     kinds = [k for k in KINDS if config.mix.get(k, 0) > 0]
     weights = np.array([config.mix[k] for k in kinds], dtype=np.float64)
-    weights = weights / weights.sum()
+    # The two steps Generator.choice(len(kinds), p=weights / weights.sum())
+    # takes for one draw, with the CDF computed once: the same uniform from
+    # the stream, so the same kinds.
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
     documents = []
     for i in range(config.n_docs):
-        kind = kinds[int(rng.choice(len(kinds), p=weights))]
+        kind = kinds[int(cdf.searchsorted(rng.random(), side="right"))]
         boxes, pairs = _BUILDERS[kind](rng, config)
         documents.append(_assemble(f"synth-{i:04d}-{kind}", rng, config, boxes, pairs))
     split = _split_map(

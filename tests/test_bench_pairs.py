@@ -13,22 +13,23 @@ spec.loader.exec_module(bench_pairs)
 END_TO_END = [
     {"name": "docs_per_s", "better": "higher", "bound": 0.25},
     {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
 ]
 
 
-def runs_of(workload, seed, parent, change, rss=(50.0, 50.0)):
-    """Untraced runs, one pair per (parent, change) docs_per_s value."""
+def runs_of(workload, seed, parent, change, rss=(50.0, 50.0), metric="docs_per_s"):
+    """Untraced runs, one pair per (parent, change) value of ``metric``."""
     runs = []
     for pair, values in enumerate(zip(parent, change)):
         for side, value, mb in zip(("parent", "change"), values, rss):
             runs.append({"workload": workload, "seed": seed, "trace": 0, "side": side,
-                         "pair": pair, "metrics": {"docs_per_s": value, "peak_rss_mb": mb}})
+                         "pair": pair, "metrics": {metric: value, "peak_rss_mb": mb}})
     return runs
 
 
-def read(runs, claim="rore-link"):
+def read(runs, claim="rore-link", metric="docs_per_s"):
     summary = bench_pairs.summarize(runs)
-    return bench_pairs.verdict(summary, runs, claim, END_TO_END)
+    return bench_pairs.verdict(summary, runs, claim, END_TO_END, metric)
 
 
 PARENT = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]
@@ -55,6 +56,26 @@ def test_claim_not_met(change):
     seed0 = read(runs_of("rore-link", 0, PARENT, change))["claim"]["rore-link seed 0"]
     assert seed0["wins"] == (8 if change[0] == 110.0 else 10)
     assert not seed0["met"]
+
+
+SETUP_PARENT = [0.155, 0.151, 0.160, 0.153, 0.158, 0.154, 0.156, 0.152, 0.159, 0.155]
+
+
+def test_claim_on_a_lower_is_better_metric_is_won_by_the_smaller_value():
+    faster = [0.130] * 9 + [0.157]
+    out = read(runs_of("rop-train", 0, SETUP_PARENT, faster, metric="setup_s"),
+               claim="rop-train", metric="setup_s")
+    seed0 = out["claim"]["rop-train seed 0"]
+    assert seed0["metric"] == "setup_s"
+    assert (seed0["wins"], seed0["pairs"]) == (9, 10)
+    assert seed0["median_gain"] == pytest.approx(0.155 - 0.130)
+    assert seed0["met"]
+    setup = out["end_to_end"]["rop-train seed 0"]["setup_s"]
+    assert setup["ratio"] == pytest.approx(0.155 / 0.130) and setup["within_bound"]
+    slower = [value + 0.02 for value in SETUP_PARENT]
+    seed0 = read(runs_of("rop-train", 0, SETUP_PARENT, slower, metric="setup_s"),
+                 claim="rop-train", metric="setup_s")["claim"]["rop-train seed 0"]
+    assert seed0["wins"] == 0 and seed0["median_gain"] < 0 and not seed0["met"]
 
 
 def test_held_out_seed_needs_every_pair():

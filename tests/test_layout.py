@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,9 +62,15 @@ def test_bbox_bounds():
 
 
 def test_bbox_contains_and_overlaps():
-    outer = BBox(0, 0, 100, 100)
-    inner = BBox(10, 10, 50, 50)
-    assert outer.contains(inner) and not inner.contains(outer)
+    # A segment's box must contain each word box; edges may touch.
+    outer = BBox(10, 10, 100, 100)
+    inner = BBox(20, 20, 50, 50)
+    assert Segment(0, (Word("w", inner), Word("v", outer)), outer).box == outer
+    for word_box in (BBox(9, 10, 100, 100), BBox(10, 9, 100, 100),
+                     BBox(10, 10, 101, 100), BBox(10, 10, 100, 101)):
+        reason = f"segment 0 box does not contain word box {word_box.as_list()}"
+        with pytest.raises(ValidationError, match=re.escape(reason)):
+            Segment(0, (Word("w", inner), Word("v", word_box)), outer)
     assert outer.overlaps(inner)
     assert not BBox(0, 0, 10, 10).overlaps(BBox(10, 0, 20, 10))  # edge touch
 
@@ -350,6 +357,10 @@ def test_document_id_that_is_not_a_non_empty_string_is_refused(tmp_path, edit, r
         (lambda: BBox(0.5, 0, 999, 999), "box x0 must be an integer, got 0.5"),
         (lambda: BBox(0, True, 999, 999), "box y0 must be an integer, got True"),
         (lambda: BBox(0, 0, "999", 999), "box x1 must be an integer, got '999'"),
+        (lambda: BBox(0, 0, 999, 999.0), "box y1 must be an integer, got 999.0"),
+        (lambda: BBox(np.int64(0), 0, 999, 999),
+         f"box x0 must be an integer, got {np.int64(0)!r}"),
+        (lambda: BBox(0, None, 999, [999]), "box y0 must be an integer, got None"),
         (lambda: Segment(0.0, chain_doc().segments[0].words, BBox(0, 0, 999, 999)),
          "segment id must be an integer, got 0.0"),
         (lambda: Document("d", 1000.9, 1000, chain_doc().segments),
@@ -357,12 +368,21 @@ def test_document_id_that_is_not_a_non_empty_string_is_refused(tmp_path, edit, r
         (lambda: Document("d", 1000, "1000", chain_doc().segments),
          "page height must be an integer, got '1000'"),
     ],
-    ids=["float-box", "bool-box", "string-box", "float-segment-id", "float-page",
-         "string-page"],
+    ids=["float-box", "bool-box", "string-box", "float-y1", "numpy-int64-box",
+         "two-bad-fields-first-named", "float-segment-id", "float-page", "string-page"],
 )
 def test_layout_integers_are_not_coerced(make, reason):
     with pytest.raises(TypeError, match=re.escape(reason)):
         make()
+
+
+def test_layout_accepts_an_int_subclass():
+    class Coordinate(int):
+        pass
+
+    box = BBox(Coordinate(0), 0, Coordinate(999), Coordinate(999))
+    assert box.as_list() == [0, 0, 999, 999]
+    assert Segment(Coordinate(0), chain_doc().segments[0].words, box).id == 0
 
 
 @pytest.mark.parametrize(

@@ -293,6 +293,16 @@ def test_permutation_to_relation_rejects_non_permutations():
         permutation_to_relation([0, 0, 1])
     with pytest.raises(InvalidPermutationError):
         permutation_to_relation([0, 2])
+    for perm, element in [
+        ([1.9, 0.2], "1.9"),
+        ([True, False], "True"),
+        ([0, 1.0], "1.0"),
+        ([1, "0"], "'0'"),
+        (np.array([1, 0]), repr(np.int64(1))),  # "1" before numpy 2
+    ]:
+        with pytest.raises(InvalidPermutationError,
+                           match=re.escape(f"permutation element {element} is not an integer")):
+            permutation_to_relation(perm)
 
 
 # --- topological_linearization ---

@@ -1,8 +1,11 @@
 import itertools
+import re
 
+import numpy as np
 import pytest
 
-from rorokit.layout import save_corpus
+from rorokit import synth
+from rorokit.layout import Corpus, document_to_dict, save_corpus
 from rorokit.relations import is_acyclic
 from rorokit.synth import (
     FORM_BOXES,
@@ -123,6 +126,84 @@ def test_config_validation():
         SynthConfig(words_per_segment=(3, 1))
     with pytest.raises(GenerationError):
         SynthConfig(train_fraction=0.9, validation_fraction=0.3)
+    nan, inf = float("nan"), float("inf")
+    for mix, reason in [
+        ({"chain": nan, "grid": 1.0}, "mix weight of 'chain' must be finite, got nan"),
+        ({"chain": 1.0, "grid": inf}, "mix weight of 'grid' must be finite, got inf"),
+        ({"chain": 10**400}, "mix weight of 'chain' must be finite, got 1000"),
+        ({"chain": 1e308, "grid": 1e308}, "mix weights must have a finite sum, got inf"),
+        ({"chain": True}, "mix weight of 'chain' must be a number, got True"),
+        ({"chain": 1.0, "grid": "0.5"}, "mix weight of 'grid' must be a number, got '0.5'"),
+        ({"chain": None}, "mix weight of 'chain' must be a number, got None"),
+        ({"chain": [1.0]}, "mix weight of 'chain' must be a number, got [1.0]"),
+    ]:
+        with pytest.raises(GenerationError, match=re.escape(reason)):
+            SynthConfig(mix=mix)
+    # The weight checks do not hide the messages of the checks before them.
+    with pytest.raises(GenerationError, match=re.escape("unknown layout kinds: ['pyramid']")):
+        SynthConfig(mix={"pyramid": nan})
+    with pytest.raises(GenerationError, match="non-negative weights"):
+        SynthConfig(mix={"chain": -inf})
+    assert SynthConfig(mix={"chain": 3, "grid": 1e-300}).mix["chain"] == 3
+
+
+# The kind mixes the oracles below cover: the default, one kind (as in each
+# of perfbench's relations-eval strata), integer weights, a vanishing weight
+# and every kind.
+MIXES = [
+    {"chain": 0.4, "two-column": 0.3, "grid": 0.3},
+    {"grid": 1.0},
+    {"chain": 3, "header-footer": 1},
+    {"chain": 1.0, "grid": 1e-300},
+    {"chain": 0.1, "two-column": 0.2, "grid": 0.3, "header-footer": 0.4},
+]
+
+
+@pytest.mark.parametrize("mix", MIXES)
+def test_cdf_kind_draw_equals_generator_choice(mix):
+    # synth_generate's draw against the numpy call it replaces, with the
+    # bounded-integer draws of the builders in between.
+    weights = np.array([w for k, w in mix.items() if w > 0], dtype=np.float64)
+    p = weights / weights.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    for seed in range(200):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for step in range(12):
+            assert int(cdf.searchsorted(fast.random(), side="right")) == int(
+                slow.choice(len(weights), p=p)
+            )
+            assert fast.integers(0, 3 + step) == slow.integers(0, 3 + step)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def reference_generate(config, seed):
+    """synth_generate with Generator.choice drawing each kind: the reference
+    that the CDF draw must reproduce."""
+    rng = np.random.default_rng(seed)
+    kinds = [k for k in synth.KINDS if config.mix.get(k, 0) > 0]
+    weights = np.array([config.mix[k] for k in kinds], dtype=np.float64)
+    weights = weights / weights.sum()
+    documents = []
+    for i in range(config.n_docs):
+        kind = kinds[int(rng.choice(len(kinds), p=weights))]
+        boxes, pairs = synth._BUILDERS[kind](rng, config)
+        documents.append(synth._assemble(f"synth-{i:04d}-{kind}", rng, config, boxes, pairs))
+    split = synth._split_map([d.id for d in documents], config.train_fraction,
+                             config.validation_fraction)
+    return Corpus(tuple(documents), split)
+
+
+@pytest.mark.parametrize("mix", MIXES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_generated_corpus_equals_the_choice_reference(mix, seed):
+    config = SynthConfig(n_docs=40, mix=mix, chain_segments=(3, 12), grid_rows=(2, 6),
+                         words_per_segment=(1, 4))
+    fast, slow = synth_generate(config, seed), reference_generate(config, seed)
+    assert fast.split == slow.split
+    assert [document_to_dict(d) for d in fast.documents] == [
+        document_to_dict(d) for d in slow.documents
+    ]
 
 
 # --- form corpus ---
