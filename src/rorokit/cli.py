@@ -37,11 +37,11 @@ from .metrics import (
     heuristic_relation,
     report_to_json,
     report_to_text,
-    sequence_to_relation,
 )
 from .nn import EncoderConfig, MissingGradientError
 from .relations import (
     Relation,
+    permutation_to_relation,
     relation_from_json,
     relation_to_json,
     transitive_closure,
@@ -88,6 +88,9 @@ def _load_sections(path: Optional[str]) -> dict:
         sections = json.load(fh)
     if not isinstance(sections, dict):
         raise ValueError("config file must hold a JSON object of sections")
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {name!r} must be a JSON object, got {section!r}")
     return sections
 
 
@@ -226,12 +229,10 @@ def _system_table(
 
             def heuristic_words(doc: Document) -> Relation:
                 spans = doc.word_spans()
-                seq = [
-                    w
-                    for seg in heuristic_reading_order(doc)
-                    for w in range(*spans[seg])
-                ]
-                return sequence_to_relation(seq, doc, level="word")
+                order = heuristic_reading_order(doc)
+                return permutation_to_relation(
+                    [w for s in order for w in range(*spans[s])]
+                )
 
             systems["heuristic"] = heuristic_words
         else:
@@ -295,6 +296,8 @@ def cmd_demo_rore(args) -> int:
     demo_section = dict(sections.get("demo", {}))
     n_docs = demo_section.pop("n_docs", 300)
     model_path = demo_section.pop("model", None)
+    if model_path is not None and (not isinstance(model_path, str) or not model_path):
+        raise ValueError(f"bad demo section: model must be a non-empty path, got {model_path!r}")
     if args.seed is not None:
         demo_section["seed"] = args.seed
     config = _build(DemoConfig, demo_section)

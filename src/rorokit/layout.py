@@ -16,11 +16,12 @@ serializable for downstream validation.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Optional
 
-from .relations import Relation, index_pair, is_acyclic, transitive_closure
+from .relations import Relation, index_pair, is_acyclic
 
 COORD_MAX = 1000
 
@@ -46,10 +47,13 @@ def check_integer(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def check_int_fields(config) -> None:
-    """``check_integer`` on every field of the dataclass ``config`` typed
-    ``int``, ``Optional[int]`` (None passes) or ``tuple[int, int]`` (a pair),
-    types read as the strings ``from __future__ import annotations`` leaves."""
+def check_field_types(config) -> None:
+    """Raise TypeError naming the field unless each field of the dataclass
+    ``config`` holds a value of its type: ``int`` (``check_integer``),
+    ``Optional[int]`` (None passes), ``tuple[int, int]`` (a pair), ``float``
+    (a float, or an int a float64 can hold), ``bool`` or ``dict``. A bool is
+    no number. Types are read as the strings ``from __future__ import
+    annotations`` leaves."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "tuple[int, int]":
@@ -59,6 +63,16 @@ def check_int_fields(config) -> None:
                 check_integer(f"{f.name} entry", item)
         elif f.type == "int" or (f.type == "Optional[int]" and value is not None):
             check_integer(f.name, value)
+        elif f.type == "float" and not (
+            isinstance(value, float)
+            or (isinstance(value, int) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
+        ):
+            raise TypeError(f"{f.name} must be a float64 number, got {value!r}")
+        elif f.type == "bool" and type(value) is not bool:
+            raise TypeError(f"{f.name} must be true or false, got {value!r}")
+        elif f.type == "dict" and not isinstance(value, dict):
+            raise TypeError(f"{f.name} must be an object, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,14 +95,6 @@ class BBox:
 
     def as_list(self) -> list[int]:
         return [self.x0, self.y0, self.x1, self.y1]
-
-    def overlaps(self, other: "BBox") -> bool:
-        return not (
-            self.x1 <= other.x0
-            or other.x1 <= self.x0
-            or self.y1 <= other.y0
-            or other.y1 <= self.y0
-        )
 
     def center(self) -> tuple[float, float]:
         return ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
@@ -273,7 +279,8 @@ def document_from_dict(obj: dict, allow_cyclic: bool = False) -> Document:
     except (KeyError, IndexError, TypeError) as exc:
         raise ValidationError(f"document {doc_id}: malformed field ({exc})") from exc
     except ValueError as exc:
-        raise ValidationError(f"document {doc_id}: {exc}") from exc
+        named = str(exc).startswith(f"document {doc_id}: ")  # Document's own refusals
+        raise ValidationError(str(exc) if named else f"document {doc_id}: {exc}") from exc
     if not allow_cyclic and doc.isdr is not None:
         ok, violation = is_acyclic(doc.isdr)
         if not ok:
@@ -537,10 +544,3 @@ def collapse_word_relation(doc: Document, word_rel: Relation) -> Relation:
         if sa != sb:
             pairs.add((sa, sb))
     return Relation(doc.n_segments, frozenset(pairs))
-
-
-def gsdr(doc: Document) -> Relation:
-    """Generalized succession: transitive closure of the document's isdr."""
-    if doc.isdr is None:
-        raise ValidationError(f"document {doc.id}: missing isdr")
-    return transitive_closure(doc.isdr)

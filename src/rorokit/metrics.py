@@ -1,10 +1,10 @@
-"""Pair-level metrics, a geometric reading-order heuristic, and adapters.
+"""Pair-level metrics, a geometric reading-order heuristic, and the report.
 
 Predictions and gold annotations are compared as sets of ordered element
 pairs. Corpus scores pool the raw counts over documents (micro averaging).
-Sequence-producing baselines are converted to relations (adjacent pairs at
-word level, first-appearance order at segment level) so that permutation
-models and relation models share one scoreboard.
+A sequence-producing baseline is scored through the relation its
+permutation induces (``relations.permutation_to_relation``), so that
+permutation models and relation models share one scoreboard.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .relations import (
     BRUTE_FORCE_MAX_N,
     Relation,
     best_permutation_recall,
+    permutation_to_relation,
 )
 
 
@@ -107,37 +108,9 @@ def heuristic_reading_order(doc: Document) -> list[int]:
     return order
 
 
-def sequence_to_relation(
-    word_sequence: Sequence[int], doc: Document, level: str
-) -> Relation:
-    """Convert a predicted word sequence into relation pairs.
-
-    Word level extracts adjacent word pairs. Segment level orders segments by
-    the first appearance of any of their words, then takes adjacent segment
-    pairs. ``word_sequence`` holds global word indices.
-    """
-    n_words = doc.n_words
-    if sorted(word_sequence) != list(range(n_words)):
-        raise ValueError("word_sequence must be a permutation of the document words")
-    if level == "word":
-        return Relation.from_pairs(
-            n_words, zip(word_sequence, word_sequence[1:])
-        )
-    if level == "segment":
-        owner = doc.word_segment_index()
-        seen: list[int] = []
-        for w in word_sequence:
-            seg = owner[w]
-            if seg not in seen:
-                seen.append(seg)
-        return Relation.from_pairs(doc.n_segments, zip(seen, seen[1:]))
-    raise ValueError(f"unknown level {level!r}")
-
-
 def heuristic_relation(doc: Document) -> Relation:
     """Segment relation induced by the row-major heuristic's permutation."""
-    order = heuristic_reading_order(doc)
-    return Relation.from_pairs(doc.n_segments, zip(order, order[1:]))
+    return permutation_to_relation(heuristic_reading_order(doc))
 
 
 # ---------------------------------------------------------------------------

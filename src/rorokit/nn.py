@@ -22,13 +22,13 @@ import base64
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .autodiff import Tensor, gather_rows, layer_norm, linear, softmax_lastdim
-from .layout import BBox, check_int_fields
+from .layout import BBox, check_field_types
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -79,9 +79,10 @@ class EncoderConfig:
     ffn_dim: int = 0  # 0 means 4 * model_dim
 
     def __post_init__(self):
-        check_int_fields(self)
-        if self.layers < 0:
-            raise ValueError("layers must be non-negative")
+        check_field_types(self)
+        for name in ("layers", "ffn_dim"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         for name in ("model_dim", "heads", "vocab_hash_size", "coord_buckets", "max_tokens"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -89,17 +90,6 @@ class EncoderConfig:
             raise ValueError("model_dim must be divisible by heads")
         if self.ffn_dim == 0:
             object.__setattr__(self, "ffn_dim", 4 * self.model_dim)
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.heads
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EncoderConfig":
-        return cls(**obj)
 
 
 class ParameterStore:
@@ -132,9 +122,6 @@ class ParameterStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return sorted(self._params)

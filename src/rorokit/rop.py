@@ -25,7 +25,7 @@ from .layout import (
     BBox,
     Corpus,
     Document,
-    check_int_fields,
+    check_field_types,
     collapse_word_relation,
     derive_word_level,
 )
@@ -71,7 +71,7 @@ class ROPConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if self.task_level not in TASK_LEVELS:
             raise ValueError(f"unknown task_level {self.task_level!r}")
         if self.bbox_level not in TASK_LEVELS:
@@ -90,13 +90,6 @@ class ROPConfig:
         if self.max_elements > 0:
             return self.max_elements
         return DEFAULT_MAX_ELEMENTS[self.task_level]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ROPConfig":
-        return cls(**obj)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +476,7 @@ class ROPModel:
         return relations[0] if one else relations
 
     def save(self, path) -> None:
-        config = {"encoder": self.encoder_config.to_dict(), "rop": self.config.to_dict()}
+        config = {"encoder": asdict(self.encoder_config), "rop": asdict(self.config)}
         save_checkpoint(path, config, self.store)
 
     @classmethod
@@ -521,7 +514,7 @@ def _config_section(cls, config: dict, name: str):
     if not isinstance(config.get(name), dict):
         raise CheckpointError(f"config has no {name!r} section")
     try:
-        return cls.from_dict(config[name])
+        return cls(**config[name])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"config section {name!r}: {exc}") from None
 
@@ -553,18 +546,18 @@ def fit(
     learning_rate: float,
     epochs: int,
     batch_size: int,
+    max_tokens: int,
     validate: Optional[Callable[[], float]] = None,
     patience: int = 1,
-    split: Optional[Callable[[list], list[list]]] = None,
 ) -> tuple[list[float], list[float], int]:
     """Mini-batch AdamW over ``examples``; returns (losses, scores, best epoch).
 
     Each epoch shuffles the examples with ``rng`` and cuts them into batches.
     ``batch_loss`` maps a batch (a list of examples) to its mean loss, one
-    graph. ``split`` may cut a batch into sub-batches (see ``split_batch``):
-    each then gets its own graph and backward pass, weighted by its share of
-    the batch, so that one graph is alive at a time; the gradients add up
-    and each batch takes one optimizer step. The returned losses are
+    graph. ``split_batch`` cuts each batch under the ``max_tokens`` budget:
+    each sub-batch gets its own graph and backward pass, weighted by its
+    share of the batch, so that one graph is alive at a time; the gradients
+    add up and each batch takes one optimizer step. The returned losses are
     per-epoch means over examples. With ``validate``
     the score it returns after each epoch drives early stopping: training
     stops on a perfect 1.0 or after ``patience`` epochs without improvement,
@@ -584,7 +577,7 @@ def fit(
         for start in range(0, len(order), batch_size):
             batch = [examples[i] for i in order[start : start + batch_size]]
             store.zero_grads()
-            for part in [batch] if split is None else split(batch):
+            for part in split_batch(batch, max_tokens):
                 loss = batch_loss(part)
                 epoch_loss += loss.item() * len(part)
                 (loss * (len(part) / len(batch))).backward()
@@ -708,9 +701,9 @@ def train(
         config.learning_rate,
         config.epochs,
         config.batch_size,
+        encoder_config.max_tokens,
         validation_f1 if val_docs else None,
         config.patience,
-        lambda batch: split_batch(batch, encoder_config.max_tokens),
     )
     report = TrainReport(
         epochs_run=len(train_losses),

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .layout import BBox, Corpus, Document, check_int_fields
+from .layout import BBox, Corpus, Document, check_field_types
 from .metrics import corpus_f1
 from .nn import AttentionBias, EncoderConfig, ParameterStore, encoder_forward
 from .relations import CycleError, Relation, is_acyclic, transitive_closure
@@ -26,7 +26,6 @@ from .rop import (
     check_span_tiling,
     fit,
     gp_loss,
-    split_batch,
     tokens_for_document,
 )
 
@@ -161,20 +160,15 @@ class DemoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if self.relation_kind not in MATRIX_KINDS:
             raise ValueError(f"unknown relation_kind {self.relation_kind!r}")
         if self.label_source not in ("ground_truth", "pseudo"):
             raise ValueError(f"unknown label_source {self.label_source!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.head_dim < 1:
             raise ValueError("epochs, batch_size, and head_dim must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DemoConfig":
-        return cls(**obj)
+        if self.bias_layers is not None and self.bias_layers < 0:
+            raise ValueError("bias_layers must be non-negative")
 
 
 def _demo_encoder() -> EncoderConfig:
@@ -239,7 +233,7 @@ def _train_linking_arm(
         config.learning_rate,
         config.epochs,
         config.batch_size,
-        split=lambda batch: split_batch(batch, encoder_config.max_tokens),
+        encoder_config.max_tokens,
     )
 
     def evaluate(examples: list[tuple]) -> float:
@@ -303,5 +297,5 @@ def rore_demo_entity_linking(
         "f1_vanilla": vanilla["test_f1"],
         "f1_rore": biased["test_f1"],
         "arms": {"vanilla": vanilla, "rore": biased},
-        "config": config.to_dict(),
+        "config": asdict(config),
     }

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import BBox, Corpus, Document, Segment, Word, check_int_fields
+from .layout import BBox, Corpus, Document, Segment, Word, check_field_types
 from .relations import Relation
 
 PAGE = 1000
@@ -62,7 +62,7 @@ class SynthConfig:
     validation_fraction: float = 0.0
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if self.n_docs <= 0:
             raise GenerationError("n_docs must be positive")
         for name in (
@@ -82,7 +82,7 @@ class SynthConfig:
             raise GenerationError("mix must be non-empty with non-negative weights")
         unknown = set(self.mix) - set(KINDS)
         if unknown:
-            raise GenerationError(f"unknown layout kinds: {sorted(unknown)}")
+            raise GenerationError(f"mix has unknown layout kinds: {sorted(unknown)}")
         # The kind draw in synth_generate makes none of Generator.choice's
         # checks. A weight must be finite as a float64: NaN fails `<=`.
         for kind, weight in zip(self.mix, weights):
@@ -93,8 +93,12 @@ class SynthConfig:
             raise GenerationError(f"mix weights must have a finite sum, got {total!r}")
         if total <= 0:
             raise GenerationError("mix weights must sum to a positive value")
-        if not (0 <= self.train_fraction + self.validation_fraction <= 1):
-            raise GenerationError("split fractions must sum to at most 1")
+        fractions = (self.train_fraction, self.validation_fraction)
+        if not (min(fractions) >= 0 and sum(fractions) <= 1):
+            raise GenerationError(
+                "train_fraction and validation_fraction must be non-negative "
+                "and sum to at most 1"
+            )
 
 
 def _pitch(extent: int, count: int) -> int:

@@ -19,7 +19,6 @@ from rorokit.layout import (
     derive_word_level,
     document_from_dict,
     document_to_dict,
-    gsdr,
     load_corpus,
     nonlinear_stats,
     save_corpus,
@@ -61,7 +60,7 @@ def test_bbox_bounds():
         BBox(-1, 0, 5, 5)
 
 
-def test_bbox_contains_and_overlaps():
+def test_segment_box_contains_its_word_boxes():
     # A segment's box must contain each word box; edges may touch.
     outer = BBox(10, 10, 100, 100)
     inner = BBox(20, 20, 50, 50)
@@ -71,8 +70,6 @@ def test_bbox_contains_and_overlaps():
         reason = f"segment 0 box does not contain word box {word_box.as_list()}"
         with pytest.raises(ValidationError, match=re.escape(reason)):
             Segment(0, (Word("w", inner), Word("v", word_box)), outer)
-    assert outer.overlaps(inner)
-    assert not BBox(0, 0, 10, 10).overlaps(BBox(10, 0, 20, 10))  # edge touch
 
 
 def test_bbox_center_and_height():
@@ -107,7 +104,7 @@ def test_document_requires_dense_ids():
 def test_document_relation_size_checked():
     doc = chain_doc(n=3)
     with pytest.raises(ValidationError):
-        Document("d", 1000, 1000, doc.segments, Relation.empty(5))
+        Document("d", 1000, 1000, doc.segments, Relation(5, ()))
 
 
 def test_document_word_bookkeeping():
@@ -209,7 +206,7 @@ def test_derive_word_level_cross_segment_rule():
 
 def test_derive_word_level_single_segment():
     a = seg(0, 0, 0, 600, 80, texts=("a1", "a2", "a3"))
-    doc = Document("d", 1000, 1000, (a,), Relation.empty(1))
+    doc = Document("d", 1000, 1000, (a,), Relation(1, ()))
     assert derive_word_level(doc).pairs == {(0, 1), (1, 2)}
 
 
@@ -416,9 +413,27 @@ def test_corpus_line_with_a_non_integer_layout_value_is_refused(tmp_path, edit, 
         load_corpus(path)
 
 
-# --- gsdr ---
-
-
-def test_gsdr_is_closure_of_isdr():
-    doc = chain_doc(n=3)
-    assert gsdr(doc).pairs == {(0, 1), (1, 2), (0, 2)}
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda obj: obj["segments"][1].update(id=5),
+         "segment ids must be 0..1, got [0, 5]"),
+        (lambda obj: obj.update(page=[0, 1000]), "non-positive page size"),
+        (lambda obj: obj.update(links=[[0, 5]]),
+         "pair (0, 5) out of range for element_count=2"),
+    ],
+    ids=["segment-ids", "page-size", "links-pair"],
+)
+def test_refused_corpus_line_names_its_document_once(tmp_path, edit, reason):
+    raw = document_to_dict(chain_doc("d", n=2))
+    edit(raw)
+    message = f"document d: {reason}"
+    with pytest.raises(ValidationError) as caught:
+        document_from_dict(raw)
+    assert str(caught.value) == message
+    assert validate_annotation(raw).schema_errors == (message,)
+    path = tmp_path / "once.jsonl"
+    path.write_text(json.dumps(raw) + "\n")
+    with pytest.raises(ValidationError) as caught:
+        load_corpus(path)
+    assert str(caught.value) == message

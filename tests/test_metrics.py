@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rorokit.layout import BBox, Document, Segment, Word
+from rorokit.layout import BBox, Document, Segment, Word, collapse_word_relation
 from rorokit.metrics import (
     PairMetrics,
     benchmark_report,
@@ -14,7 +14,6 @@ from rorokit.metrics import (
     pair_f1,
     report_to_json,
     report_to_text,
-    sequence_to_relation,
 )
 from rorokit.relations import Relation, permutation_to_relation, topological_linearization
 from rorokit.synth import SynthConfig, synth_generate
@@ -44,25 +43,25 @@ def test_perfect_prediction():
 
 
 def test_empty_vs_empty_is_perfect():
-    m = pair_f1(Relation.empty(3), Relation.empty(3))
+    m = pair_f1(Relation(3, ()), Relation(3, ()))
     assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
 
 
 def test_empty_gold_with_prediction_is_zero():
-    m = pair_f1(Relation.empty(2), Relation.from_pairs(2, [(0, 1)]))
+    m = pair_f1(Relation(2, ()), Relation.from_pairs(2, [(0, 1)]))
     assert m.precision == 0.0 and m.f1 == 0.0
 
 
 def test_pair_f1_requires_matching_element_count():
     with pytest.raises(ValueError):
-        pair_f1(Relation.empty(2), Relation.empty(3))
+        pair_f1(Relation(2, ()), Relation(3, ()))
 
 
 def test_micro_average_pools_counts():
     gold1 = Relation.from_pairs(2, [(0, 1)])
     pred1 = Relation.from_pairs(2, [(0, 1)])
     gold2 = Relation.from_pairs(3, [(0, 1), (1, 2)])
-    pred2 = Relation.empty(3)
+    pred2 = Relation(3, ())
     m = corpus_f1([(gold1, pred1), (gold2, pred2)])
     assert m.true_positives == 1 and m.false_negatives == 2
     assert m.recall == pytest.approx(1 / 3)
@@ -107,49 +106,19 @@ def test_heuristic_recovers_chains():
         assert rel == doc.isdr
 
 
-# --- sequence adapters ---
-
-
-def make_two_segment_doc():
-    a = box_seg(0, 0, 0, 100, 50, n_words=2)
-    b = box_seg(1, 0, 100, 100, 150, n_words=1)
-    return Document("d", 1000, 1000, (a, b))
-
-
-def test_sequence_to_relation_word_level():
-    doc = make_two_segment_doc()
-    rel = sequence_to_relation([0, 1, 2], doc, level="word")
-    assert rel.pairs == {(0, 1), (1, 2)}
-
-
-def test_sequence_to_relation_segment_level_first_appearance():
-    doc = make_two_segment_doc()
-    # Word order b1, a1, a2: segment B appears first.
-    rel = sequence_to_relation([2, 0, 1], doc, level="segment")
-    assert rel.pairs == {(1, 0)}
-
-
-def test_sequence_to_relation_single_word():
-    doc = Document("d", 1000, 1000, (box_seg(0, 0, 0, 100, 50),))
-    assert sequence_to_relation([0], doc, level="word").pairs == set()
-    assert sequence_to_relation([0], doc, level="segment").pairs == set()
-
-
-def test_sequence_to_relation_validates_permutation():
-    doc = make_two_segment_doc()
-    with pytest.raises(ValueError):
-        sequence_to_relation([0, 0, 1], doc, level="word")
-    with pytest.raises(ValueError):
-        sequence_to_relation([0, 1, 2], doc, level="page")
+# --- permutation adapter ---
 
 
 def test_chain_linearization_round_trips_through_sequence():
+    # Chain order -> its word sequence -> the word relation that sequence
+    # induces -> projected onto segments: the chain again.
     cfg = SynthConfig(n_docs=3, mix={"chain": 1.0})
     for doc in synth_generate(cfg, seed=2).documents:
         seg_order = topological_linearization(doc.isdr)
         spans = doc.word_spans()
         word_seq = [w for s in seg_order for w in range(*spans[s])]
-        assert sequence_to_relation(word_seq, doc, level="segment") == doc.isdr
+        word_rel = permutation_to_relation(word_seq)
+        assert collapse_word_relation(doc, word_rel) == doc.isdr
 
 
 # --- benchmark report ---

@@ -1,6 +1,7 @@
 import base64
 import json
 from collections import namedtuple
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -49,13 +50,14 @@ def tiny_inputs(n=3):
 def test_config_validation():
     assert EncoderConfig(layers=0).layers == 0
     assert EncoderConfig(model_dim=64).ffn_dim == 256
-    assert EncoderConfig(model_dim=64, heads=4).head_dim == 16
     with pytest.raises(ValueError):
         EncoderConfig(model_dim=10, heads=4)
     with pytest.raises(ValueError):
         EncoderConfig(heads=0)
+    with pytest.raises(ValueError, match="ffn_dim must be non-negative"):
+        EncoderConfig(ffn_dim=-1)
     cfg = EncoderConfig()
-    assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
+    assert EncoderConfig(**asdict(cfg)) == cfg
 
 
 def test_store_rejects_duplicates_and_unknown_names():
@@ -711,9 +713,9 @@ def extreme_store():
 def test_checkpoint_round_trip_exact_and_stable(tmp_path):
     cfg = EncoderConfig(layers=1, model_dim=4, heads=2, vocab_hash_size=8, ffn_dim=8)
     for store in (init_encoder_params(cfg, seed=5), extreme_store()):
-        text = checkpoint_to_json(cfg.to_dict(), store)
+        text = checkpoint_to_json(asdict(cfg), store)
         loaded_cfg, loaded = checkpoint_from_json(text)
-        assert EncoderConfig.from_dict(loaded_cfg) == cfg
+        assert EncoderConfig(**loaded_cfg) == cfg
         assert loaded.names() == store.names()
         for name, tensor in store.items():
             assert loaded[name].data.shape == tensor.data.shape
@@ -721,8 +723,8 @@ def test_checkpoint_round_trip_exact_and_stable(tmp_path):
         assert checkpoint_to_json(loaded_cfg, loaded) == text
 
         path = tmp_path / "model.json"
-        save_checkpoint(path, cfg.to_dict(), store)
-        save_checkpoint(tmp_path / "model2.json", cfg.to_dict(), store)
+        save_checkpoint(path, asdict(cfg), store)
+        save_checkpoint(tmp_path / "model2.json", asdict(cfg), store)
         assert path.read_bytes() == (tmp_path / "model2.json").read_bytes()
         cfg2, store2 = load_checkpoint(path)
         assert store2.names() == store.names()
@@ -731,7 +733,7 @@ def test_checkpoint_round_trip_exact_and_stable(tmp_path):
 def test_saved_checkpoint_is_one_json_text(tmp_path):
     cfg = EncoderConfig(layers=1, model_dim=4, heads=2, vocab_hash_size=8, ffn_dim=8)
     store = init_encoder_params(cfg, seed=6)
-    config = {"encoder": cfg.to_dict(), "note": {"b": [1.5, None], "a": "x"}}
+    config = {"encoder": asdict(cfg), "note": {"b": [1.5, None], "a": "x"}}
     path = tmp_path / "model.json"
     save_checkpoint(path, config, store)
     text = checkpoint_to_json(config, store)

@@ -18,7 +18,6 @@ from rorokit.relations import (
     best_permutation_recall,
     is_acyclic,
     is_strict_partial_order,
-    is_strict_total_order,
     permutation_to_relation,
     relation_from_json,
     relation_to_json,
@@ -65,7 +64,7 @@ def is_transitive(pairs):
 def relations(draw, max_n=8, allow_empty=True):
     n = draw(st.integers(0 if allow_empty else 1, max_n))
     if n == 0:
-        return Relation.empty(0)
+        return Relation(0, ())
     idx = st.integers(0, n - 1)
     pairs = draw(st.sets(st.tuples(idx, idx), max_size=n * n))
     return Relation.from_pairs(n, pairs)
@@ -92,7 +91,7 @@ def test_relation_normalizes_and_validates():
     rel = Relation.from_pairs(3, [(0, 1), (0, 1), (2, 1)])
     assert rel.pairs == {(0, 1), (2, 1)}
     assert len(rel) == 2
-    assert (0, 1) in rel and (1, 0) not in rel
+    assert (0, 1) in rel.pairs and (1, 0) not in rel.pairs
     assert rel.sorted_pairs() == [(0, 1), (2, 1)]
 
 
@@ -153,7 +152,7 @@ def test_three_cycle_witness():
 
 
 def test_empty_relation_is_acyclic():
-    ok, _ = is_acyclic(Relation.empty(5))
+    ok, _ = is_acyclic(Relation(5, ()))
     assert ok
 
 
@@ -191,7 +190,7 @@ def test_closure_already_transitive():
 
 
 def test_closure_preserves_element_count():
-    rel = Relation.empty(7)
+    rel = Relation(7, ())
     assert transitive_closure(rel).element_count == 7
 
 
@@ -254,29 +253,32 @@ def test_closure_of_acyclic_never_symmetric(rel):
     assert not any((b, a) in closed.pairs for a, b in closed.pairs)
 
 
-def test_total_order_of_chain_closure():
-    closed = transitive_closure(Relation.from_pairs(3, [(0, 1), (1, 2)]))
-    ok, violation = is_strict_total_order(closed)
-    assert ok and violation is None
-
-
-def test_total_order_incomparable_witness():
-    ok, violation = is_strict_total_order(
-        Relation.from_pairs(3, [(0, 1), (0, 2)])
+def is_total(rel):
+    """Strict total order: a strict partial order in which every two distinct
+    elements are comparable."""
+    pairs = itertools.combinations(range(rel.element_count), 2)
+    return is_strict_partial_order(rel)[0] and all(
+        p in rel.pairs or p[::-1] in rel.pairs for p in pairs
     )
-    assert not ok
-    assert violation == OrderViolation("incomparable-pair", (1, 2))
+
+
+def test_total_order_of_chain_closure():
+    assert is_total(transitive_closure(Relation.from_pairs(3, [(0, 1), (1, 2)])))
+    # Branching leaves 1 and 2 incomparable.
+    assert not is_total(transitive_closure(Relation.from_pairs(3, [(0, 1), (0, 2)])))
 
 
 def test_total_order_singleton_and_empty():
-    assert is_strict_total_order(Relation.empty(1))[0]
-    assert is_strict_total_order(Relation.empty(0))[0]
+    assert is_total(Relation(1, ()))
+    assert is_total(Relation(0, ()))
 
 
 @given(st.permutations(list(range(6))))
 def test_permutation_adjacency_closure_is_total(perm):
     closed = transitive_closure(permutation_to_relation(perm))
-    assert is_strict_total_order(closed)[0]
+    assert is_total(closed)
+    # Each element before the ones the permutation puts after it.
+    assert closed.pairs == set(itertools.combinations(perm, 2))
 
 
 # --- permutation conversions ---
@@ -313,7 +315,7 @@ def test_linearization_index_tie_break():
 
 
 def test_linearization_empty():
-    assert topological_linearization(Relation.empty(3)) == [0, 1, 2]
+    assert topological_linearization(Relation(3, ())) == [0, 1, 2]
 
 
 def test_linearization_cycle_error_carries_witness():
@@ -332,7 +334,7 @@ def test_linearization_geometric_tie_break():
 
 def test_linearization_tie_key_length_checked():
     with pytest.raises(RelationError):
-        topological_linearization(Relation.empty(2), tie_key=[(0, 0)])
+        topological_linearization(Relation(2, ()), tie_key=[(0, 0)])
 
 
 @given(acyclic_relations(max_n=10))
@@ -370,7 +372,7 @@ def test_grid_2x2_recall_half():
 
 
 def test_empty_relation_recall_is_vacuously_perfect():
-    perm, recall = best_permutation_recall(Relation.empty(3))
+    perm, recall = best_permutation_recall(Relation(3, ()))
     assert (perm, recall) == ([0, 1, 2], 1.0)
 
 

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -69,7 +69,7 @@ def test_config_defaults_and_budgets():
 
 def test_config_round_trip():
     cfg = ROPConfig(task_level="word", threshold=0.5, seed=9)
-    assert ROPConfig.from_dict(cfg.to_dict()) == cfg
+    assert ROPConfig(**asdict(cfg)) == cfg
 
 
 @pytest.mark.parametrize(
@@ -186,7 +186,7 @@ def test_loss_all_zero_scores_single_pair():
 
 
 def test_loss_all_zero_scores_no_pairs():
-    got = gp_loss(Tensor(np.zeros((2, 2))), Relation.empty(2)).item()
+    got = gp_loss(Tensor(np.zeros((2, 2))), Relation(2, ())).item()
     assert abs(got - math.log(5)) <= 1e-9
 
 
@@ -246,18 +246,18 @@ def test_loss_is_permutation_equivariant(perm, seed):
 def test_loss_rejects_bad_inputs():
     both = r"shape \(2, 3\) do not match the labels' \(1, 2, 2\)"
     with pytest.raises(ValueError, match=both):
-        gp_loss(Tensor(np.zeros((2, 3))), Relation.empty(2))
+        gp_loss(Tensor(np.zeros((2, 3))), Relation(2, ()))
     with pytest.raises(ValueError):
-        gp_loss(Tensor(np.zeros((2, 2))), Relation.empty(3))
+        gp_loss(Tensor(np.zeros((2, 2))), Relation(3, ()))
     # Only the padded (B, n, n) array holds a pack; a lone matrix stands
     # for one document, and flattened scores are refused.
     with pytest.raises(ValueError, match=r"shape \(4,\) do not match"):
-        gp_loss(Tensor(np.zeros(4)), Relation.empty(2))
+        gp_loss(Tensor(np.zeros(4)), Relation(2, ()))
     pack = r"shape \(2, 2\) do not match the labels' \(2, 2, 2\)"
     with pytest.raises(ValueError, match=pack):
-        gp_loss(Tensor(np.zeros((2, 2))), [Relation.empty(2), Relation.empty(1)])
+        gp_loss(Tensor(np.zeros((2, 2))), [Relation(2, ()), Relation(1, ())])
     with pytest.raises(AutodiffError):
-        gp_loss(Tensor(np.full((2, 2), np.nan)), Relation.empty(2))
+        gp_loss(Tensor(np.full((2, 2), np.nan)), Relation(2, ()))
 
 
 # --- decoding ---
@@ -420,8 +420,9 @@ def test_early_stopping_respects_patience():
     assert report.epochs_run <= 3
 
 
-def fit_one_parameter(scores=None, epochs=10, patience=1, split=None):
-    """Fit w toward targets 1, 2, 3; validate replays ``scores`` in order."""
+def fit_one_parameter(scores=None, epochs=10, patience=1, max_tokens=8):
+    """Fit w toward targets 1, 2, 3, one one-token example each; validate
+    replays ``scores`` in order."""
     store = ParameterStore()
     w = store.add("w", np.zeros(1))
     after_epoch = []
@@ -431,21 +432,22 @@ def fit_one_parameter(scores=None, epochs=10, patience=1, split=None):
         after_epoch.append(w.data.copy())
         return scores[len(after_epoch) - 1]
 
-    def batch_loss(targets):
+    def batch_loss(batch):
+        targets = [t for _, t in batch]
         batch_sizes.append(len(targets))
         return sum(((w - t) ** 2).sum() for t in targets) * (1.0 / len(targets))
 
     result = fit(
         store,
-        [1.0, 2.0, 3.0],
+        [((["w"], [None], [(0, 1)]), t) for t in (1.0, 2.0, 3.0)],
         batch_loss,
         np.random.default_rng(0),
         learning_rate=0.1,
         epochs=epochs,
         batch_size=2,
+        max_tokens=max_tokens,
         validate=validate if scores is not None else None,
         patience=patience,
-        split=split,
     )
     return result, w.data.copy(), after_epoch, batch_sizes
 
@@ -474,9 +476,8 @@ def test_fit_without_validation_runs_every_epoch():
 
 def test_fit_sub_batches_add_up_to_the_whole_batch():
     (whole, _, _), w_whole, _, _ = fit_one_parameter(epochs=3)
-    (parts, _, _), w_parts, _, sizes = fit_one_parameter(
-        epochs=3, split=lambda batch: [[t] for t in batch]
-    )
+    # A budget of one token puts each example in a sub-batch of its own.
+    (parts, _, _), w_parts, _, sizes = fit_one_parameter(epochs=3, max_tokens=1)
     assert sizes == [1, 1, 1] * 3  # one loss call per sub-batch
     np.testing.assert_allclose(parts, whole, rtol=1e-12)
     np.testing.assert_allclose(w_parts, w_whole, rtol=1e-12)
@@ -730,9 +731,9 @@ def formula_loss(block, rel, diagonal):
 
 
 RAGGED_LABELS = [
-    Relation.empty(1),
+    Relation(1, ()),
     Relation.from_pairs(2, [(0, 1)]),
-    Relation.empty(4),  # a relation with no pairs
+    Relation(4, ()),  # a relation with no pairs
     Relation.from_pairs(7, [(0, 1), (1, 2), (2, 6), (3, 4), (5, 0)]),
 ]
 

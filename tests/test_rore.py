@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -65,7 +65,7 @@ def test_matrix_gsdr_adds_closure_bits():
 
 
 def test_matrix_empty_relation_is_all_zero():
-    matrix = build_relation_matrix(Relation.empty(2), spans_for([2, 2]), "isdr")
+    matrix = build_relation_matrix(Relation(2, ()), spans_for([2, 2]), "isdr")
     assert matrix.bits.sum() == 0
 
 
@@ -74,11 +74,11 @@ def test_matrix_rejects_cycles_and_mismatches():
     with pytest.raises(CycleError):
         build_relation_matrix(cyclic, spans_for([1, 1]), "gsdr")
     with pytest.raises(ValueError):
-        build_relation_matrix(Relation.empty(3), spans_for([1, 1]), "isdr")
+        build_relation_matrix(Relation(3, ()), spans_for([1, 1]), "isdr")
     with pytest.raises(ValueError):
-        build_relation_matrix(Relation.empty(2), [(0, 1), (2, 3)], "isdr")
+        build_relation_matrix(Relation(2, ()), [(0, 1), (2, 3)], "isdr")
     with pytest.raises(ValueError):
-        build_relation_matrix(Relation.empty(1), spans_for([1]), "full")
+        build_relation_matrix(Relation(1, ()), spans_for([1]), "full")
 
 
 def test_matrix_validation():
@@ -277,4 +277,4 @@ def test_demo_config_validation():
     with pytest.raises(ValueError):
         DemoConfig(epochs=0)
     cfg = DemoConfig(bias_layers=4, lambda_init=0.1)
-    assert DemoConfig.from_dict(cfg.to_dict()) == cfg
+    assert DemoConfig(**asdict(cfg)) == cfg

@@ -82,7 +82,8 @@ def test_boxes_in_page_snapped_and_disjoint():
             assert 0 <= box.x0 and box.x1 <= 1000 and 0 <= box.y0 and box.y1 <= 1000
             assert all(v % 25 == 0 for v in box.as_list())
         for a, b in itertools.combinations(boxes, 2):
-            assert not a.overlaps(b)
+            # Disjoint: apart on x or on y; touching edges are apart.
+            assert a.x1 <= b.x0 or b.x1 <= a.x0 or a.y1 <= b.y0 or b.y1 <= a.y0
         ok, _ = is_acyclic(doc.isdr)
         assert ok
 
@@ -126,6 +127,8 @@ def test_config_validation():
         SynthConfig(words_per_segment=(3, 1))
     with pytest.raises(GenerationError):
         SynthConfig(train_fraction=0.9, validation_fraction=0.3)
+    with pytest.raises(GenerationError, match="validation_fraction must be non-negative"):
+        SynthConfig(train_fraction=0.8, validation_fraction=-0.1)
     nan, inf = float("nan"), float("inf")
     for mix, reason in [
         ({"chain": nan, "grid": 1.0}, "mix weight of 'chain' must be finite, got nan"),
