@@ -74,10 +74,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rop_model, _ = train(corpus, rop_config, encoder_config=rop_encoder)
-            # Relation matrices refuse cycles: decode repairs them.
-            pseudo_corpus, _ = predict_pseudo_labels(
-                rop_model, corpus, enforce_acyclic=True
-            )
+            pseudo_corpus, _ = predict_pseudo_labels(rop_model, corpus)
             pseudo = rore_demo_entity_linking(
                 corpus,
                 DemoConfig(epochs=args.epochs, seed=args.seed, label_source="pseudo"),

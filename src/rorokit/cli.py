@@ -190,6 +190,8 @@ def _save_corpus_out(corpus: Corpus, output: Optional[str]) -> None:
 def cmd_synth(args) -> int:
     sections = _load_sections(args.config)
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     if args.forms:
         n_docs = args.n_docs if args.n_docs is not None else 300
         corpus = synth_forms(n_docs, seed=seed)
@@ -315,8 +317,7 @@ def cmd_demo_rore(args) -> int:
         if model_path is None:
             raise ValueError('label_source "pseudo" needs a "model" path in the demo section')
         model = ROPModel.load(model_path)
-        # Relation matrices refuse cycles, so the demo's labels are repaired.
-        pseudo_corpus, _ = predict_pseudo_labels(model, corpus, enforce_acyclic=True)
+        pseudo_corpus, _ = predict_pseudo_labels(model, corpus)
     result = rore_demo_entity_linking(corpus, config, encoder_config, pseudo_corpus)
     _note(
         f"f1_vanilla {result['f1_vanilla']:.4f}  f1_rore {result['f1_rore']:.4f}"
@@ -326,7 +327,7 @@ def cmd_demo_rore(args) -> int:
 
 
 def cmd_render(args) -> int:
-    corpus = load_corpus(args.corpus, allow_cyclic=True)
+    corpus = load_corpus(args.corpus)
     if args.doc is not None:
         matches = [d for d in corpus.documents if d.id == args.doc]
         if not matches:

@@ -7,10 +7,9 @@ carry an ``isdr`` relation over its segments (immediate succession during
 reading) and, for form corpora, a ``links`` relation (key -> value pairs).
 
 The corpus file format is JSON-lines, one document per line. Acyclicity of
-``isdr`` is enforced by the strict loader and reported by
-:func:`validate_annotation`, not by the ``Document`` constructor, so that raw
-model predictions (which may contain cycles) remain representable and
-serializable for downstream validation.
+``isdr`` is enforced by the loader and reported by
+:func:`validate_annotation`, not by the ``Document`` constructor, so that a
+cyclic relation stays representable for validation to name.
 """
 
 from __future__ import annotations
@@ -51,9 +50,9 @@ def check_field_types(config) -> None:
     """Raise TypeError naming the field unless each field of the dataclass
     ``config`` holds a value of its type: ``int`` (``check_integer``),
     ``Optional[int]`` (None passes), ``tuple[int, int]`` (a pair), ``float``
-    (a float, or an int a float64 can hold), ``bool`` or ``dict``. A bool is
-    no number. Types are read as the strings ``from __future__ import
-    annotations`` leaves."""
+    (a finite float, or an int a float64 can hold; NaN and infinity are
+    refused), ``bool`` or ``dict``. A bool is no number. Types are read as
+    the strings ``from __future__ import annotations`` leaves."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "tuple[int, int]":
@@ -64,11 +63,10 @@ def check_field_types(config) -> None:
         elif f.type == "int" or (f.type == "Optional[int]" and value is not None):
             check_integer(f.name, value)
         elif f.type == "float" and not (
-            isinstance(value, float)
-            or (isinstance(value, int) and not isinstance(value, bool)
-                and abs(value) <= sys.float_info.max)
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
         ):
-            raise TypeError(f"{f.name} must be a float64 number, got {value!r}")
+            raise TypeError(f"{f.name} must be a finite float64 number, got {value!r}")
         elif f.type == "bool" and type(value) is not bool:
             raise TypeError(f"{f.name} must be true or false, got {value!r}")
         elif f.type == "dict" and not isinstance(value, dict):
@@ -258,7 +256,7 @@ def document_id(obj: dict) -> str:
     return doc_id
 
 
-def document_from_dict(obj: dict, allow_cyclic: bool = False) -> Document:
+def document_from_dict(obj: dict) -> Document:
     doc_id = document_id(obj)
     try:
         page = obj["page"]
@@ -281,7 +279,7 @@ def document_from_dict(obj: dict, allow_cyclic: bool = False) -> Document:
     except ValueError as exc:
         named = str(exc).startswith(f"document {doc_id}: ")  # Document's own refusals
         raise ValidationError(str(exc) if named else f"document {doc_id}: {exc}") from exc
-    if not allow_cyclic and doc.isdr is not None:
+    if doc.isdr is not None:
         ok, violation = is_acyclic(doc.isdr)
         if not ok:
             raise ValidationError(
@@ -316,7 +314,7 @@ def read_json_lines(path) -> Iterator[tuple[int, object]]:
             yield lineno, obj
 
 
-def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Load a JSON-lines corpus, validating every invariant.
 
     Raises :class:`CorpusParseError` with the line number on malformed JSON
@@ -337,7 +335,7 @@ def load_corpus(path, allow_cyclic: bool = False) -> Corpus:
             split_name = document_split(obj)
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
-        doc = document_from_dict(obj, allow_cyclic=allow_cyclic)
+        doc = document_from_dict(obj)
         if doc.id in first_line:
             raise ValidationError(
                 f"line {lineno}: duplicate document id {doc.id!r} "

@@ -664,9 +664,15 @@ def _adamw(data, grad, m, v, t, hyper, scratch) -> None:
 def checkpoint_to_json(config: dict, store: ParameterStore) -> str:
     """The checkpoint's JSON text: ``config`` and each parameter's ``shape``
     as plain JSON, its ``values`` as base64 of its little-endian float64
-    bytes; ``sort_keys`` and the exact bytes make it byte-stable and lossless."""
+    bytes; ``sort_keys`` and the exact bytes make it byte-stable and lossless.
+    A parameter holding NaN or infinity, which ``checkpoint_from_json``
+    refuses, raises ``CheckpointError`` naming it."""
     params = {}
     for name, t in store.items():
+        if not np.isfinite(t.data).all():
+            raise CheckpointError(
+                f"parameter {name!r} holds a value that is not a finite number"
+            )
         raw = base64.b64encode(t.data.astype("<f8", copy=False).tobytes())
         params[name] = {"shape": list(t.shape), "values": raw.decode("ascii")}
     obj = {"config": config, "format_version": 3, "params": params}
@@ -674,8 +680,10 @@ def checkpoint_to_json(config: dict, store: ParameterStore) -> str:
 
 
 def save_checkpoint(path, config: dict, store: ParameterStore) -> None:
+    """Write ``checkpoint_to_json``'s text, or nothing when it refuses."""
+    text = checkpoint_to_json(config, store)
     with open(path, "w", encoding="utf-8") as fh:
-        print(checkpoint_to_json(config, store), file=fh)
+        print(text, file=fh)
 
 
 def checkpoint_from_json(text: str) -> tuple[dict, ParameterStore]:

@@ -4,7 +4,7 @@ The encoder turns (token, box) pairs into contextual states, mean pooling
 maps token states onto task elements (segments or words), and a pointer-style
 head scores every ordered element pair in one shot. Training minimizes a
 ranking loss that pushes non-successor scores below zero and successor scores
-above zero, so decoding is a per-pair sign test rather than a sequence search.
+above zero, so decoding is a per-pair sign test plus an acyclic repair.
 Everything is float64; numpy's BLAS may use several threads, and for a given
 thread count the same corpus, config, and seed always produce the same
 parameters.
@@ -84,6 +84,8 @@ class ROPConfig:
             raise ValueError("epochs, patience, and batch_size must be >= 1")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def effective_max_elements(self) -> int:
@@ -347,17 +349,14 @@ def _logsumexp_with_zero(x: np.ndarray) -> np.ndarray:
     return m + np.log1p(np.expm1(-m) + total)
 
 
-def decode(
-    scores,
-    threshold: float = 0.0,
-    enforce_acyclic: bool = False,
-) -> Relation:
-    """Keep every off-diagonal pair scoring above the threshold.
-
-    With ``enforce_acyclic`` the result is repaired into a directed acyclic
-    relation by repeatedly deleting the lowest-scoring edge on a witness
-    cycle (ties broken by pair order). Off by default: cyclic output is a
-    legitimate, measurable prediction.
+def decode(scores, threshold: float = 0.0) -> Relation:
+    """The off-diagonal pairs scoring above the threshold, repaired to be
+    acyclic: taken in descending score, ties in ascending ``(i, j)``, each
+    pair is kept unless its target already reaches its source through the
+    pairs kept so far. So the result is acyclic and maximal (each dropped
+    pair closes a cycle), and an acyclic prediction comes back unchanged.
+    Dropping the fewest pairs is minimum feedback arc set, NP-hard (Karp
+    1972), so this greedy is a heuristic and may drop more.
     """
     s = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -366,18 +365,18 @@ def decode(
     mask = s > threshold
     np.fill_diagonal(mask, False)
     rows, cols = np.nonzero(mask)
-    pairs = set(zip(rows.tolist(), cols.tolist()))
-    if enforce_acyclic:
-        while True:
-            rel = Relation.from_pairs(n, pairs)
-            ok, violation = is_acyclic(rel)
-            if ok:
-                return rel
-            cycle = violation.witness
-            edges = list(zip(cycle, cycle[1:]))
-            drop = min(edges, key=lambda e: (s[e[0], e[1]], e))
-            pairs.discard(drop)
-    return Relation.from_pairs(n, pairs)
+    order = np.argsort(-s[rows, cols], kind="stable")  # ties stay in (i, j) order
+    reach = [1 << v for v in range(n)]  # bit u of reach[v]: v reaches u
+    kept = []
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
+        if not reach[j] >> i & 1:
+            kept.append((i, j))
+            if not reach[i] >> j & 1:  # else nothing new is reachable
+                gained, bit = reach[j], 1 << i
+                for v in range(n):
+                    if reach[v] & bit:
+                        reach[v] |= gained
+    return Relation(n, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +437,6 @@ class ROPModel:
         self,
         examples: list,
         bias: Optional[Callable[[list], Optional[AttentionBias]]] = None,
-        enforce_acyclic: bool = False,
     ) -> list[Relation]:
         """Decoded relation of each ``((texts, boxes, spans), ...)`` example.
 
@@ -460,11 +458,11 @@ class ROPModel:
                 scores = self.scores(inputs, group_bias).data
                 for block, (_, _, spans) in zip(scores, inputs):
                     n = len(spans)
-                    relations.append(decode(block[:n, :n], threshold, enforce_acyclic))
+                    relations.append(decode(block[:n, :n], threshold))
         return relations
 
     def predict(
-        self, docs: Union[Document, Sequence[Document]], enforce_acyclic: bool = False
+        self, docs: Union[Document, Sequence[Document]]
     ) -> Union[Relation, list[Relation]]:
         """Decoded relation of one document, or one per document of a sequence
         (see ``decode_inputs``)."""
@@ -472,7 +470,7 @@ class ROPModel:
         framing = (self.config.task_level, self.config.bbox_level)
         docs = [docs] if one else docs
         examples = [(tokens_for_document(doc, *framing),) for doc in docs]
-        relations = self.decode_inputs(examples, enforce_acyclic=enforce_acyclic)
+        relations = self.decode_inputs(examples)
         return relations[0] if one else relations
 
     def save(self, path) -> None:
@@ -718,36 +716,39 @@ def train(
     return model, report
 
 
-def predict_pseudo_labels(
-    model: ROPModel, corpus: Corpus, enforce_acyclic: bool = False
-) -> tuple[Corpus, dict[str, dict]]:
+def predict_pseudo_labels(model: ROPModel, corpus: Corpus) -> tuple[Corpus, dict[str, dict]]:
     """Replace every document's succession annotation with model output.
 
     Returns the relabeled corpus, in the input's document order, plus a
-    per-document sidecar recording whether the prediction was acyclic and how
-    many pairs it kept. ``enforce_acyclic`` is handed to ``decode``; callers
-    that build relation matrices from the output need it, since those refuse
-    cyclic relations. Word-level predictions are projected back onto
-    segments first. The usable documents are predicted by one
-    ``ROPModel.predict`` over the list. A document over the model's budgets keeps no
-    annotation (``isdr`` is None) and its sidecar entry is
-    ``{"skipped": reason}``.
+    per-document sidecar recording that the prediction is acyclic and how
+    many pairs it kept; ``decode`` repairs every prediction, so the corpus
+    loads. Word-level predictions are projected back onto segments first.
+    The usable documents are predicted by one ``ROPModel.predict`` over the
+    list. A document over the model's budgets, or whose acyclic word-level
+    prediction projects onto a cyclic segment relation, keeps no annotation
+    (``isdr`` is None) and its sidecar entry is ``{"skipped": reason}``.
     """
     skipped: list[dict] = []
     usable = filter_usable(corpus.documents, model.config, model.encoder_config, skipped)
-    predicted = dict(zip([doc.id for doc in usable], model.predict(usable, enforce_acyclic)))
+    predicted = dict(zip([doc.id for doc in usable], model.predict(usable)))
     reasons = {entry["id"]: entry["reason"] for entry in skipped}
     documents = []
     sidecar: dict[str, dict] = {}
     for doc in corpus.documents:
+        rel = predicted.get(doc.id)
+        if rel is not None and model.config.task_level == "word":
+            rel = collapse_word_relation(doc, rel)
+            ok, violation = is_acyclic(rel)
+            if not ok:
+                reasons[doc.id] = (
+                    f"word-level prediction projects onto a cyclic segment "
+                    f"relation, witness {list(violation.witness)}"
+                )
+                warnings.warn(f"skipping document {doc.id}: {reasons[doc.id]}")
         if doc.id in reasons:
             sidecar[doc.id] = {"skipped": reasons[doc.id]}
             documents.append(replace(doc, isdr=None))
-            continue
-        rel = predicted[doc.id]
-        if model.config.task_level == "word":
-            rel = collapse_word_relation(doc, rel)
-        ok, _ = is_acyclic(rel)
-        sidecar[doc.id] = {"acyclic": ok, "num_pairs": len(rel)}
-        documents.append(replace(doc, isdr=rel))
+        else:
+            sidecar[doc.id] = {"acyclic": True, "num_pairs": len(rel)}
+            documents.append(replace(doc, isdr=rel))
     return Corpus(tuple(documents), dict(corpus.split)), sidecar

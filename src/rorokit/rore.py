@@ -169,6 +169,8 @@ class DemoConfig:
             raise ValueError("epochs, batch_size, and head_dim must be >= 1")
         if self.bias_layers is not None and self.bias_layers < 0:
             raise ValueError("bias_layers must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _demo_encoder() -> EncoderConfig:

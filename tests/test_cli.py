@@ -9,8 +9,8 @@ from rorokit.cli import main
 from rorokit.layout import derive_word_level, load_corpus
 from rorokit.metrics import corpus_f1
 from rorokit.nn import EncoderConfig, init_encoder_params
-from rorokit.relations import Relation
-from rorokit.rop import GlobalPointerHead, ROPConfig, ROPModel
+from rorokit.relations import Relation, is_acyclic
+from rorokit.rop import GlobalPointerHead, ROPConfig, ROPModel, tokens_for_document
 from rorokit.synth import SynthConfig, synth_generate
 
 
@@ -396,7 +396,7 @@ def test_pipeline_train_eval_predict(tmp_path, capsys):
     summary = json.loads(out)
     assert set(summary) == {"documents", "acyclic_fraction"}
     assert len(summary["documents"]) == 8
-    reloaded = load_corpus(predicted, allow_cyclic=True)
+    reloaded = load_corpus(predicted)
     assert len(reloaded) == 8
 
 
@@ -676,7 +676,7 @@ def test_predict_skips_documents_over_the_token_budget(tmp_path, capsys):
             assert entry == {"skipped": reason}
         else:
             assert set(entry) == {"acyclic", "num_pairs"}
-    relabeled = load_corpus(predicted, allow_cyclic=True)
+    relabeled = load_corpus(predicted)
     original = load_corpus(corpus)
     assert [d.id for d in relabeled.documents] == [d.id for d in original.documents]
     assert {d.id for d in relabeled.documents if d.isdr is None} == set(oversized)
@@ -783,12 +783,81 @@ def test_predict_collapses_a_word_level_model_onto_segments(tmp_path, capsys):
                        "--out-corpus", str(predicted))
     assert code == 0
     sidecar = json.loads(out)["documents"]
-    docs = load_corpus(predicted, allow_cyclic=True).documents
+    docs = load_corpus(predicted).documents
     assert any(len(seg.words) > 1 for doc in docs for seg in doc.segments)
     for doc in docs:
+        # Tied scores keep each word pair (a, b) with a < b, so the segments
+        # are ordered the same way.
         n = doc.n_segments
-        assert doc.isdr.pairs == {(a, b) for a in range(n) for b in range(n) if a != b}
-        assert sidecar[doc.id] == {"acyclic": n < 2, "num_pairs": len(doc.isdr)}
+        assert doc.isdr.pairs == {(a, b) for a in range(n) for b in range(a + 1, n)}
+        assert sidecar[doc.id] == {"acyclic": True, "num_pairs": len(doc.isdr)}
+
+
+def test_an_under_trained_model_predicts_a_corpus_that_loads(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert run(capsys, "synth", "--n-docs", "10", "--seed", "0", "-o", str(corpus))[0] == 0
+    cfg = write_config(tmp_path, {"rop": {"epochs": 1, "seed": 0}})
+    model_path = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", str(corpus), "--model", str(model_path),
+                       "--config", str(cfg))
+    assert code == 0, err
+    # One epoch leaves raw threshold sets that are cyclic, so the repair runs.
+    model = ROPModel.load(model_path)
+    raw = []
+    for doc in load_corpus(corpus).documents:
+        above = model.scores([tokens_for_document(doc)]).data[0] > 0.0
+        np.fill_diagonal(above, False)
+        raw.append(Relation(doc.n_segments, map(tuple, np.argwhere(above).tolist())))
+    assert not all(is_acyclic(rel)[0] for rel in raw)
+    predicted = tmp_path / "pred.jsonl"
+    code, out, err = run(capsys, "predict", str(corpus), "--model", str(model_path),
+                         "--out-corpus", str(predicted))
+    assert code == 0, err
+    assert json.loads(out)["acyclic_fraction"] == 1.0
+    code, out, err = run(capsys, "validate", str(predicted))
+    assert code == 0 and json.loads(out)["ok"] is True, err
+    code, _, err = run(capsys, "eval", str(predicted), "--heuristic")
+    assert code == 0, err
+
+
+def test_predict_skips_a_word_order_that_collapses_to_a_cyclic_one(
+    tmp_path, capsys, monkeypatch
+):
+    # Words 0 and 1 make segment 0, words 2 and 3 segment 1: the acyclic
+    # word pairs (0, 2) and (3, 1) project onto (0, 1) and (1, 0).
+    segments = [
+        {"id": k, "box": [0, 100 * k, 300, 100 * k + 50],
+         "words": [{"text": f"w{2 * k + w}",
+                    "box": [100 * w, 100 * k, 100 * w + 90, 100 * k + 50]}
+                   for w in range(2)]}
+        for k in range(2)
+    ]
+    corpus = write_corpus(tmp_path, n_docs=2)
+    with open(corpus, "a") as fh:
+        fh.write(json.dumps({"id": "crossed", "page": [1000, 1000],
+                             "segments": segments, "isdr": [[0, 1]]}) + "\n")
+    model_path = write_model(tmp_path, rop=ROPConfig(task_level="word"))
+    predict = ROPModel.predict
+
+    def stub(self, docs):
+        out = predict(self, docs)
+        return [Relation(4, {(0, 2), (3, 1)}) if doc.id == "crossed" else rel
+                for doc, rel in zip(docs, out)]
+
+    monkeypatch.setattr(ROPModel, "predict", stub)
+    predicted = tmp_path / "pred.jsonl"
+    with pytest.warns(UserWarning, match="skipping document crossed: .*cyclic"):
+        code, out, err = run(capsys, "predict", str(corpus), "--model", str(model_path),
+                             "--out-corpus", str(predicted))
+    assert code == 0, err
+    sidecar = json.loads(out)["documents"]
+    assert sidecar["crossed"] == {
+        "skipped": "word-level prediction projects onto a cyclic segment relation, "
+                   "witness [0, 1, 0]"
+    }
+    assert all(set(sidecar[k]) == {"acyclic", "num_pairs"} for k in sidecar if k != "crossed")
+    docs = {doc.id: doc for doc in load_corpus(predicted).documents}
+    assert docs["crossed"].isdr is None and len(docs) == 3
 
 
 def test_eval_without_systems_exits_1(tmp_path, capsys):
@@ -902,6 +971,15 @@ def test_render_document(tmp_path, capsys):
                      "-o", str(svg_path))
     assert code == 0 and svg_path.read_bytes() == first
     assert b"<svg" in first
+
+
+def test_render_refuses_a_cyclic_corpus(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, n_docs=1)
+    obj = json.loads(corpus.read_text())
+    obj["isdr"] = [[0, 1], [1, 0]]
+    corpus.write_text(json.dumps(obj) + "\n")
+    code, out, err = run(capsys, "render", str(corpus))
+    assert code == 1 and out == "" and "cyclic isdr" in err
 
 
 def test_render_unknown_doc_exits_1(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""One field of a config section, swapped for another JSON type or deleted:
-the config is built with every field of its declared type, or refused with a
-ValueError or TypeError that names the field.
+"""One field of a config section, swapped for another JSON type or deleted,
+or a number field set out of range (negative, NaN, infinite or beyond
+float64): the config is built with every field of its declared type, every
+float finite and a non-negative seed, or refused with a ValueError or
+TypeError that names the field.
 
 The CLI cases check that a section that is not a JSON object, a ``mix`` that
 is not one, a value of the wrong type and a demo ``model`` that is not a path
@@ -11,6 +13,7 @@ trained.
 import contextlib
 import io
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -54,12 +57,13 @@ def is_int(value):
 
 def has_type(value, annotation):
     """Whether ``value`` is of the field type ``annotation``: a float field
-    takes an int a float64 can hold, and a pair may be a JSON list."""
+    takes a finite float or an int a float64 can hold, and a pair may be a
+    JSON list."""
     return {
         "int": is_int(value),
         "Optional[int]": value is None or is_int(value),
-        "float": isinstance(value, float)
-        or (is_int(value) and abs(value) <= sys.float_info.max),
+        "float": (isinstance(value, float) or is_int(value))
+        and abs(value) <= sys.float_info.max,
         "bool": isinstance(value, bool),
         "str": isinstance(value, str),
         "dict": isinstance(value, dict),
@@ -80,6 +84,31 @@ def test_one_swapped_field_is_refused_by_name_or_typed(field, value):
         return
     for f in fields(config):
         assert has_type(getattr(config, f.name), f.type), (cls.__name__, f.name)
+
+
+NUMBERS = [
+    (cls, f.name)
+    for cls in (SynthConfig, ROPConfig, EncoderConfig, DemoConfig)
+    for f in fields(cls)
+    if f.type in ("int", "Optional[int]", "float")
+]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [-1, -2.5, math.nan, math.inf, -math.inf, 10**400],
+    ids=["-1", "-2.5", "nan", "inf", "-inf", "10**400"],
+)
+def test_an_out_of_range_number_is_refused_by_name_or_typed(value):
+    for cls, name in NUMBERS:
+        try:
+            config = cls(**{name: value})
+        except (ValueError, TypeError) as exc:
+            assert name in str(exc), (cls.__name__, name, value, str(exc))
+            continue
+        assert name != "seed" or value >= 0, (cls.__name__, value)
+        for f in fields(config):
+            assert has_type(getattr(config, f.name), f.type), (cls.__name__, f.name)
 
 
 def run(*argv):
@@ -112,6 +141,12 @@ def run(*argv):
         ("demo-rore", {"demo": {"model": 5}}, "model"),
         ("demo-rore", {"demo": {"model": 0}}, "model"),
         ("demo-rore", {"demo": {"label_source": "pseudo", "model": ""}}, "model"),
+        ("synth", {"synth": {"train_fraction": math.nan}}, "train_fraction"),
+        ("train", {"rop": {"learning_rate": math.inf}}, "learning_rate"),
+        ("train", {"rop": {"threshold": -math.inf}}, "threshold"),
+        ("train", {"rop": {"seed": -1}}, "seed"),
+        ("demo-rore", {"demo": {"lambda_init": math.nan}}, "lambda_init"),
+        ("demo-rore", {"demo": {"seed": -1}}, "seed"),
     ],
 )
 def test_cli_refuses_a_bad_section_by_name(tmp_path, command, sections, named):
@@ -125,3 +160,15 @@ def test_cli_refuses_a_bad_section_by_name(tmp_path, command, sections, named):
     code, err = run(*argv, "--config", config, "-o", tmp_path / "out.json")
     assert code == 1, err
     assert err.startswith("error: ") and named in err, err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "demo-rore"])
+def test_cli_refuses_a_negative_seed_by_name(tmp_path, command):
+    argv = {
+        "synth": ("synth", "--n-docs", 3),
+        "train": ("train", tmp_path / "no-corpus.jsonl", "--model", tmp_path / "m.json"),
+        "demo-rore": ("demo-rore",),
+    }[command]
+    code, err = run(*argv, "--seed", -1, "-o", tmp_path / "out.json")
+    assert code == 1, err
+    assert err.startswith("error: ") and "seed must be non-negative, got -1" in err, err

@@ -166,15 +166,13 @@ def test_load_rejects_inverted_box(tmp_path):
         load_corpus(path)
 
 
-def test_load_rejects_cyclic_isdr_unless_allowed(tmp_path):
+def test_load_rejects_cyclic_isdr(tmp_path):
     obj = document_to_dict(chain_doc("dcyc", n=2))
     obj["isdr"] = [[0, 1], [1, 0]]
     path = tmp_path / "cyc.jsonl"
     path.write_text(json.dumps(obj) + "\n")
-    with pytest.raises(ValidationError, match="dcyc"):
+    with pytest.raises(ValidationError, match=r"dcyc: cyclic isdr, witness \[0, 1, 0\]"):
         load_corpus(path)
-    loaded = load_corpus(path, allow_cyclic=True)
-    assert loaded.documents[0].isdr.pairs == {(0, 1), (1, 0)}
 
 
 def test_load_rejects_duplicate_ids(tmp_path):

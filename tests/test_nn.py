@@ -12,6 +12,7 @@ from rorokit.autodiff import Tensor, grad_check
 from rorokit.layout import BBox
 from rorokit.nn import (
     AttentionBias,
+    CheckpointError,
     EncoderConfig,
     MissingGradientError,
     NonFiniteGradientError,
@@ -751,6 +752,16 @@ def test_saved_checkpoint_is_one_json_text(tmp_path):
     }
     assert text == json.dumps(whole, sort_keys=True)
     assert checkpoint_to_json(config, ParameterStore()).endswith('"params": {}}')
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_refuses_a_non_finite_parameter_and_writes_nothing(tmp_path, bad):
+    store = extreme_store()
+    store.add("w", np.array([[1.0, bad]]))
+    path = tmp_path / "model.json"
+    with pytest.raises(CheckpointError, match="parameter 'w' holds a value that is not a finite"):
+        save_checkpoint(path, {}, store)
+    assert not path.exists()
 
 
 def test_checkpoint_version_checked():

@@ -270,21 +270,23 @@ def test_decode_threshold_is_strict():
 
 
 def test_decode_ignores_diagonal():
-    assert decode(np.full((3, 3), 5.0)).sorted_pairs() == [
-        (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1),
-    ]
+    scores = np.full((3, 3), 5.0)
+    scores[np.tril_indices(3, -1)] = -5.0
+    assert decode(scores).sorted_pairs() == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_decode_acyclic_repair_drops_weakest_edge():
     scores = np.array([[0.0, 2.0], [1.0, 0.0]])
-    assert decode(scores).sorted_pairs() == [(0, 1), (1, 0)]
-    assert decode(scores, enforce_acyclic=True).sorted_pairs() == [(0, 1)]
+    assert decode(scores).sorted_pairs() == [(0, 1)]
+    assert decode(scores.T).sorted_pairs() == [(1, 0)]
 
 
 def test_decode_acyclic_repair_tie_breaks_lexicographically():
-    scores = np.array([[0.0, 1.0], [1.0, 0.0]])
-    repaired = decode(scores, enforce_acyclic=True)
-    assert repaired.sorted_pairs() == [(1, 0)]
+    # Tied pairs are taken in ascending (i, j), so the earlier one stays.
+    assert decode(np.array([[0.0, 1.0], [1.0, 0.0]])).sorted_pairs() == [(0, 1)]
+    # (1, 2) is weakest; of the tied (0, 1) and (2, 0), (0, 1) is taken first.
+    scores = np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 1.0], [3.0, 0.0, 0.0]])
+    assert decode(scores).sorted_pairs() == [(0, 1), (2, 0)]
 
 
 @settings(max_examples=40)
@@ -295,20 +297,34 @@ def test_decode_depends_only_on_margin_signs(seed, gain):
     assert decode(scores) == decode(scores * gain)
 
 
-def decode_oracle(s, threshold=0.0, enforce_acyclic=False):
-    """decode as an ``np.argwhere`` walk with the same repair loop."""
+def reaches(succ, source, target):
+    """Whether ``target`` is reachable from ``source`` in ``succ``, by DFS."""
+    seen, stack = set(), [source]
+    while stack:
+        node = stack.pop()
+        if node == target:
+            return True
+        if node not in seen:
+            seen.add(node)
+            stack.extend(succ[node])
+    return False
+
+
+def decode_oracle(s, threshold=0.0):
+    """decode as a reference greedy: the ``np.argwhere`` pairs sorted by
+    descending score, then ascending pair, each kept unless a plain DFS over
+    the pairs kept so far reaches its source from its target."""
     n = s.shape[0]
     mask = s > threshold
     np.fill_diagonal(mask, False)
-    pairs = {(int(i), int(j)) for i, j in np.argwhere(mask)}
-    while enforce_acyclic:
-        rel = Relation.from_pairs(n, pairs)
-        ok, violation = is_acyclic(rel)
-        if ok:
-            return rel
-        cycle = violation.witness
-        pairs.discard(min(zip(cycle, cycle[1:]), key=lambda e: (s[e[0], e[1]], e)))
-    return Relation.from_pairs(n, pairs)
+    pairs = sorted(
+        ((int(i), int(j)) for i, j in np.argwhere(mask)), key=lambda p: (-s[p], p)
+    )
+    succ = [[] for _ in range(n)]
+    for i, j in pairs:
+        if not reaches(succ, j, i):
+            succ[i].append(j)
+    return Relation.from_pairs(n, [(i, j) for i in range(n) for j in succ[i]])
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -317,12 +333,52 @@ def test_decode_matches_the_argwhere_walk(seed):
     n = int(rng.integers(0, 13))
     threshold = float(rng.choice([0.0, 0.25, -0.5]))
     scores = rng.normal(-0.3, 1.0, size=(n, n))
+    if seed % 2:
+        scores = np.round(scores, 1)  # many tied pairs
     scores[rng.random((n, n)) < 0.2] = threshold
     np.fill_diagonal(scores, rng.choice([threshold, 5.0, -5.0]))
-    for repair in (False, True):
-        got = decode(scores, threshold, repair)
-        assert got == decode_oracle(scores, threshold, repair)
-        assert all(type(i) is int for pair in got.pairs for i in pair)
+    got = decode(scores, threshold)
+    assert got == decode_oracle(scores, threshold)
+    assert all(type(i) is int for pair in got.pairs for i in pair)
+
+
+def random_scores(seed):
+    """A random (n, n) score matrix, n <= 8, with tied scores half the time."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 9))
+    scores = rng.normal(size=(n, n))
+    return np.round(scores, 1) if seed % 2 else scores
+
+
+def above_threshold(scores):
+    n = scores.shape[0]
+    return {(i, j) for i in range(n) for j in range(n) if i != j and scores[i, j] > 0}
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_decode_is_acyclic_and_maximal(seed):
+    scores = random_scores(seed)
+    n = scores.shape[0]
+    rel = decode(scores)
+    assert rel.pairs <= above_threshold(scores)
+    assert is_acyclic(rel)[0]
+    for pair in above_threshold(scores) - rel.pairs:
+        assert not is_acyclic(Relation(n, rel.pairs | {pair}))[0], pair
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_decode_returns_acyclic_input_unchanged(seed):
+    scores = random_scores(seed)
+    n = scores.shape[0]
+    scores[np.tril_indices(n)] = -1.0  # only pairs with i < j score above 0
+    assert decode(scores).pairs == above_threshold(scores)
+    # The same holds under any renaming of the elements.
+    p = np.random.default_rng(seed).permutation(n)
+    permuted = np.empty_like(scores)
+    permuted[p[:, None], p[None, :]] = scores
+    assert decode(permuted).pairs == above_threshold(permuted)
 
 
 # --- end-to-end gradient ---
@@ -931,14 +987,13 @@ def test_packed_predict_matches_per_document_predict(
     model, pages = mixed_pages(batch_size, max_tokens)
     threshold = model.config.threshold
     single = [decode(document_scores(model, page), threshold) for page in pages]
-    repaired = [decode(document_scores(model, page), threshold, True) for page in pages]
+    assert all(is_acyclic(rel)[0] for rel in single)
     assert [model.predict(page) for page in pages] == single
     groups = record_groups(monkeypatch)
     assert model.predict(pages) == single
     assert len(groups) == n_groups
     assert sum(len(g) for g in groups) == len(pages)
     assert all(len(g) <= batch_size and sum(g) <= max_tokens for g in groups)
-    assert model.predict(pages, enforce_acyclic=True) == repaired
     assert model.predict([]) == []
 
 
@@ -955,18 +1010,25 @@ def test_packed_and_per_document_predictions_differ_only_at_the_threshold():
     gap = max(np.abs(p - s).max() for p, s in zip(packed, single))
     assert gap <= 1e-14 * scale
     assert model.predict(pages) == [model.predict(page) for page in pages]
-    # A threshold on a score that packing moved flips that pair, and only it.
+    # A threshold on a score that packing moved flips that pair, and only it,
+    # unless the repair drops the pair, which is then taken last, for
+    # closing a cycle.
     moved = [
         (b, int(i), int(j))
         for b, (p, s) in enumerate(zip(packed, single))
         for i, j in np.argwhere(p != s)
         if i != j
     ]
+    flips = []
     for b, i, j in moved[:5]:
         threshold = min(packed[b][i, j], single[b][i, j])
         at = replace(model, config=replace(model.config, threshold=threshold))
-        flipped = at.predict(pages)[b].pairs ^ at.predict(pages[b]).pairs
-        assert flipped == {(i, j)}
+        rel = at.predict(pages)[b]
+        flipped = rel.pairs ^ at.predict(pages[b]).pairs
+        closes_cycle = not is_acyclic(Relation(rel.element_count, rel.pairs | {(i, j)}))[0]
+        assert flipped == (set() if closes_cycle else {(i, j)})
+        flips.append(flipped)
+    assert any(flips)
 
 
 @pytest.mark.parametrize("bias_kind", [None, "trainable", "frozen"])
