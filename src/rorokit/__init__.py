@@ -38,7 +38,6 @@ from .layout import (
     corpus_stats,
     derive_word_level,
     load_corpus,
-    nonlinear_stats,
     save_corpus,
     validate_annotation,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "is_strict_partial_order",
     "load_checkpoint",
     "load_corpus",
-    "nonlinear_stats",
     "optimizer_step",
     "pair_f1",
     "permutation_to_relation",

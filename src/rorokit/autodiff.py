@@ -17,7 +17,7 @@ arrays of the part already traversed are freed while the rest still runs.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -42,12 +42,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad: bool = False, _parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = _parents
-        self._backward: Optional[Callable[[np.ndarray], None]] = _backward
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -307,21 +307,16 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def gather_rows(table: Union[Tensor, Sequence[Tensor]], indices) -> Tensor:
-    """Embedding lookup: rows of ``table`` at integer ``indices``.
+def gather_rows(tables: Sequence[Tensor], indices: Sequence) -> Tensor:
+    """Embedding lookup: the rows of each table at its integer index list,
+    summed in table order, as one node.
 
-    Given a sequence of tables and one index list per table, the lookups
-    are summed, in table order, as one node.
-
-    Backward adds into the touched rows of each ``table.grad`` in place; the
-    dense table gradient is allocated only when the table has none yet. The
-    gradient rows of each index list are ordered by a stable sort of the
-    indices and summed per distinct row by one ``np.add.reduceat``, so the
-    result may differ from sequential ``np.add.at`` in the last bits.
+    Backward adds into the touched rows of each table's ``grad`` in place;
+    the dense table gradient is allocated only when the table has none yet.
+    The gradient rows of each index list are ordered by a stable sort of
+    the indices and summed per distinct row by one ``np.add.reduceat``, so
+    the result may differ from sequential ``np.add.at`` in the last bits.
     """
-    if isinstance(table, Tensor):
-        table, indices = [table], [indices]
-    tables = list(table)
     idxs = [np.asarray(i, dtype=np.int64) for i in indices]
     data = tables[0].data[idxs[0]]
     for t, idx in zip(tables[1:], idxs[1:]):
@@ -428,7 +423,6 @@ def grad_check(
     params: dict[str, Tensor] | Iterable[tuple[str, Tensor]],
     step: float = 1e-5,
     samples_per_param: int = 3,
-    seed: int = 0,
 ) -> float:
     """Worst relative disagreement between backprop and central differences.
 
@@ -437,7 +431,7 @@ def grad_check(
     always included, the rest sampled deterministically).
     """
     params = dict(params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     for p in params.values():
         p.grad = None

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import asdict
 from typing import Callable, Optional
 
 from .autodiff import AutodiffError
@@ -214,7 +215,7 @@ def cmd_train(args) -> int:
     model, report = train_rop(corpus, rop_config, encoder_config)
     model.save(args.model)
     _note(f"wrote {args.model}")
-    _emit_json(report.to_dict(), args.output)
+    _emit_json(asdict(report), args.output)
     return EXIT_OK
 
 

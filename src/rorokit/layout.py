@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Optional
 
-from .relations import Relation, index_pair, is_acyclic
+from .relations import Relation, index_pair, is_acyclic, json_relation
 
 COORD_MAX = 1000
 
@@ -221,7 +221,7 @@ class Corpus:
 # JSON (de)serialization
 
 
-def document_to_dict(doc: Document, split: Optional[str] = None) -> dict:
+def document_to_dict(doc: Document, split: str) -> dict:
     # Field order is part of the file format; do not reorder.
     out: dict = {
         "id": doc.id,
@@ -238,8 +238,7 @@ def document_to_dict(doc: Document, split: Optional[str] = None) -> dict:
     }
     if doc.links is not None:
         out["links"] = [list(p) for p in doc.links.sorted_pairs()]
-    if split is not None:
-        out["split"] = split
+    out["split"] = split
     return out
 
 
@@ -270,7 +269,7 @@ def document_from_dict(obj: dict) -> Document:
         isdr, links = (
             None
             if obj.get(name) is None
-            else Relation.from_pairs(n, [index_pair(p, name) for p in obj[name]])
+            else json_relation(n, obj[name], name)
             for name in ("isdr", "links")
         )
         doc = Document(doc_id, page[0], page[1], tuple(segments), isdr, links)
@@ -383,36 +382,6 @@ def derive_word_level(doc: Document) -> Relation:
     return Relation(doc.n_words, frozenset(pairs))
 
 
-def nonlinear_stats(corpus: Corpus, literal: bool = False) -> Optional[float]:
-    """Fraction of segments involved in non-linear reading order; None when
-    the corpus has no segments.
-
-    Default definition: a segment counts when its in-degree or out-degree in
-    the isdr is at least 2 (it branches or joins). ``literal=True`` instead
-    counts segments whose predecessor and successor both uniquely exist,
-    which marks every interior element of a plain chain.
-    """
-    offenders = [d.id for d in corpus.documents if d.isdr is None]
-    if offenders:
-        raise ValidationError(f"documents missing isdr: {offenders}")
-    nonlinear = 0
-    total = 0
-    for doc in corpus.documents:
-        indeg = doc.isdr.in_degrees()
-        outdeg = doc.isdr.out_degrees()
-        if literal:
-            count = sum(
-                1 for i in range(doc.n_segments) if indeg[i] == 1 and outdeg[i] == 1
-            )
-        else:
-            count = sum(
-                1 for i in range(doc.n_segments) if indeg[i] >= 2 or outdeg[i] >= 2
-            )
-        nonlinear += count
-        total += doc.n_segments
-    return nonlinear / total if total else None
-
-
 @dataclass(frozen=True)
 class CorpusStats:
     documents: int
@@ -423,11 +392,28 @@ class CorpusStats:
 
 
 def corpus_stats(corpus: Corpus, literal_nonlinearity: bool = False) -> CorpusStats:
+    """Counts, and the fraction of segments involved in non-linear reading
+    order; that fraction is None unless every document has an isdr and
+    there is at least one segment.
+
+    Default definition: a segment counts when its in-degree or out-degree in
+    the isdr is at least 2 (it branches or joins).
+    ``literal_nonlinearity=True`` instead counts segments whose predecessor
+    and successor both uniquely exist, which marks every interior element
+    of a plain chain.
+    """
     n_pairs = sum(len(d.isdr.pairs) for d in corpus.documents if d.isdr is not None)
-    if corpus.documents and all(d.isdr is not None for d in corpus.documents):
-        fraction = nonlinear_stats(corpus, literal=literal_nonlinearity)
-    else:
-        fraction = None
+    fraction = None
+    if all(d.isdr is not None for d in corpus.documents):
+        nonlinear = total = 0
+        for doc in corpus.documents:
+            degrees = zip(doc.isdr.in_degrees(), doc.isdr.out_degrees())
+            if literal_nonlinearity:
+                nonlinear += sum(1 for i, o in degrees if i == 1 and o == 1)
+            else:
+                nonlinear += sum(1 for i, o in degrees if i >= 2 or o >= 2)
+            total += doc.n_segments
+        fraction = nonlinear / total if total else None
     return CorpusStats(
         documents=len(corpus.documents),
         segments=sum(d.n_segments for d in corpus.documents),

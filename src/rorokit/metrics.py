@@ -117,22 +117,6 @@ def heuristic_relation(doc: Document) -> Relation:
 # Benchmark report
 
 
-@dataclass(frozen=True)
-class SystemScore:
-    name: str
-    metrics: PairMetrics
-    docs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "precision": self.metrics.precision,
-            "recall": self.metrics.recall,
-            "f1": self.metrics.f1,
-            "docs": self.docs,
-        }
-
-
 def benchmark_report(
     documents: Sequence[Document],
     systems: dict[str, Callable[[Document], Relation]],
@@ -155,14 +139,20 @@ def benchmark_report(
             raise ValueError(f"documents missing gold isdr: {offenders}")
         gold_fn = lambda doc: doc.isdr  # noqa: E731
     golds = [gold_fn(doc) for doc in documents]
-    scores = []
+    rows = []
     for name in sorted(systems):
         predict = systems[name]
         metrics = corpus_f1(
             (gold, predict(doc)) for gold, doc in zip(golds, documents)
         )
-        scores.append(SystemScore(name, metrics, len(documents)))
-    report = {"systems": [s.to_dict() for s in scores]}
+        rows.append({
+            "name": name,
+            "precision": metrics.precision,
+            "recall": metrics.recall,
+            "f1": metrics.f1,
+            "docs": len(documents),
+        })
+    report = {"systems": rows}
     if ceiling:
         recalls = [
             best_permutation_recall(gold)[1]

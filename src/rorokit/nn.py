@@ -9,7 +9,7 @@ succession structure steer attention without changing any shape.
 Several documents can run as one packed input: their tokens follow one
 another as rows, row-wise layers run once over all of them, and attention
 stays within each document, in zero-padded (documents x heads x width x
-width) arrays. One document is the one-pack, unpadded case.
+width) arrays. One document is a pack of one, unpadded.
 
 Everything is float64 and deterministic: same parameters and inputs give
 bit-identical outputs, and checkpoints serialize to byte-stable JSON that
@@ -19,6 +19,7 @@ holds each parameter's exact float64 bytes.
 from __future__ import annotations
 
 import base64
+import contextlib
 import functools
 import json
 import math
@@ -32,6 +33,9 @@ from .layout import BBox, check_field_types
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
+
+# AdamW's moment decays, denominator guard and decoupled weight decay.
+BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01
 
 
 class TokenOverflowError(ValueError):
@@ -173,6 +177,20 @@ def sinusoidal_rows(n_values: int, dim: int) -> np.ndarray:
     return out
 
 
+@contextlib.contextmanager
+def _table_size(field: str, model_dim: int):
+    """Turn numpy's refusal to allocate a table of ``field`` rows (a shape
+    past its limit, or memory it cannot get) into a ``ValueError`` naming
+    ``field``."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise ValueError(
+            f"encoder {field} is too large: a table of {field} x {model_dim} "
+            f"float64 values cannot be allocated"
+        ) from None
+
+
 def init_encoder_params(
     config: EncoderConfig,
     seed: int = 0,
@@ -184,25 +202,30 @@ def init_encoder_params(
     Coordinate tables default to sinusoidal features laid out in disjoint
     dimension quarters (one per box coordinate), so summed embeddings remain
     injective in geometry from the first step; they stay fully learnable.
+    A token or coordinate table too large to allocate raises ``ValueError``
+    naming its size field.
     """
+    if coord_init not in ("sinusoidal", "normal"):
+        raise ValueError(f"unknown coord_init {coord_init!r}")
     if store is None:
         store = ParameterStore()
     rng = np.random.default_rng(seed)
     d = config.model_dim
 
-    store.add("enc.tok_embed", rng.normal(0.0, 0.02, size=(config.vocab_hash_size, d)))
+    with _table_size("vocab_hash_size", d):
+        table = rng.normal(0.0, 0.02, size=(config.vocab_hash_size, d))
+        store.add("enc.tok_embed", table)
     quarter = d // 4
     for idx, coord in enumerate(("x0", "y0", "x1", "y1")):
-        if coord_init == "sinusoidal" and quarter >= 2 and quarter % 2 == 0:
-            table = np.zeros((config.coord_buckets, d))
-            table[:, idx * quarter : (idx + 1) * quarter] = sinusoidal_rows(
-                config.coord_buckets, quarter
-            )
-        elif coord_init in ("sinusoidal", "normal"):
-            table = rng.normal(0.0, 0.02, size=(config.coord_buckets, d))
-        else:
-            raise ValueError(f"unknown coord_init {coord_init!r}")
-        store.add(f"enc.coord_{coord}", table)
+        with _table_size("coord_buckets", d):
+            if coord_init == "sinusoidal" and quarter >= 2 and quarter % 2 == 0:
+                table = np.zeros((config.coord_buckets, d))
+                table[:, idx * quarter : (idx + 1) * quarter] = sinusoidal_rows(
+                    config.coord_buckets, quarter
+                )
+            else:
+                table = rng.normal(0.0, 0.02, size=(config.coord_buckets, d))
+            store.add(f"enc.coord_{coord}", table)
 
     for layer in range(config.layers):
         base = f"enc.l{layer}."
@@ -229,15 +252,13 @@ def embed(
     config: EncoderConfig,
     params: ParameterStore,
     tokens: Sequence[tuple[str, BBox]],
-    lengths: Optional[Sequence[int]] = None,
+    lengths: Sequence[int],
 ) -> Tensor:
     """Token-hash embedding plus the four coordinate-bucket embeddings.
 
     ``lengths`` gives the token count of each document packed one after
-    another in ``tokens``; None means one document. The token budget
-    applies to each document.
+    another in ``tokens``. The token budget applies to each document.
     """
-    lengths = [len(tokens)] if lengths is None else list(lengths)
     if sum(lengths) != len(tokens):
         raise ValueError(
             f"lengths sum to {sum(lengths)}, but there are {len(tokens)} tokens"
@@ -345,11 +366,11 @@ def attention_weights(
 ) -> Tensor:
     """Per-head attention rows; every row sums to 1.
 
-    Over one document the result is [heads, n, n]. Over a pack of several
-    documents it is [B, heads, width, width], each document attending only
-    within its own block and never to padded keys; ``bias`` then holds one
-    matrix per document. The logits ``(q.k + lambda * rho) / sqrt(d_k)``
-    are one node, the softmax another.
+    The result is [B, heads, width, width] over a pack of B documents, each
+    attending only within its own block and never to padded keys; ``bias``
+    holds one matrix per document. None for ``layout`` means the rows are
+    one document, a pack of one. The logits
+    ``(q.k + lambda * rho) / sqrt(d_k)`` are one node, the softmax another.
     """
     if q.shape != k.shape or len(q.shape) != 2:
         raise ValueError(f"query/key shapes must match, got {q.shape} vs {k.shape}")
@@ -380,14 +401,10 @@ def attention_weights(
     if layout.mask is not None:
         np.copyto(logits, -np.inf, where=~layout.mask[:, None, None, :])
     parents = (q, k) if lam is None else (q, k, lam)
-    out = Tensor(
-        logits[0] if len(layout.counts) == 1 else logits,
-        any(p.requires_grad for p in parents),
-        parents,
-    )
+    out = Tensor(logits, any(p.requires_grad for p in parents), parents)
 
     def backward(grad):
-        g = grad.reshape(logits.shape) * scale
+        g = grad * scale
         if lam is not None and lam.requires_grad:
             lam._accumulate((g * rho).sum())
         if q.requires_grad:
@@ -404,33 +421,29 @@ def attention(
     k: Tensor,
     v: Tensor,
     heads: int,
-    bias: Optional[AttentionBias] = None,
-    layer: int = 0,
-    layout: Optional[Padding] = None,
+    bias: Optional[AttentionBias],
+    layer: int,
+    layout: Padding,
 ) -> Tensor:
     """Multi-head scaled dot-product attention over projected q/k/v rows.
 
-    ``layout`` splits the rows into packed documents (see ``encoder_forward``);
-    None means the rows are one document. The weighted values, heads merged
-    back, are one (n, d) node after the attention rows.
+    ``layout`` splits the rows into packed documents (see ``encoder_forward``).
+    The weighted values, heads merged back, are one (n, d) node after the
+    attention rows.
     """
     if v.shape != q.shape:
         raise ValueError(f"value shape {v.shape} must match query {q.shape}")
-    if layout is None:
-        layout = Padding([q.shape[0]])
     weights = attention_weights(q, k, heads, bias, layer, layout)
     vh = _split_heads(layout, v.data, heads)
-    # A lone document's (heads, n, n) rows, viewed as a pack of one.
-    rows = weights.data.reshape(vh.shape[:3] + (-1,))
     needs_grad = v.requires_grad or weights.requires_grad
-    out = Tensor(_merge_heads(layout, rows @ vh), needs_grad, (weights, v))
+    out = Tensor(_merge_heads(layout, weights.data @ vh), needs_grad, (weights, v))
 
     def backward(grad):
         g = _split_heads(layout, grad, heads)
         if weights.requires_grad:
-            weights._accumulate((g @ vh.swapaxes(-1, -2)).reshape(weights.shape))
+            weights._accumulate(g @ vh.swapaxes(-1, -2))
         if v.requires_grad:
-            v._accumulate(_merge_heads(layout, rows.swapaxes(-1, -2) @ g))
+            v._accumulate(_merge_heads(layout, weights.data.swapaxes(-1, -2) @ g))
 
     out._backward = backward
     return out
@@ -478,11 +491,9 @@ def encoder_forward(
 # Optimizer
 
 
-def optimizer_step(
-    store: ParameterStore, learning_rate: float, weight_decay: float = 0.01
-) -> None:
-    """One AdamW update (decoupled weight decay) over every stored parameter,
-    with beta1 0.9, beta2 0.999 and eps 1e-8.
+def optimizer_step(store: ParameterStore, learning_rate: float) -> None:
+    """One AdamW update over every stored parameter, with ``BETA1``,
+    ``BETA2``, ``EPS`` and the decoupled ``WEIGHT_DECAY``.
 
     Every gradient is checked before any parameter moves: a missing or
     non-finite gradient raises, naming the parameter, and leaves the store
@@ -493,14 +504,14 @@ def optimizer_step(
     only those rows get the full moment and parameter update. Every other
     row has had only zero gradients, so its moments are still exactly 0 and
     the update reduces to the decoupled weight decay
-    ``p -= lr * (0.0 + wd * p)``, which is all the step computes for it
-    (the full formula's Adam term is +0.0 there, so the ``0.0 +`` keeps a
-    -0.0 parameter as it leaves it). A parameter whose every row is in the
-    mask, and every 1-D or 0-D parameter, gets the same formula over all
-    its rows and is no longer scanned. NaN and
-    ±inf compare non-zero, so the finiteness check looks only at rows
-    with a non-zero gradient. The arithmetic runs in place, with two
-    scratch buffers shared by all parameters.
+    ``p -= lr * (0.0 + WEIGHT_DECAY * p)``, which is all the step computes
+    for it (the full formula's Adam term is +0.0 there, so the ``0.0 +``
+    keeps a -0.0 parameter as it leaves it). A parameter whose every row is
+    in the mask, and every 1-D or 0-D parameter, gets the same formula over
+    all its rows and is no longer scanned. NaN and ±inf compare non-zero,
+    so the finiteness check looks only at rows with a non-zero gradient.
+    The arithmetic runs in place, with two scratch buffers shared by all
+    parameters.
 
     The dense block: after the store's first step, the parameters that
     step found dense (every 1-D and 0-D one, and every 2-D one whose first
@@ -539,9 +550,8 @@ def optimizer_step(
         block.gather_grads()
     sizes = [p.data.size for _, p in params] + [block.grad.size if block else 0]
     scratch = np.empty((2, max(sizes)))
-    hyper = (learning_rate, weight_decay)
     if block:
-        block.step(hyper, scratch)
+        block.step(learning_rate, scratch)
     for (name, p), rows in zip(params, masks):
         state = store.opt_state(name)
         state["t"] += 1
@@ -549,14 +559,16 @@ def optimizer_step(
             rows = None
         state["rows"] = rows
         if rows is None:
-            _adamw(p.data, p.grad, state["m"], state["v"], state["t"], hyper, scratch)
+            _adamw(
+                p.data, p.grad, state["m"], state["v"], state["t"], learning_rate, scratch
+            )
             continue
         # Decay every row, then overwrite the masked rows with their full
         # update, computed from copies of their values before the decay.
         idx = np.flatnonzero(rows)
         data, m, v = p.data[idx], state["m"][idx], state["v"][idx]
-        _decay(p.data, 0.0, learning_rate, weight_decay, scratch[0])
-        _adamw(data, p.grad[idx], m, v, state["t"], hyper, scratch)
+        _decay(p.data, 0.0, learning_rate, scratch[0])
+        _adamw(data, p.grad[idx], m, v, state["t"], learning_rate, scratch)
         p.data[idx], state["m"][idx], state["v"][idx] = data, m, v
     if block is None:
         store._block = _DenseBlock([
@@ -616,11 +628,11 @@ class _DenseBlock:
             for name, p, _ in self.members:
                 _check_finite(name, p.grad)
 
-    def step(self, hyper, scratch) -> None:
+    def step(self, learning_rate, scratch) -> None:
         for _, _, state in self.members:
             state["t"] += 1
         t = self.members[0][2]["t"]
-        _adamw(self.data, self.grad, self.m, self.v, t, hyper, scratch)
+        _adamw(self.data, self.grad, self.m, self.v, t, learning_rate, scratch)
 
 
 def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -628,33 +640,32 @@ def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:
     return scratch[: like.size].reshape(like.shape)
 
 
-def _decay(data, direction, learning_rate, weight_decay, scratch) -> None:
-    """``data -= lr * (direction + wd * data)`` in place: AdamW's last line."""
+def _decay(data, direction, learning_rate, scratch) -> None:
+    """``data -= lr * (direction + WEIGHT_DECAY * data)`` in place: AdamW's
+    last line."""
     s = _buffer(scratch, data)
-    np.multiply(data, weight_decay, out=s)
+    np.multiply(data, WEIGHT_DECAY, out=s)
     np.add(direction, s, out=s)
     s *= learning_rate
     data -= s
 
 
-def _adamw(data, grad, m, v, t, hyper, scratch) -> None:
+def _adamw(data, grad, m, v, t, learning_rate, scratch) -> None:
     """The AdamW formula, in place on ``data``, ``m`` and ``v`` of one shape."""
-    learning_rate, weight_decay = hyper
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
     s, d = _buffer(scratch[0], data), _buffer(scratch[1], data)
-    np.multiply(grad, 1.0 - beta1, out=s)
-    m *= beta1
+    np.multiply(grad, 1.0 - BETA1, out=s)
+    m *= BETA1
     m += s
     np.multiply(grad, grad, out=s)
-    s *= 1.0 - beta2
-    v *= beta2
+    s *= 1.0 - BETA2
+    v *= BETA2
     v += s
-    np.divide(m, 1.0 - beta1**t, out=d)
-    np.divide(v, 1.0 - beta2**t, out=s)
+    np.divide(m, 1.0 - BETA1**t, out=d)
+    np.divide(v, 1.0 - BETA2**t, out=s)
     np.sqrt(s, out=s)
-    s += eps
+    s += EPS
     d /= s
-    _decay(data, d, learning_rate, weight_decay, scratch[0])
+    _decay(data, d, learning_rate, scratch[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -112,7 +113,7 @@ class Relation:
         return len(self.pairs)
 
 
-def index_pair(pair, field: str = "relation") -> tuple[int, int]:
+def index_pair(pair, field: str) -> tuple[int, int]:
     """A JSON pair ``[i, j]`` as a tuple; a value that is not a list of two
     integers (booleans are not) raises ``RelationError`` naming ``field``."""
     if isinstance(pair, list) and len(pair) == 2:
@@ -122,6 +123,18 @@ def index_pair(pair, field: str = "relation") -> tuple[int, int]:
     raise RelationError(f"{field} pair {pair!r} is not two integers")
 
 
+def json_relation(element_count: int, pairs, field: str) -> Relation:
+    """The relation over ``element_count`` elements of a JSON list of pairs
+    (see ``index_pair``). A pair listed twice raises ``RelationError`` naming
+    ``field`` and the pair, rather than the set quietly keeping one."""
+    indexed = [index_pair(pair, field) for pair in pairs]
+    rel = Relation(element_count, indexed)
+    if len(rel) != len(indexed):
+        repeated = next(p for p, count in Counter(indexed).items() if count > 1)
+        raise RelationError(f"{field} lists pair {list(repeated)} more than once")
+    return rel
+
+
 def relation_to_json(rel: Relation) -> str:
     """Serialize as ``{"n": N, "pairs": [[i,j],...]}``, pairs sorted."""
     pairs = [list(p) for p in rel.sorted_pairs()]
@@ -129,8 +142,9 @@ def relation_to_json(rel: Relation) -> str:
 
 
 def relation_from_json(text: str) -> Relation:
-    """The relation of ``{"n": N, "pairs": [[i, j], ...]}``; anything else
-    raises ``RelationError`` naming the missing or malformed field."""
+    """The relation of ``{"n": N, "pairs": [[i, j], ...]}``, each pair listed
+    once; anything else raises ``RelationError`` naming the missing or
+    malformed field, or the repeated pair."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise RelationError(f"relation is a JSON {type(obj).__name__}, not an object")
@@ -139,7 +153,7 @@ def relation_from_json(text: str) -> Relation:
         raise RelationError(f"relation field 'n' is missing or not an integer: {n!r}")
     if not isinstance(pairs, list):
         raise RelationError("relation field 'pairs' is missing or not a list")
-    return Relation.from_pairs(n, [index_pair(pair) for pair in pairs])
+    return json_relation(n, pairs, "relation")
 
 
 def is_acyclic(rel: Relation) -> tuple[bool, Optional[OrderViolation]]:

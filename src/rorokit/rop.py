@@ -349,23 +349,23 @@ def _logsumexp_with_zero(x: np.ndarray) -> np.ndarray:
     return m + np.log1p(np.expm1(-m) + total)
 
 
-def decode(scores, threshold: float = 0.0) -> Relation:
-    """The off-diagonal pairs scoring above the threshold, repaired to be
-    acyclic: taken in descending score, ties in ascending ``(i, j)``, each
-    pair is kept unless its target already reaches its source through the
-    pairs kept so far. So the result is acyclic and maximal (each dropped
-    pair closes a cycle), and an acyclic prediction comes back unchanged.
+def decode(scores: np.ndarray, threshold: float = 0.0) -> Relation:
+    """The off-diagonal pairs of the square float array ``scores`` that
+    score above the threshold, repaired to be acyclic: taken in descending
+    score, ties in ascending ``(i, j)``, each pair is kept unless its target
+    already reaches its source through the pairs kept so far. So the result
+    is acyclic and maximal (each dropped pair closes a cycle), and an
+    acyclic prediction comes back unchanged.
     Dropping the fewest pairs is minimum feedback arc set, NP-hard (Karp
     1972), so this greedy is a heuristic and may drop more.
     """
-    s = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"scores must be square, got {s.shape}")
-    n = s.shape[0]
-    mask = s > threshold
+    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
+        raise ValueError(f"scores must be square, got {scores.shape}")
+    n = scores.shape[0]
+    mask = scores > threshold
     np.fill_diagonal(mask, False)
     rows, cols = np.nonzero(mask)
-    order = np.argsort(-s[rows, cols], kind="stable")  # ties stay in (i, j) order
+    order = np.argsort(-scores[rows, cols], kind="stable")  # ties stay in (i, j) order
     reach = [1 << v for v in range(n)]  # bit u of reach[v]: v reaches u
     kept = []
     for i, j in zip(rows[order].tolist(), cols[order].tolist()):
@@ -531,9 +531,6 @@ class TrainReport:
     skipped: list[dict]
     train_docs: int
     val_docs: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def fit(

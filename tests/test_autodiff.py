@@ -172,12 +172,12 @@ def test_reshape_transpose_slice():
 
 def test_gather_rows_accumulates_duplicates():
     table = Tensor(rand(5, 3, seed=15), requires_grad=True)
-    out = gather_rows(table, [1, 1, 4])
+    out = gather_rows([table], [[1, 1, 4]])
     out.sum().backward()
     assert np.allclose(table.grad[1], 2.0)
     assert np.allclose(table.grad[4], 1.0)
     assert np.allclose(table.grad[0], 0.0)
-    check(lambda: (gather_rows(table, [0, 2, 2]) ** 2).sum(), {"t": table})
+    check(lambda: (gather_rows([table], [[0, 2, 2]]) ** 2).sum(), {"t": table})
 
 
 # --- composites ---
@@ -298,8 +298,8 @@ def test_row_sparse_gather_matches_dense_reference():
     table = Tensor(rand(6, 3, seed=36), requires_grad=True)
     first, second = [4, 1, 4, 4, 0], [1, 1, 5]
     w1, w2 = rand(5, 3, seed=37), rand(3, 3, seed=38)
-    loss = (gather_rows(table, first) * Tensor(w1)).sum() + (
-        gather_rows(table, second) * Tensor(w2)
+    loss = (gather_rows([table], [first]) * Tensor(w1)).sum() + (
+        gather_rows([table], [second]) * Tensor(w2)
     ).sum()
     loss.backward()
     dense = np.zeros_like(table.data)
@@ -337,9 +337,9 @@ def test_summed_lookups_are_bit_identical_to_chained_ones():
     w = rand(3, 3, seed=50)
 
     def chained(*tables):
-        out = gather_rows(tables[0], indices[0])
+        out = gather_rows([tables[0]], [indices[0]])
         for t, idx in zip(tables[1:], indices[1:]):
-            out = out + gather_rows(t, idx)
+            out = out + gather_rows([t], [idx])
         return out
 
     fused, g_fused = values_and_grads(lambda *t: gather_rows(t, indices), tables, w)

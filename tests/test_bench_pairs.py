@@ -1,4 +1,5 @@
-"""The verdict of scripts/bench_pairs.py, on synthetic runs."""
+"""The verdict of scripts/bench_pairs.py, on synthetic runs, and the side-by-side
+imports of scripts/bench_inprocess.py."""
 
 import importlib.util
 from pathlib import Path
@@ -118,3 +119,60 @@ def test_src_lines_counts_the_package_modules_of_each_checkout(tmp_path):
         (tmp_path / side / "outside.py").write_text("w = 0\n" * 5, encoding="utf-8")
         sides[side] = tmp_path / side
     assert bench_pairs.src_lines(sides) == {"parent": 4, "change": 1, "delta": -3}
+
+
+INPROCESS = Path(__file__).resolve().parents[1] / "scripts" / "bench_inprocess.py"
+spec = importlib.util.spec_from_file_location("bench_inprocess", INPROCESS)
+bench_inprocess = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_inprocess)
+SRC = Path(__file__).resolve().parents[1] / "src" / "rorokit"
+
+
+def test_inprocess_sides_are_distinct_packages():
+    import rorokit
+
+    one = bench_inprocess.load_package(SRC, "rorokit_side_one")
+    two = bench_inprocess.load_package(SRC, "rorokit_side_two")
+    for name in ("rop", "nn", "layout", "relations"):
+        modules = {id(rorokit), id(one), id(two)}
+        modules |= {id(getattr(package, name)) for package in (rorokit, one, two)}
+        assert len(modules) == 6, name
+    assert one.rop.__name__ == "rorokit_side_one.rop"
+    assert len({id(package.ROPModel) for package in (rorokit, one, two)}) == 3
+    assert one.nn.attention is not two.nn.attention
+
+
+def test_inprocess_side_compared_with_itself_reads_one_within_its_spread():
+    # Both sides step through the same fixed rates, so the medians agree and
+    # the verdict arithmetic is read without depending on host timing.
+    rates = [90.0, 110.0, 100.0, 95.0, 105.0, 120.0, 80.0]
+
+    def stub():
+        values = iter(rates)
+        return lambda: (next(values), ["same outputs"])
+
+    steps = {side: stub() for side in bench_inprocess.SIDES}
+    runs, equal = bench_inprocess.alternate(steps, rounds=len(rates))
+    assert [r["side"] for r in runs[:4]] == ["parent", "change", "change", "parent"]
+    out = bench_inprocess.report(runs, END_TO_END, equal)
+    assert out["outputs_equal"]
+    row = out["end_to_end"]["rop-predict seed 0"]["docs_per_s"]
+    parent, change = row["parent"], row["change"]
+    assert parent["n"] == change["n"] == len(rates)
+    assert row["change_over_parent"] == 1.0
+    assert parent["q3"] - parent["q1"] > 0
+    claim = out["verdict"]["claim"]["rop-predict seed 0"]
+    assert claim["pairs"] == len(rates) and claim["wins"] == 0 and not claim["met"]
+    assert out["verdict"]["end_to_end"]["rop-predict seed 0"]["docs_per_s"]["within_bound"]
+
+
+def test_inprocess_rop_predict_steps_give_equal_outputs_on_both_sides(tmp_path):
+    packages = {
+        side: bench_inprocess.load_package(SRC, f"rorokit_self_{side}")
+        for side in bench_inprocess.SIDES
+    }
+    steps = bench_inprocess.rop_predict_steps(packages, tmp_path, pages=6, train_docs=20)
+    runs, equal = bench_inprocess.alternate(steps, rounds=2)
+    assert equal
+    assert len(runs) == 4
+    assert all(r["metrics"]["docs_per_s"] > 0 for r in runs)

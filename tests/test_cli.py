@@ -281,6 +281,23 @@ def test_layout_value_that_is_not_an_integer_is_refused(tmp_path, capsys, edit, 
     assert second["schema_errors"] == [message]
 
 
+@pytest.mark.parametrize("field", ["isdr", "links"])
+def test_a_repeated_relation_pair_is_refused(tmp_path, capsys, field):
+    corpus = write_corpus(tmp_path, n_docs=3)
+    doc_id = edit_second_document(
+        corpus, lambda obj: obj.update({field: obj["isdr"] + obj["isdr"][:1]})
+    )
+    pair = json.loads(corpus.read_text().splitlines()[1])["isdr"][0]
+    reason = f"document {doc_id}: {field} lists pair {pair} more than once"
+    for command in (["eval", "--heuristic"], ["stats"]):
+        code, out, err = run(capsys, command[0], str(corpus), *command[1:])
+        assert code == 1 and out == ""
+        assert f"error: {reason}" in err
+    code, out, _ = run(capsys, "validate", str(corpus))
+    assert code == 1
+    assert [doc["ok"] for doc in json.loads(out)["documents"]] == [True, False, True]
+
+
 def test_closure_command(tmp_path, capsys):
     rel = tmp_path / "rel.json"
     rel.write_text('{"n": 3, "pairs": [[0, 1], [1, 2]]}')
@@ -309,8 +326,11 @@ def test_closure_bad_json_exits_2(tmp_path, capsys):
         ('{"n": 3, "pairs": [[0]]}', "relation pair [0] is not two integers"),
         ('{"n": 3, "pairs": [[0, 1.5]]}', "relation pair [0, 1.5] is not two integers"),
         ('{"n": 3, "pairs": [0]}', "relation pair 0 is not two integers"),
+        ('{"n": 3, "pairs": [[0, 1], [1, 2], [0, 1]]}',
+         "relation lists pair [0, 1] more than once"),
     ],
-    ids=["list", "no-n", "string-n", "no-pairs", "short-pair", "float-pair", "int-pair"],
+    ids=["list", "no-n", "string-n", "no-pairs", "short-pair", "float-pair", "int-pair",
+         "repeated-pair"],
 )
 def test_closure_malformed_relation_exits_1(tmp_path, capsys, text, reason):
     rel = tmp_path / "rel.json"
@@ -598,9 +618,11 @@ def as_format_2(obj):
         (edit_rop("max_tokens", 2048),
          "config section 'rop': ROPConfig.__init__() got an unexpected keyword "
          "argument 'max_tokens'"),
+        (lambda obj: {**obj, "config": without("rop")(obj["config"])},
+         "config has no 'rop' section"),
     ],
     ids=["no-params", "no-config", "no-shape", "negative-shape", "unknown-key",
-         "float-count", "list", "format-1", "format-2", "rop-max-tokens"],
+         "float-count", "list", "format-1", "format-2", "rop-max-tokens", "no-rop"],
 )
 def test_checkpoint_structure_is_checked_at_load(tmp_path, capsys, corrupt, reason):
     corpus = write_corpus(tmp_path, n_docs=2)
@@ -650,6 +672,22 @@ def test_config_counts_must_be_integers(tmp_path, capsys, command, sections, rea
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert reason in err
+
+
+@pytest.mark.parametrize("size", [10**400, 10**19, 10**12], ids=["1e400", "1e19", "1e12"])
+@pytest.mark.parametrize("field", ["vocab_hash_size", "coord_buckets"])
+def test_an_encoder_table_too_large_to_allocate_is_refused_by_name(
+    tmp_path, capsys, field, size
+):
+    # 1e400 and 1e19 rows pass numpy's dimension limit; 1e12 rows of 64
+    # floats are 466 TiB, more memory than a process can get.
+    corpus = write_corpus(tmp_path, n_docs=20)
+    cfg = write_config(tmp_path, {"encoder": {field: size}, "rop": {"epochs": 1}})
+    code, out, err = run(capsys, "train", str(corpus), "--model",
+                         str(tmp_path / "model.json"), "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: encoder {field} is too large: a table of {field} x 64")
+    assert "Traceback" not in err and not (tmp_path / "model.json").exists()
 
 
 def oversized_setup(tmp_path):
@@ -882,6 +920,14 @@ def test_eval_rejects_duplicate_ids(tmp_path, capsys):
     assert "line 4: duplicate document id" in err
 
 
+def test_eval_refuses_a_split_with_no_documents(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, n_docs=3)  # every document in train
+    code, out, err = run(capsys, "eval", str(corpus), "--heuristic",
+                         "--split", "validation")
+    assert code == 1 and out == ""
+    assert "error: corpus has no documents in split 'validation'" in err
+
+
 def test_eval_split_filter(tmp_path, capsys):
     path = tmp_path / "split.jsonl"
     from rorokit.layout import save_corpus
@@ -980,6 +1026,13 @@ def test_render_refuses_a_cyclic_corpus(tmp_path, capsys):
     corpus.write_text(json.dumps(obj) + "\n")
     code, out, err = run(capsys, "render", str(corpus))
     assert code == 1 and out == "" and "cyclic isdr" in err
+
+
+def test_render_refuses_an_empty_corpus(tmp_path, capsys):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    code, out, err = run(capsys, "render", str(corpus))
+    assert code == 1 and out == "" and "error: corpus is empty" in err
 
 
 def test_render_unknown_doc_exits_1(tmp_path, capsys):

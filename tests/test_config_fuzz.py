@@ -147,6 +147,7 @@ def run(*argv):
         ("train", {"rop": {"seed": -1}}, "seed"),
         ("demo-rore", {"demo": {"lambda_init": math.nan}}, "lambda_init"),
         ("demo-rore", {"demo": {"seed": -1}}, "seed"),
+        ("synth", [{"synth": {}}], "config file must hold a JSON object of sections"),
     ],
 )
 def test_cli_refuses_a_bad_section_by_name(tmp_path, command, sections, named):

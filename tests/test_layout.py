@@ -20,7 +20,6 @@ from rorokit.layout import (
     document_from_dict,
     document_to_dict,
     load_corpus,
-    nonlinear_stats,
     save_corpus,
     validate_annotation,
 )
@@ -131,8 +130,8 @@ def test_corpus_split_validation():
 
 def test_document_dict_field_order():
     doc = chain_doc(n=2)
-    obj = document_to_dict(doc)
-    assert list(obj.keys()) == ["id", "page", "segments", "isdr"]
+    obj = document_to_dict(doc, "test")
+    assert list(obj.keys()) == ["id", "page", "segments", "isdr", "split"]
     assert list(obj["segments"][0].keys()) == ["id", "box", "words"]
     assert obj["isdr"] == [[0, 1]]
     assert document_from_dict(json.loads(json.dumps(obj))) == doc
@@ -150,7 +149,7 @@ def test_round_trip_corpus(tmp_path):
 
 def test_load_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.jsonl"
-    good = json.dumps(document_to_dict(chain_doc()))
+    good = json.dumps(document_to_dict(chain_doc(), "train"))
     path.write_text(good + "\n{not json\n")
     with pytest.raises(CorpusParseError) as excinfo:
         load_corpus(path)
@@ -158,7 +157,7 @@ def test_load_reports_line_numbers(tmp_path):
 
 
 def test_load_rejects_inverted_box(tmp_path):
-    obj = document_to_dict(chain_doc("dbad"))
+    obj = document_to_dict(chain_doc("dbad"), "train")
     obj["segments"][0]["box"] = [400, 0, 0, 80]
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(obj) + "\n")
@@ -167,12 +166,32 @@ def test_load_rejects_inverted_box(tmp_path):
 
 
 def test_load_rejects_cyclic_isdr(tmp_path):
-    obj = document_to_dict(chain_doc("dcyc", n=2))
+    obj = document_to_dict(chain_doc("dcyc", n=2), "train")
     obj["isdr"] = [[0, 1], [1, 0]]
     path = tmp_path / "cyc.jsonl"
     path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(ValidationError, match=r"dcyc: cyclic isdr, witness \[0, 1, 0\]"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("field", ["isdr", "links"])
+def test_load_rejects_a_repeated_relation_pair(tmp_path, field):
+    # A relation is a set: a pair listed twice would silently count once.
+    obj = document_to_dict(chain_doc("drep", n=3), "train")
+    obj[field] = [[0, 1], [1, 2], [0, 1]]
+    reason = f"document drep: {field} lists pair [0, 1] more than once"
+    with pytest.raises(ValidationError, match=re.escape(reason)):
+        document_from_dict(obj)
+    path = tmp_path / "rep.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ValidationError, match=re.escape(reason)):
+        load_corpus(path)
+    report = validate_annotation(obj)
+    assert not report.ok
+    if field == "isdr":
+        assert report.duplicate_pairs == ((0, 1),)
+    else:
+        assert report.schema_errors == (reason,)
 
 
 def test_load_rejects_duplicate_ids(tmp_path):
@@ -224,6 +243,14 @@ def test_derive_word_level_requires_isdr():
         derive_word_level(doc)
 
 
+def test_derive_word_level_refuses_a_cyclic_isdr():
+    # Document keeps a cyclic relation representable; deriving from it is refused.
+    cyclic = Relation.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
+    doc = Document("d", 1000, 1000, chain_doc(n=3).segments, cyclic)
+    with pytest.raises(ValidationError, match=r"d: cyclic isdr, witness \[0, 1, 2, 0\]"):
+        derive_word_level(doc)
+
+
 @given(st.integers(2, 6), st.integers(1, 3))
 def test_derived_relation_is_acyclic_and_collapses_back(n, words_per):
     doc = chain_doc("d", n=n, texts_per_seg=words_per)
@@ -237,7 +264,7 @@ def test_derived_relation_is_acyclic_and_collapses_back(n, words_per):
 
 def test_nonlinear_chain_is_zero():
     corpus = Corpus((chain_doc(n=3),))
-    assert nonlinear_stats(corpus) == 0.0
+    assert corpus_stats(corpus).nonlinear_fraction == 0.0
 
 
 def test_nonlinear_star_is_one_third():
@@ -248,20 +275,23 @@ def test_nonlinear_star_is_one_third():
         "d", 1000, 1000, (a, b, c), Relation.from_pairs(3, [(0, 1), (0, 2)])
     )
     # One of the three segments branches.
-    assert nonlinear_stats(Corpus((doc,))) == pytest.approx(1 / 3)
+    assert corpus_stats(Corpus((doc,))).nonlinear_fraction == pytest.approx(1 / 3)
 
 
 def test_nonlinear_literal_reading_marks_interior_chain_segments():
     corpus = Corpus((chain_doc(n=4),))
     # Interior segments have exactly one predecessor and one successor.
-    assert nonlinear_stats(corpus, literal=True) == pytest.approx(0.5)
-    assert nonlinear_stats(corpus, literal=False) == 0.0
+    literal = corpus_stats(corpus, literal_nonlinearity=True)
+    assert literal.nonlinear_fraction == pytest.approx(0.5)
+    assert corpus_stats(corpus, literal_nonlinearity=False).nonlinear_fraction == 0.0
 
 
 def test_nonlinear_requires_isdr():
+    # Without every document's isdr there is no fraction to report.
     doc = Document("d", 1000, 1000, chain_doc().segments, None)
-    with pytest.raises(ValidationError, match="d"):
-        nonlinear_stats(Corpus((doc,)))
+    corpus = Corpus((doc, chain_doc("e", n=3)))
+    assert corpus_stats(corpus).nonlinear_fraction is None
+    assert corpus_stats(corpus, literal_nonlinearity=True).nonlinear_fraction is None
 
 
 def test_corpus_stats_counts():
@@ -277,13 +307,13 @@ def test_corpus_stats_counts():
 
 
 def test_validate_clean_document():
-    report = validate_annotation(document_to_dict(chain_doc()))
+    report = validate_annotation(document_to_dict(chain_doc(), "train"))
     assert report.ok
     assert report.cycle is None
 
 
 def test_validate_flags_self_pair():
-    raw = document_to_dict(chain_doc("d", n=2))
+    raw = document_to_dict(chain_doc("d", n=2), "train")
     raw["isdr"] = [[0, 0], [0, 1]]
     report = validate_annotation(raw)
     assert not report.ok
@@ -291,14 +321,14 @@ def test_validate_flags_self_pair():
 
 
 def test_validate_flags_cycle_with_witness():
-    raw = document_to_dict(chain_doc("d", n=3))
+    raw = document_to_dict(chain_doc("d", n=3), "train")
     raw["isdr"] = [[0, 1], [1, 2], [2, 0]]
     report = validate_annotation(raw)
     assert report.cycle == (0, 1, 2, 0)
 
 
 def test_validate_flags_duplicates_and_ranges():
-    raw = document_to_dict(chain_doc("d", n=2))
+    raw = document_to_dict(chain_doc("d", n=2), "train")
     raw["isdr"] = [[0, 1], [0, 1], [5, 1], ["x", 1]]
     report = validate_annotation(raw)
     assert report.duplicate_pairs == ((0, 1),)
@@ -313,7 +343,7 @@ def test_validate_flags_duplicates_and_ranges():
                          ids=["float", "string", "bool"])
 @pytest.mark.parametrize("field", ["isdr", "links"])
 def test_relation_pair_that_is_not_two_integers_is_refused(field, pair):
-    raw = document_to_dict(chain_doc("d", n=3))
+    raw = document_to_dict(chain_doc("d", n=3), "train")
     raw[field] = [[0, 1], pair]
     reason = f"{field} pair {pair!r} is not two integers"
     with pytest.raises(ValidationError, match=re.escape(f"document d: {reason}")):
@@ -334,14 +364,14 @@ def test_relation_pair_that_is_not_two_integers_is_refused(field, pair):
     ids=["missing", "null", "int", "empty"],
 )
 def test_document_id_that_is_not_a_non_empty_string_is_refused(tmp_path, edit, reason):
-    raw = document_to_dict(chain_doc("d", n=2))
+    raw = document_to_dict(chain_doc("d", n=2), "train")
     edit(raw)
     with pytest.raises(ValidationError, match=re.escape(reason)):
         document_from_dict(raw)
     report = validate_annotation(raw)
     assert report.schema_errors == (reason,) and not report.ok
     path = tmp_path / "ids.jsonl"
-    path.write_text(json.dumps(document_to_dict(chain_doc("a"))) + "\n" + json.dumps(raw) + "\n")
+    path.write_text(json.dumps(document_to_dict(chain_doc("a"), "train")) + "\n" + json.dumps(raw) + "\n")
     with pytest.raises(ValidationError, match=re.escape(f"line 2: {reason}")):
         load_corpus(path)
 
@@ -398,7 +428,7 @@ def test_layout_accepts_an_int_subclass():
          "float-page"],
 )
 def test_corpus_line_with_a_non_integer_layout_value_is_refused(tmp_path, edit, reason):
-    raw = document_to_dict(chain_doc("d", n=2))
+    raw = document_to_dict(chain_doc("d", n=2), "train")
     edit(raw)
     message = f"document d: malformed field ({reason})"
     with pytest.raises(ValidationError, match=re.escape(message)):
@@ -423,7 +453,7 @@ def test_corpus_line_with_a_non_integer_layout_value_is_refused(tmp_path, edit, 
     ids=["segment-ids", "page-size", "links-pair"],
 )
 def test_refused_corpus_line_names_its_document_once(tmp_path, edit, reason):
-    raw = document_to_dict(chain_doc("d", n=2))
+    raw = document_to_dict(chain_doc("d", n=2), "train")
     edit(raw)
     message = f"document d: {reason}"
     with pytest.raises(ValidationError) as caught:

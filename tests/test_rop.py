@@ -607,7 +607,7 @@ def reference_scores(model, texts, boxes, spans, bias=None):
     unfused projections, per-head reshapes and a dense pooling matmul.
     """
     cfg, p = model.encoder_config, model.store
-    x = embed(cfg, p, list(zip(texts, boxes)))
+    x = embed(cfg, p, list(zip(texts, boxes)), [len(texts)])
     n, d = x.shape
     dk = d // cfg.heads
 

@@ -249,6 +249,13 @@ def test_demo_gsdr_bias_runs():
     assert 0.0 <= out["f1_rore"] <= 1.0
 
 
+def test_demo_requires_a_test_split():
+    corpus = synth_forms(12, seed=4)
+    all_train = Corpus(corpus.documents, {d.id: "train" for d in corpus.documents})
+    with pytest.raises(ValueError, match="non-empty train and test splits"):
+        rore_demo_entity_linking(all_train, DemoConfig(epochs=1))
+
+
 def test_demo_requires_link_labels():
     corpus = synth_forms(12, seed=4)
     stripped = Corpus(

@@ -96,6 +96,13 @@ def test_split_counts_exact():
     assert len(corpus.subset("test")) == 100
 
 
+def test_validation_split_follows_train_in_document_order():
+    cfg = SynthConfig(n_docs=20, train_fraction=0.6, validation_fraction=0.25)
+    corpus = synth_generate(cfg, seed=4)
+    names = [corpus.split[d.id] for d in corpus.documents]
+    assert names == ["train"] * 12 + ["validation"] * 5 + ["test"] * 3
+
+
 def test_doc_kind_parsing():
     corpus = synth_generate(SynthConfig(n_docs=8), seed=5)
     kinds = {doc_kind(d.id) for d in corpus.documents}
@@ -204,8 +211,8 @@ def test_generated_corpus_equals_the_choice_reference(mix, seed):
                          words_per_segment=(1, 4))
     fast, slow = synth_generate(config, seed), reference_generate(config, seed)
     assert fast.split == slow.split
-    assert [document_to_dict(d) for d in fast.documents] == [
-        document_to_dict(d) for d in slow.documents
+    assert [document_to_dict(d, fast.split[d.id]) for d in fast.documents] == [
+        document_to_dict(d, slow.split[d.id]) for d in slow.documents
     ]
 
 
@@ -232,6 +239,11 @@ def test_forms_styles_match_ids_and_are_mixed():
         assert doc.links.pairs == {(0, 2), (1, 3)}
     for doc in horizontal:
         assert doc.links.pairs == {(0, 1), (2, 3)}
+
+
+def test_forms_refuse_zero_documents():
+    with pytest.raises(GenerationError, match="n_docs must be positive"):
+        synth_forms(0)
 
 
 def test_forms_deterministic(tmp_path):
