@@ -40,11 +40,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_rows", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
+        # The rows of ``grad`` that ``gather_rows`` wrote; None if it wrote none.
+        self.grad_rows: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = _parents
         self._backward: Optional[Callable[[np.ndarray], None]] = None
@@ -313,9 +315,14 @@ def gather_rows(tables: Sequence[Tensor], indices: Sequence) -> Tensor:
 
     Backward adds into the touched rows of each table's ``grad`` in place;
     the dense table gradient is allocated only when the table has none yet.
-    The gradient rows of each index list are ordered by a stable sort of
-    the indices and summed per distinct row by one ``np.add.reduceat``, so
-    the result may differ from sequential ``np.add.at`` in the last bits.
+    It also marks those rows in the table's ``grad_rows``, a boolean mask
+    over the table's rows that, like ``grad``, accumulates over backward
+    passes until ``ParameterStore.zero_grads`` clears it. ``optimizer_step``
+    treats exactly the parameters with a mask as lookup tables, so a table's
+    gradient must come from this node alone. The gradient rows of each
+    index list are ordered by a stable sort of the indices and summed per
+    distinct row by one ``np.add.reduceat``, so the result may differ from
+    sequential ``np.add.at`` in the last bits.
     """
     idxs = [np.asarray(i, dtype=np.int64) for i in indices]
     data = tables[0].data[idxs[0]]
@@ -328,10 +335,14 @@ def gather_rows(tables: Sequence[Tensor], indices: Sequence) -> Tensor:
             if t.requires_grad:
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
+                if t.grad_rows is None:
+                    t.grad_rows = np.zeros(len(t.data), dtype=bool)
                 order = np.argsort(idx, kind="stable")
                 ids = idx[order]
                 starts = np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1))
-                t.grad[ids[starts]] += np.add.reduceat(grad[order], starts)
+                rows = ids[starts]
+                t.grad[rows] += np.add.reduceat(grad[order], starts)
+                t.grad_rows[rows] = True
 
     out._backward = backward
     return out

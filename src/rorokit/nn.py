@@ -21,6 +21,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -99,11 +100,11 @@ class EncoderConfig:
 class ParameterStore:
     """Named float64 parameters plus per-parameter optimizer state.
 
-    The first ``optimizer_step`` lays out the dense block: from then on the
-    ``data``, ``m`` and ``v`` of the parameters it found dense are views of
-    three contiguous arrays (see ``optimizer_step``). Write into a
-    parameter's ``data`` rather than rebind it; a rebound member leaves the
-    block dissolved.
+    ``optimizer_step`` lays out the dense block: the ``data``, ``m`` and
+    ``v`` of every parameter that is not a lookup table are views of three
+    contiguous arrays (see ``optimizer_step``). Write into a parameter's
+    ``data`` rather than rebind it: a rebound array is copied into a new
+    layout at the next step.
     """
 
     def __init__(self):
@@ -137,15 +138,16 @@ class ParameterStore:
         return dict(self._params)
 
     def zero_grads(self) -> None:
+        """Clear every gradient and the rows ``gather_rows`` recorded for it."""
         for p in self._params.values():
-            p.grad = None
+            p.grad = p.grad_rows = None
 
     def opt_state(self, name: str) -> dict:
         """AdamW state: step count ``t``, moments ``m`` and ``v``, and ``rows``.
 
-        ``rows`` is a 2-D parameter's sticky mask of the rows whose gradient
-        has ever been non-zero; it is ``None`` once every row is in it, and
-        always for 1-D and 0-D parameters (see ``optimizer_step``).
+        ``rows`` is a lookup table's sticky mask of the rows ``gather_rows``
+        has ever written; it is ``None`` for every parameter in the dense
+        block (see ``optimizer_step``).
         """
         if name not in self._params:
             raise ParameterError(f"parameter {name!r} is not initialized")
@@ -155,7 +157,7 @@ class ParameterStore:
                 "t": 0,
                 "m": np.zeros_like(p.data),
                 "v": np.zeros_like(p.data),
-                "rows": np.zeros(len(p.data), dtype=bool) if p.data.ndim == 2 else None,
+                "rows": None,
             }
         return self._opt_state[name]
 
@@ -499,70 +501,42 @@ def optimizer_step(store: ParameterStore, learning_rate: float) -> None:
     non-finite gradient raises, naming the parameter, and leaves the store
     unchanged.
 
-    Row-sparse and exact: a 2-D parameter keeps a sticky mask of the rows
-    whose gradient has ever been non-zero (``opt_state(name)["rows"]``), and
-    only those rows get the full moment and parameter update. Every other
-    row has had only zero gradients, so its moments are still exactly 0 and
-    the update reduces to the decoupled weight decay
-    ``p -= lr * (0.0 + WEIGHT_DECAY * p)``, which is all the step computes
-    for it (the full formula's Adam term is +0.0 there, so the ``0.0 +``
-    keeps a -0.0 parameter as it leaves it). A parameter whose every row is
-    in the mask, and every 1-D or 0-D parameter, gets the same formula over
-    all its rows and is no longer scanned. NaN and ±inf compare non-zero,
-    so the finiteness check looks only at rows with a non-zero gradient.
-    The arithmetic runs in place, with two scratch buffers shared by all
-    parameters.
-
-    The dense block: after the store's first step, the parameters that
-    step found dense (every 1-D and 0-D one, and every 2-D one whose first
-    gradient touched all its rows) get their ``data``, ``m`` and ``v``
-    copied into three contiguous arrays, and keep views of them. Each
-    later step copies the members' gradients into one array, checks it
-    for finiteness once and updates every member with one ``_adamw``
-    call; the tables, and any parameter whose mask filled later or that
-    was added after the first step, keep the per-parameter path. The
-    result is byte-identical: ``_adamw`` is elementwise, so one call over
-    the concatenation does each element's float operations in the same
-    order as one call per parameter. A member whose ``data``, ``m`` or
-    ``v`` was rebound to another array dissolves the block, and from
-    then on every parameter takes the per-parameter path.
+    One rule, two exact routes. A parameter whose gradient ``gather_rows``
+    wrote (its ``grad_rows`` is set) is a lookup table: its sticky mask
+    ``opt_state(name)["rows"]`` grows by the recorded rows, only those rows
+    are checked for finiteness, and only the masked rows get the full
+    update. Every other row never had a gradient, so its moments are
+    exactly 0 and the full formula reduces, bit for bit, to the decoupled
+    decay ``p -= lr * (0.0 + WEIGHT_DECAY * p)``, all the step computes for
+    it (the Adam term is +0.0 there). A parameter that has stepped before
+    without a record enters this route with every row in its mask. Every
+    other parameter gets the full formula in the one dense block (see
+    ``_DenseBlock``). The arithmetic runs in place, with two scratch
+    buffers shared by all parameters.
     """
-    block = store._block
-    if block is not None and not block.intact():
-        store._block = block = _DenseBlock([])
-    members = {name for name, _, _ in block.members} if block else ()
-    params, masks = [], []
+    tables, dense = [], []
     for name, p in store.items():
         if p.grad is None:
             raise MissingGradientError(f"parameter {name!r} has no gradient")
-        if name in members:
-            continue
-        rows = store.opt_state(name)["rows"]
-        checked = p.grad
-        if rows is not None:
-            touched = (p.grad != 0).any(axis=1)
-            checked = p.grad[touched]
-            rows = rows | touched
-        _check_finite(name, checked)
-        params.append((name, p))
-        masks.append(rows)
-    if block:
-        block.gather_grads()
-    sizes = [p.data.size for _, p in params] + [block.grad.size if block else 0]
-    scratch = np.empty((2, max(sizes)))
-    if block:
-        block.step(learning_rate, scratch)
-    for (name, p), rows in zip(params, masks):
         state = store.opt_state(name)
-        state["t"] += 1
-        if rows is not None and rows.all():
-            rows = None
-        state["rows"] = rows
-        if rows is None:
-            _adamw(
-                p.data, p.grad, state["m"], state["v"], state["t"], learning_rate, scratch
-            )
+        if p.grad_rows is None:
+            dense.append((name, p, state))
             continue
+        _check_finite(name, p.grad[p.grad_rows])
+        rows = state["rows"]
+        if rows is None:
+            rows = np.full(len(p.data), state["t"] > 0)
+        tables.append((p, state, rows | p.grad_rows))
+    block = store._block
+    if block is None or not block.holds(dense):
+        store._block = block = _DenseBlock(dense)
+    block.gather_grads()
+    sizes = [block.grad.size] + [p.data.size for p, _, _ in tables]
+    scratch = np.empty((2, max(sizes)))
+    block.step(learning_rate, scratch)
+    for p, state, rows in tables:
+        state["t"] += 1
+        state["rows"] = rows
         # Decay every row, then overwrite the masked rows with their full
         # update, computed from copies of their values before the decay.
         idx = np.flatnonzero(rows)
@@ -570,11 +544,6 @@ def optimizer_step(store: ParameterStore, learning_rate: float) -> None:
         _decay(p.data, 0.0, learning_rate, scratch[0])
         _adamw(data, p.grad[idx], m, v, state["t"], learning_rate, scratch)
         p.data[idx], state["m"][idx], state["v"][idx] = data, m, v
-    if block is None:
-        store._block = _DenseBlock([
-            (name, p, store.opt_state(name)) for name, p in params
-            if store.opt_state(name)["rows"] is None
-        ])
 
 
 def _check_finite(name: str, grad: np.ndarray) -> None:
@@ -583,12 +552,12 @@ def _check_finite(name: str, grad: np.ndarray) -> None:
 
 
 class _DenseBlock:
-    """Parameters whose ``data``, ``m`` and ``v`` are views of three
-    contiguous arrays, in store order, so that one ``_adamw`` call updates
-    them all (see ``optimizer_step``); ``grad`` gathers their gradients.
-
-    ``members`` holds (name, parameter, optimizer state) triples, which all
-    share one step count ``t``; empty, the block is dissolved for good.
+    """(name, parameter, optimizer state) triples of the parameters that are
+    not lookup tables, in store order, whose ``data``, ``m``, ``v`` and
+    gradient are views of four contiguous arrays. ``_adamw`` is elementwise,
+    so one call over them all is byte-identical to one call per member.
+    ``optimizer_step`` lays the block out again, copying the values in,
+    whenever its members or a member's ``data``, ``m`` or ``v`` change.
     """
 
     def __init__(self, members: list[tuple[str, Tensor, dict]]):
@@ -601,38 +570,47 @@ class _DenseBlock:
             end = start + p.data.size
             views = tuple(
                 block[start:end].reshape(p.data.shape)
-                for block in (self.data, self.m, self.v)
+                for block in (self.data, self.m, self.v, self.grad)
             )
             for view, values in zip(views, (p.data, state["m"], state["v"])):
                 view[...] = values
-            p.data, state["m"], state["v"] = views
+            p.data, state["m"], state["v"] = views[:3]
+            state["rows"] = None
             self.views.append(views)
             start = end
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def intact(self) -> bool:
-        """Whether every member still holds the block's views, so that an
-        update of the block is an update of the member."""
-        return all(
-            p.data is data and state["m"] is m and state["v"] is v
-            for (_, p, state), (data, m, v) in zip(self.members, self.views)
+    def holds(self, members: list[tuple[str, Tensor, dict]]) -> bool:
+        """Whether the block is laid out for exactly ``members``, each still
+        holding its views, so that an update of the block is an update of
+        every member."""
+        return len(members) == len(self.members) and all(
+            p is q and p.data is data and state["m"] is m and state["v"] is v
+            for (_, p, state), (_, q, _), (data, m, v, _) in zip(
+                members, self.members, self.views
+            )
         )
 
     def gather_grads(self) -> None:
         """Copy the members' gradients into ``grad`` and check them once;
         a non-finite one raises, naming its member."""
-        np.concatenate([p.grad.reshape(-1) for _, p, _ in self.members], out=self.grad)
+        for (_, p, _), views in zip(self.members, self.views):
+            views[3][...] = p.grad
         if not np.isfinite(self.grad).all():
             for name, p, _ in self.members:
                 _check_finite(name, p.grad)
 
     def step(self, learning_rate, scratch) -> None:
-        for _, _, state in self.members:
-            state["t"] += 1
-        t = self.members[0][2]["t"]
-        _adamw(self.data, self.grad, self.m, self.v, t, learning_rate, scratch)
+        """One ``_adamw`` call per run of neighbouring members whose step
+        counts, and so bias corrections, agree (a parameter added late)."""
+        start = 0
+        for t, run in itertools.groupby(self.members, key=lambda member: member[2]["t"]):
+            run = list(run)
+            for _, _, state in run:
+                state["t"] = t + 1
+            part = slice(start, start + sum(p.data.size for _, p, _ in run))
+            block = self.data[part], self.grad[part], self.m[part], self.v[part]
+            _adamw(*block, t + 1, learning_rate, scratch)
+            start = part.stop
 
 
 def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:

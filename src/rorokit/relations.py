@@ -197,12 +197,15 @@ def is_acyclic(rel: Relation) -> tuple[bool, Optional[OrderViolation]]:
 def transitive_closure(rel: Relation) -> Relation:
     """Smallest transitive superset of ``rel`` over the same element set.
 
-    Defined for any relation, cyclic or not. One graph search per source
-    element, so no N x N matrix is built, even for word-level documents.
+    Defined for any relation, cyclic or not. One graph search per source,
+    through a successor map built from the pairs, so the cost follows the
+    pairs, not ``element_count``, and no N x N matrix is built.
     """
-    succ = rel.successors()
+    succ: dict[int, list[int]] = {}
+    for a, b in rel.pairs:
+        succ.setdefault(a, []).append(b)
     out = set()
-    for s in sorted({a for a, _ in rel.pairs}):
+    for s in succ:
         seen = set()
         frontier = list(succ[s])
         while frontier:
@@ -210,7 +213,7 @@ def transitive_closure(rel: Relation) -> Relation:
             if node in seen:
                 continue
             seen.add(node)
-            frontier.extend(succ[node])
+            frontier.extend(succ.get(node, ()))
         out.update((s, t) for t in seen)
     return Relation(rel.element_count, frozenset(out))
 

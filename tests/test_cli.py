@@ -1,10 +1,15 @@
 import base64
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rorokit
 from rorokit.cli import main
 from rorokit.layout import derive_word_level, load_corpus
 from rorokit.metrics import corpus_f1
@@ -313,6 +318,27 @@ def test_closure_bad_json_exits_2(tmp_path, capsys):
     rel.write_text("{not json")
     code, _, _ = run(capsys, "closure", str(rel))
     assert code == 2
+
+
+def test_closure_cost_follows_the_pairs_not_the_element_count(tmp_path):
+    rel = tmp_path / "rel.json"
+    rel.write_text('{"n": 1000000000000, "pairs": [[0, 1]]}')
+    # The child runs under a 1 GiB address-space limit, so that code which
+    # allocates per element fails fast instead of filling the machine.
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from rorokit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(rorokit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", child, "closure", str(rel)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"n": 1000000000000, "pairs": [[0, 1]]}
 
 
 @pytest.mark.parametrize(

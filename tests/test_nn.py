@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rorokit.autodiff import Tensor, grad_check
+from rorokit.autodiff import Tensor, gather_rows, grad_check
 from rorokit.layout import BBox
 from rorokit.nn import (
     AttentionBias,
@@ -435,8 +435,31 @@ def reference_adamw(store, state, learning_rate, weight_decay=0.01,
         )
 
 
+def gather_grad(table, sub_batches):
+    """Backward through ``gather_rows`` once per (rows, upstream gradient)
+    sub-batch, adding up, as ``rop.fit``'s sub-batches do: the way a lookup
+    table gets its gradient and its record of the rows written."""
+    for rows, weight in sub_batches:
+        (gather_rows([table], [rows]) * Tensor(weight)).sum().backward()
+
+
+def feed(store, ref, grads):
+    """Give ``store`` and the reference the same gradients: a list of
+    sub-batches goes through ``gather_rows`` on ``store`` and its result is
+    copied to ``ref``; an array is set on both."""
+    store.zero_grads()
+    for name, grad in grads.items():
+        if isinstance(grad, list):
+            gather_grad(store[name], grad)
+            grad = store[name].grad
+        else:
+            store[name].grad = grad.copy()
+        if ref is not None:
+            ref[name].grad = grad.copy()
+
+
 def oracle_store():
-    """A table, a late table, a weight, a bias and a scalar, with signed zeros."""
+    """Two tables, a weight, a bias and a scalar, with signed zeros."""
     rng = np.random.default_rng(7)
     store = ParameterStore()
     for name, shape in [("once", (6, 3)), ("late", (5, 3)), ("w", (4, 3)),
@@ -448,16 +471,14 @@ def oracle_store():
 
 
 def oracle_grads(step, rng):
-    """Step ``step``'s gradients: row 1 of ``once`` only at step 0, row 2 of
-    ``late`` from step 3 on, row 0 of ``w`` always zero (partly -0.0)."""
-    once = np.zeros((6, 3))
-    once[4] = -0.0
+    """Step ``step``'s gradients. ``once`` is gathered at row 1 only at step
+    0, at row 3 always and at row 4 with a zero upstream gradient; ``late``
+    at row 2 with a zero upstream gradient until step 3; row 0 of ``w`` is
+    always zero (partly -0.0)."""
+    once = [([3, 4, 3], np.vstack([rng.normal(size=3), np.zeros(3), rng.normal(size=3)]))]
     if step == 0:
-        once[1] = rng.normal(size=3)
-    once[3] = rng.normal(size=3)
-    late = np.zeros((5, 3))
-    if step >= 3:
-        late[2] = rng.normal(size=3)
+        once.append(([1], rng.normal(size=(1, 3))))
+    late = [([2], rng.normal(size=(1, 3)) if step >= 3 else np.zeros((1, 3)))]
     w = rng.normal(size=(4, 3))
     w[0] = [0.0, -0.0, 0.0]
     return {"once": once, "late": late, "w": w, "b": rng.normal(size=3),
@@ -478,38 +499,33 @@ def test_adamw_row_sparse_step_matches_dense_reference_bytes():
     store, ref, ref_state = oracle_store(), oracle_store(), {}
     rng = np.random.default_rng(3)
     for step in range(6):
-        for name, grad in oracle_grads(step, rng).items():
-            store[name].grad = grad.copy()
-            ref[name].grad = grad.copy()
+        feed(store, ref, oracle_grads(step, rng))
         optimizer_step(store, learning_rate=0.05)
         reference_adamw(ref, ref_state, learning_rate=0.05)
         assert_same_bytes(store, ref, ref_state)
-    # The masks are the rows that ever had a non-zero gradient.
-    assert store.opt_state("once")["rows"].tolist() == [0, 1, 0, 1, 0, 0]
+    # The masks are the rows gather_rows ever wrote, zero gradients included;
+    # every other parameter is in the dense block.
+    assert store.opt_state("once")["rows"].tolist() == [0, 1, 0, 1, 1, 0]
     assert store.opt_state("late")["rows"].tolist() == [0, 0, 1, 0, 0]
-    assert store.opt_state("w")["rows"].tolist() == [0, 1, 1, 1]
-    assert store.opt_state("b")["rows"] is None
-    assert store.opt_state("s")["rows"] is None
+    for name in ("w", "b", "s"):
+        assert store.opt_state(name)["rows"] is None
     # Idle rows keep exactly zero moments.
     assert not store.opt_state("once")["m"][[0, 2, 4, 5]].any()
     assert store["once"].data[-1, -1] == 0.0
     assert np.signbit(store["once"].data[-1, -1])
 
 
-def test_adamw_table_turns_dense_once_every_row_had_a_gradient():
+def test_adamw_table_keeps_its_mask_once_every_row_had_a_gradient():
     store, ref, ref_state = ParameterStore(), ParameterStore(), {}
     for s in (store, ref):
         s.add("table", np.arange(12.0).reshape(4, 3))
     for step in range(5):
-        grad = np.zeros((4, 3))
-        grad[step % 4] = step + 1.0
-        store["table"].grad, ref["table"].grad = grad.copy(), grad.copy()
+        feed(store, ref, {"table": [([step % 4], np.full((1, 3), step + 1.0))]})
         optimizer_step(store, learning_rate=0.1)
         reference_adamw(ref, ref_state, learning_rate=0.1)
         assert_same_bytes(store, ref, ref_state)
-        expected = None if step >= 3 else [r <= step for r in range(4)]
         rows = store.opt_state("table")["rows"]
-        assert (rows if rows is None else rows.tolist()) == expected
+        assert rows.tolist() == [r <= step for r in range(4)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -517,17 +533,16 @@ def test_adamw_refuses_non_finite_gradient_in_an_idle_table_row(bad):
     store = oracle_store()
     rng = np.random.default_rng(3)
     for step in range(2):
-        for name, grad in oracle_grads(step, rng).items():
-            store[name].grad = grad
+        feed(store, None, oracle_grads(step, rng))
         optimizer_step(store, learning_rate=0.05)
     before = {
         name: (p.data.copy(), {k: np.copy(v) for k, v in store.opt_state(name).items()})
         for name, p in store.items()
     }
     grads = oracle_grads(2, rng)
-    grads["late"][4, 1] = bad  # a row of a table that never had a gradient
-    for name, grad in grads.items():
-        store[name].grad = grad
+    # Row 4 of ``late`` was never written before this step.
+    grads["late"].append(([4], np.array([[0.5, bad, 0.5]])))
+    feed(store, None, grads)
     with pytest.raises(NonFiniteGradientError, match="'late'"):
         optimizer_step(store, learning_rate=0.05)
     for name, p in store.items():
@@ -537,6 +552,49 @@ def test_adamw_refuses_non_finite_gradient_in_an_idle_table_row(bad):
         assert after["t"] == state["t"]
         for key in ("m", "v", "rows"):
             assert np.asarray(after[key]).tobytes() == np.asarray(state[key]).tobytes()
+
+
+def test_adamw_one_rule_matches_the_per_parameter_dense_reference_bytes():
+    """A table fed by gather_rows over two sub-batches, a weight with a row
+    that never gets a gradient, a 1-D and a 0-D parameter, a parameter added
+    after the first step, one whose ``data`` is rebound after it, and one
+    that switches from gather_rows to a set gradient and back."""
+    def build():
+        rng = np.random.default_rng(21)
+        store = ParameterStore()
+        for name, shape in [("table", (7, 3)), ("w", (4, 3)), ("b", (3,)), ("s", ()),
+                            ("switch", (5, 3))]:
+            store.add(name, rng.normal(size=shape))
+        return store
+
+    store, ref, ref_state = build(), build(), {}
+    rng = np.random.default_rng(22)
+    for step in range(6):
+        if step == 2:
+            for s in (store, ref):
+                s.add("added", np.linspace(-1.0, 1.0, 6).reshape(2, 3))
+        if step == 3:
+            rebound = store["w"].data * 0.5
+            store["w"].data, ref["w"].data = rebound, rebound.copy()
+        first = rng.integers(0, 4, size=5)
+        w = rng.normal(size=(4, 3))
+        w[2] = 0.0
+        grads = {
+            "table": [(first, rng.normal(size=(5, 3))), ([step % 7, 6], rng.normal(size=(2, 3)))],
+            "w": w, "b": rng.normal(size=3), "s": np.array(rng.normal()),
+            "switch": ([([1], rng.normal(size=(1, 3)))] if step in (0, 1, 4, 5)
+                       else rng.normal(size=(5, 3))),
+        }
+        if step >= 2:
+            grads["added"] = rng.normal(size=(2, 3))
+        feed(store, ref, grads)
+        optimizer_step(store, learning_rate=0.05)
+        reference_adamw(ref, ref_state, learning_rate=0.05)
+        assert_same_bytes(store, ref, ref_state)
+    assert store.opt_state("table")["rows"].any()
+    for name in ("w", "b", "s", "added"):
+        assert store.opt_state(name)["rows"] is None
+        assert store[name].data.base is store["b"].data.base  # one dense block
 
 
 def test_training_and_demo_match_the_dense_reference_step(monkeypatch, tmp_path):
@@ -571,11 +629,12 @@ def test_training_and_demo_match_the_dense_reference_step(monkeypatch, tmp_path)
 
 
 def block_store():
-    """A fully touched weight (joins the dense block), a weight with an
-    always-zero row (stays masked), a bias and a scalar, each with a -0.0."""
+    """A fully touched weight, a weight with an always-zero row (as a dead
+    ReLU unit leaves in ``ffn.W2``), a bias and a scalar, each with a -0.0:
+    all of them are in the dense block."""
     rng = np.random.default_rng(11)
     store = ParameterStore()
-    for name, shape in [("dense", (4, 3)), ("masked", (4, 3)), ("b", (3,)), ("s", ())]:
+    for name, shape in [("dense", (4, 3)), ("dead", (4, 3)), ("b", (3,)), ("s", ())]:
         values = rng.normal(size=shape)
         values.flat[-1] = -0.0
         store.add(name, values)
@@ -583,11 +642,11 @@ def block_store():
 
 
 def set_block_grads(stores, step, rng):
-    """The same gradients on every store: row 0 of ``masked`` always zero,
+    """The same gradients on every store: row 0 of ``dead`` always zero,
     the -0.0 entries of ``dense`` and ``b`` a signed zero gradient."""
     for name, p in stores[0].items():
         grad = rng.normal(size=p.shape)
-        if name == "masked":
+        if name == "dead":
             grad[0] = 0.0
         if name in ("dense", "b"):
             grad.flat[-1] = -0.0 if step % 2 else 0.0
@@ -603,18 +662,17 @@ def test_adamw_dense_block_matches_dense_reference_bytes():
         optimizer_step(store, learning_rate=0.05)
         reference_adamw(ref, ref_state, learning_rate=0.05)
         assert_same_bytes(store, ref, ref_state)
-    assert store.opt_state("masked")["rows"].tolist() == [0, 1, 1, 1]
-    for name in ("dense", "b", "s"):
+    for name in ("dense", "dead", "b", "s"):
         assert store.opt_state(name)["rows"] is None
         assert store[name].shape == store.opt_state(name)["m"].shape
     assert np.signbit(store["dense"].data.flat[-1])
 
 
-def test_adamw_dense_block_takes_one_call_from_the_second_step(monkeypatch):
+def test_adamw_dense_block_takes_one_call_from_the_first_step(monkeypatch):
     from rorokit import nn
 
     store = block_store()
-    store.add("table", np.ones((6, 3)))
+    table = store.add("table", np.ones((6, 3)))
     adamw, sizes = nn._adamw, []
 
     def counting(data, *args):
@@ -625,13 +683,13 @@ def test_adamw_dense_block_takes_one_call_from_the_second_step(monkeypatch):
     rng = np.random.default_rng(5)
     for step in range(4):
         set_block_grads((store,), step, rng)
-        store["table"].grad[[0, 1, 3, 4, 5]] = 0.0  # only row 2 is ever touched
+        table.grad = table.grad_rows = None  # its gradient comes from gather_rows
+        gather_grad(table, [([2, 2], rng.normal(size=(2, 3)))])  # only row 2
         sizes.clear()
         optimizer_step(store, learning_rate=0.05)
-        # First every parameter on its own; then one call for dense, b and s
-        # together (12 + 3 + 1 floats), one for masked's 3 touched rows and
-        # one for the table's row.
-        assert sorted(sizes) == ([1, 3, 3, 9, 12] if step == 0 else [3, 9, 16])
+        # One call for dense, dead, b and s together (12 + 12 + 3 + 1
+        # floats) and one for the table's row.
+        assert sorted(sizes) == [3, 28]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -693,8 +751,8 @@ def test_adamw_never_skips_an_array_rebound_or_added_after_the_layout(edit):
         optimizer_step(store, learning_rate=0.05)
         reference_adamw(ref, ref_state, learning_rate=0.05)
         assert_same_bytes(store, ref, ref_state)
-    if edit == "data":
-        assert store["b"].data is rebound
+        # Laid out again: every member is a view of the one block.
+        assert store["b"].data.base is store["dense"].data.base
 
 
 # --- checkpoints ---
