@@ -318,7 +318,12 @@ def cmd_demo_rore(args) -> int:
         if model_path is None:
             raise ValueError('label_source "pseudo" needs a "model" path in the demo section')
         model = ROPModel.load(model_path)
-        pseudo_corpus, _ = predict_pseudo_labels(model, corpus)
+        pseudo_corpus, sidecar = predict_pseudo_labels(model, corpus)
+        if not any(entry.get("num_pairs") for entry in sidecar.values()):
+            _note(
+                f"pseudo labels hold no pair on any of the {len(sidecar)} forms: "
+                "the RORE arm runs unbiased"
+            )
     result = rore_demo_entity_linking(corpus, config, encoder_config, pseudo_corpus)
     _note(
         f"f1_vanilla {result['f1_vanilla']:.4f}  f1_rore {result['f1_rore']:.4f}"

@@ -650,29 +650,36 @@ def _adamw(data, grad, m, v, t, learning_rate, scratch) -> None:
 # Checkpoints
 
 
-def checkpoint_to_json(config: dict, store: ParameterStore) -> str:
-    """The checkpoint's JSON text: ``config`` and each parameter's ``shape``
-    as plain JSON, its ``values`` as base64 of its little-endian float64
-    bytes; ``sort_keys`` and the exact bytes make it byte-stable and lossless.
-    A parameter holding NaN or infinity, which ``checkpoint_from_json``
-    refuses, raises ``CheckpointError`` naming it."""
-    params = {}
-    for name, t in store.items():
+def save_checkpoint(path, config: dict, store: ParameterStore) -> None:
+    """Write the checkpoint's JSON text: ``config`` and each parameter's
+    ``shape`` as plain JSON, its ``values`` as base64 of its little-endian
+    float64 bytes; ``sort_keys`` and the exact bytes make it byte-stable and
+    lossless.
+
+    The text is written one parameter at a time, in sorted-name order, so
+    only one parameter's base64 is held at once; its bytes equal one
+    ``json.dumps`` of the whole object with ``sort_keys``, plus a newline.
+    Everything that can refuse runs before the file is opened, so a refusal
+    writes nothing: a parameter holding NaN or infinity, which
+    ``checkpoint_from_json`` refuses, raises ``CheckpointError`` naming it,
+    and a config that ``json`` cannot encode raises as ``json.dumps`` does.
+    """
+    params = store.items()
+    for name, t in params:
         if not np.isfinite(t.data).all():
             raise CheckpointError(
                 f"parameter {name!r} holds a value that is not a finite number"
             )
-        raw = base64.b64encode(t.data.astype("<f8", copy=False).tobytes())
-        params[name] = {"shape": list(t.shape), "values": raw.decode("ascii")}
-    obj = {"config": config, "format_version": 3, "params": params}
-    return json.dumps(obj, sort_keys=True)
-
-
-def save_checkpoint(path, config: dict, store: ParameterStore) -> None:
-    """Write ``checkpoint_to_json``'s text, or nothing when it refuses."""
-    text = checkpoint_to_json(config, store)
-    with open(path, "w", encoding="utf-8") as fh:
-        print(text, file=fh)
+    config_text = json.dumps(config, sort_keys=True)
+    with open(path, "wb") as fh:
+        fh.write(f'{{"config": {config_text}, "format_version": 3, "params": {{'.encode())
+        for i, (name, t) in enumerate(params):
+            key, shape = json.dumps(name), json.dumps(list(t.shape))
+            lead = ", " if i else ""
+            fh.write(f'{lead}{key}: {{"shape": {shape}, "values": "'.encode())
+            fh.write(base64.b64encode(np.ascontiguousarray(t.data, dtype="<f8")))
+            fh.write(b'"}')
+        fh.write(b"}}\n")
 
 
 def checkpoint_from_json(text: str) -> tuple[dict, ParameterStore]:

@@ -552,11 +552,15 @@ def fit(
     graph. ``split_batch`` cuts each batch under the ``max_tokens`` budget:
     each sub-batch gets its own graph and backward pass, weighted by its
     share of the batch, so that one graph is alive at a time; the gradients
-    add up and each batch takes one optimizer step. The returned losses are
-    per-epoch means over examples. With ``validate``
+    add up and each batch takes one optimizer step. The gradients are
+    cleared once before the first batch and again right after each step, so
+    every batch starts from none and ``validate`` runs without them. The
+    returned losses are per-epoch means over examples. With ``validate``
     the score it returns after each epoch drives early stopping: training
     stops on a perfect 1.0 or after ``patience`` epochs without improvement,
-    and the parameters of the best epoch are restored. Without it every
+    and the parameters of the best epoch are restored. They are snapshot
+    into one set of arrays, copied at the first improving epoch and
+    overwritten in place at each later one. Without ``validate`` every
     epoch runs and the last one counts as best.
     """
     order = np.arange(len(examples))
@@ -566,18 +570,19 @@ def fit(
     best_epoch = -1
     best_params: Optional[dict[str, np.ndarray]] = None
     since_best = 0
+    store.zero_grads()
     for epoch in range(epochs):
         rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), batch_size):
             batch = [examples[i] for i in order[start : start + batch_size]]
-            store.zero_grads()
             for part in split_batch(batch, max_tokens):
                 loss = batch_loss(part)
                 epoch_loss += loss.item() * len(part)
                 (loss * (len(part) / len(batch))).backward()
                 del loss  # this graph, before the next one is built
             optimizer_step(store, learning_rate)
+            store.zero_grads()  # applied: free them before the next batch
         losses.append(epoch_loss / len(examples))
         if validate is None:
             continue
@@ -586,7 +591,11 @@ def fit(
         if score > best_score:
             best_score = score
             best_epoch = epoch
-            best_params = {n: t.data.copy() for n, t in store.items()}
+            if best_params is None:
+                best_params = {n: t.data.copy() for n, t in store.items()}
+            else:  # in place: no second copy while the old one is alive
+                for n, t in store.items():
+                    best_params[n][...] = t.data
             since_best = 0
         else:
             since_best += 1

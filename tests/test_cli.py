@@ -1029,6 +1029,32 @@ def test_demo_rore_repairs_cyclic_pseudo_labels(tmp_path, capsys):
     code, out, err = run(capsys, "demo-rore", "--config", str(cfg))
     assert code == 0, err
     assert {"f1_vanilla", "f1_rore"} <= set(json.loads(out))
+    assert "hold no pair" not in err
+
+
+def test_demo_rore_says_when_pseudo_labels_hold_no_pair(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        ROPModel, "predict",
+        lambda self, docs: [Relation(doc.n_segments, set()) for doc in docs],
+    )
+    cfg = write_config(
+        tmp_path,
+        {
+            "demo": {"n_docs": 8, "epochs": 1, "label_source": "pseudo",
+                     "model": str(write_model(tmp_path))},
+            "encoder": {"layers": 1, "model_dim": 16, "heads": 2},
+        },
+    )
+    out_path = tmp_path / "demo.json"
+    code, out, err = run(capsys, "demo-rore", "--config", str(cfg), "-o", str(out_path))
+    assert code == 0, err
+    assert out == ""
+    assert ("pseudo labels hold no pair on any of the 8 forms: "
+            "the RORE arm runs unbiased") in err
+    result = json.loads(out_path.read_text())
+    # An all-zero bias leaves the RORE arm the vanilla arm, bit for bit.
+    assert result["f1_rore"] == result["f1_vanilla"]
+    assert result["arms"]["rore"] == result["arms"]["vanilla"]
 
 
 def test_render_document(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 from collections import namedtuple
 from dataclasses import asdict
 
@@ -23,7 +24,6 @@ from rorokit.nn import (
     attention,
     attention_weights,
     checkpoint_from_json,
-    checkpoint_to_json,
     embed,
     encoder_forward,
     fnv1a_hash,
@@ -33,6 +33,7 @@ from rorokit.nn import (
     save_checkpoint,
     sinusoidal_rows,
 )
+from rorokit.rop import ROPConfig, ROPModel
 
 SMALL = EncoderConfig(layers=1, model_dim=8, heads=2, vocab_hash_size=16, max_tokens=16)
 
@@ -772,31 +773,21 @@ def extreme_store():
 def test_checkpoint_round_trip_exact_and_stable(tmp_path):
     cfg = EncoderConfig(layers=1, model_dim=4, heads=2, vocab_hash_size=8, ffn_dim=8)
     for store in (init_encoder_params(cfg, seed=5), extreme_store()):
-        text = checkpoint_to_json(asdict(cfg), store)
-        loaded_cfg, loaded = checkpoint_from_json(text)
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_checkpoint(path, asdict(cfg), store)
+        loaded_cfg, loaded = load_checkpoint(path)
         assert EncoderConfig(**loaded_cfg) == cfg
         assert loaded.names() == store.names()
         for name, tensor in store.items():
             assert loaded[name].data.shape == tensor.data.shape
             assert loaded[name].data.tobytes() == tensor.data.tobytes()
-        assert checkpoint_to_json(loaded_cfg, loaded) == text
-
-        path = tmp_path / "model.json"
-        save_checkpoint(path, asdict(cfg), store)
-        save_checkpoint(tmp_path / "model2.json", asdict(cfg), store)
-        assert path.read_bytes() == (tmp_path / "model2.json").read_bytes()
-        cfg2, store2 = load_checkpoint(path)
-        assert store2.names() == store.names()
+        save_checkpoint(again, loaded_cfg, loaded)
+        assert again.read_bytes() == path.read_bytes()
 
 
-def test_saved_checkpoint_is_one_json_text(tmp_path):
-    cfg = EncoderConfig(layers=1, model_dim=4, heads=2, vocab_hash_size=8, ffn_dim=8)
-    store = init_encoder_params(cfg, seed=6)
-    config = {"encoder": asdict(cfg), "note": {"b": [1.5, None], "a": "x"}}
-    path = tmp_path / "model.json"
-    save_checkpoint(path, config, store)
-    text = checkpoint_to_json(config, store)
-    assert path.read_bytes() == (text + "\n").encode("utf-8")
+def one_json_text(config, store) -> bytes:
+    """The reference checkpoint bytes: one ``json.dumps`` of the whole
+    object with ``sort_keys``, plus a newline."""
     whole = {
         "format_version": 3,
         "config": config,
@@ -808,8 +799,44 @@ def test_saved_checkpoint_is_one_json_text(tmp_path):
             for name, t in store.items()
         },
     }
-    assert text == json.dumps(whole, sort_keys=True)
-    assert checkpoint_to_json(config, ParameterStore()).endswith('"params": {}}')
+    return (json.dumps(whole, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_saved_checkpoint_is_one_json_text(tmp_path):
+    cfg = EncoderConfig(layers=1, model_dim=4, heads=2, vocab_hash_size=8, ffn_dim=8)
+    escaped = extreme_store()
+    escaped.add('q"uote', np.arange(3.0))
+    escaped.add("é", np.ones((2, 0)))
+    escaped.add("a\\b\n", np.array([[1.5]]))
+    config = {"encoder": asdict(cfg), "note": {"b": [1.5, None], "a": "x\u00e9"}}
+    path = tmp_path / "model.json"
+    for store in (init_encoder_params(cfg, seed=6), escaped, ParameterStore()):
+        save_checkpoint(path, config, store)
+        assert path.read_bytes() == one_json_text(config, store)
+    assert path.read_bytes().endswith(b'"params": {}}\n')
+
+
+@pytest.mark.parametrize("config", [{"bad": {1, 2}}, {"nested": {"bad": object()}}])
+def test_save_refuses_a_config_json_cannot_encode_and_writes_nothing(tmp_path, config):
+    path = tmp_path / "model.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_checkpoint(path, config, extreme_store())
+    assert not path.exists()
+
+
+def test_save_peaks_below_the_size_of_the_file_it_writes(tmp_path):
+    model = ROPModel.create(EncoderConfig(), ROPConfig(), np.random.default_rng(0))
+    path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, {}, model.store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One parameter's base64 at a time; one json.dumps of the whole object
+    # would hold the text, its base64 strings and its encoded copy, about
+    # three times the file.
+    assert peak < path.stat().st_size
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

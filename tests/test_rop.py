@@ -485,6 +485,7 @@ def fit_one_parameter(scores=None, epochs=10, patience=1, max_tokens=8):
     batch_sizes = []
 
     def validate():
+        assert w.grad is None  # applied, so freed before validation
         after_epoch.append(w.data.copy())
         return scores[len(after_epoch) - 1]
 
