@@ -26,6 +26,7 @@ from .layout import (
     corpus_stats,
     check_integer,
     derive_word_level,
+    document_to_dict,
     load_corpus,
     read_json_lines,
     save_corpus,
@@ -105,15 +106,6 @@ def _build(cls, section: dict, overrides: Optional[dict] = None):
         raise ValueError(f"bad {cls.__name__} section: {exc}")
 
 
-def _select_split(corpus: Corpus, split: str) -> list[Document]:
-    if split == "all":
-        return list(corpus.documents)
-    docs = corpus.subset(split)
-    if not docs:
-        raise ValueError(f"corpus has no documents in split {split!r}")
-    return docs
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -181,8 +173,6 @@ def _save_corpus_out(corpus: Corpus, output: Optional[str]) -> None:
         save_corpus(corpus, output)
         _note(f"wrote {output} ({len(corpus)} documents)")
     else:
-        from .layout import document_to_dict
-
         for doc in corpus.documents:
             obj = document_to_dict(doc, split=corpus.split[doc.id])
             sys.stdout.write(json.dumps(obj) + "\n")
@@ -261,7 +251,9 @@ def cmd_eval(args) -> int:
     model = ROPModel.load(args.model) if args.model else None
     level = model.config.task_level if model is not None else "segment"
     corpus = load_corpus(args.corpus)
-    docs = _select_split(corpus, args.split)
+    docs = list(corpus.documents) if args.split == "all" else corpus.subset(args.split)
+    if not docs and args.split != "all":
+        raise ValueError(f"corpus has no documents in split {args.split!r}")
     skipped: list[dict] = []
     if model is not None:
         docs = filter_usable(docs, model.config, model.encoder_config, skipped)

@@ -19,7 +19,6 @@ holds each parameter's exact float64 bytes.
 from __future__ import annotations
 
 import base64
-import contextlib
 import functools
 import itertools
 import json
@@ -166,31 +165,70 @@ class ParameterStore:
 # Initialization
 
 
-def sinusoidal_rows(n_values: int, dim: int) -> np.ndarray:
-    """Sin/cos features of the integers [0, n_values) across periods
-    log-spaced from 50 to 2000."""
-    if dim % 2:
-        raise ValueError("sinusoidal feature dimension must be even")
-    periods = np.geomspace(50.0, 2000.0, dim // 2)
-    angles = 2.0 * np.pi * np.arange(n_values)[:, None] / periods[None, :]
-    out = np.empty((n_values, dim))
-    out[:, 0::2] = np.sin(angles)
-    out[:, 1::2] = np.cos(angles)
-    return out
+def sinusoidal_table(index: int, shape: tuple) -> np.ndarray:
+    """A (buckets, d) coordinate table holding, in column quarter ``index``,
+    sin/cos features of the bucket indices across periods log-spaced from 50
+    to 2000, and zeros elsewhere; the quarter must be even."""
+    buckets, quarter = shape[0], shape[1] // 4
+    periods = np.geomspace(50.0, 2000.0, quarter // 2)
+    angles = 2.0 * np.pi * np.arange(buckets)[:, None] / periods[None, :]
+    table = np.zeros(shape)
+    table[:, index * quarter : (index + 1) * quarter : 2] = np.sin(angles)
+    table[:, index * quarter + 1 : (index + 1) * quarter : 2] = np.cos(angles)
+    return table
 
 
-@contextlib.contextmanager
-def _table_size(field: str, model_dim: int):
-    """Turn numpy's refusal to allocate a table of ``field`` rows (a shape
-    past its limit, or memory it cannot get) into a ``ValueError`` naming
-    ``field``."""
-    try:
-        yield
-    except (MemoryError, ValueError):
-        raise ValueError(
-            f"encoder {field} is too large: a table of {field} x {model_dim} "
-            f"float64 values cannot be allocated"
-        ) from None
+# One encoder block's parameters under "enc.l{layer}.": (name, size fields, init).
+_VECTOR, _SQUARE = ("model_dim",), ("model_dim", "model_dim")
+_LAYER_TABLE = (
+    ("ln1.gain", _VECTOR, np.ones), ("ln1.bias", _VECTOR, np.zeros),
+    *((f"attn.{proj}", _SQUARE, "normal") for proj in ("Wq", "Wk", "Wv", "Wo")),
+    *((f"attn.{proj}", _VECTOR, np.zeros) for proj in ("bq", "bv", "bo")),
+    ("ln2.gain", _VECTOR, np.ones), ("ln2.bias", _VECTOR, np.zeros),
+    ("ffn.W1", ("model_dim", "ffn_dim"), "normal"), ("ffn.b1", ("ffn_dim",), np.zeros),
+    ("ffn.W2", ("ffn_dim", "model_dim"), "normal"), ("ffn.b2", _VECTOR, np.zeros),
+)
+
+
+def encoder_param_table(config: EncoderConfig, coord_init: str = "sinusoidal"):
+    """``(name, size fields, init)`` of every encoder parameter, in draw
+    order (see ``add_params``).
+
+    Coordinate tables default to sinusoidal features laid out in disjoint
+    dimension quarters (one per box coordinate), so summed embeddings remain
+    injective in geometry from the first step; they stay fully learnable.
+    """
+    if coord_init not in ("sinusoidal", "normal"):
+        raise ValueError(f"unknown coord_init {coord_init!r}")
+    yield "enc.tok_embed", ("vocab_hash_size", "model_dim"), "normal"
+    quarter = config.model_dim // 4
+    sinusoidal = coord_init == "sinusoidal" and quarter >= 2 and quarter % 2 == 0
+    for idx, coord in enumerate(("x0", "y0", "x1", "y1")):
+        init = functools.partial(sinusoidal_table, idx) if sinusoidal else "normal"
+        yield f"enc.coord_{coord}", ("coord_buckets", "model_dim"), init
+    for layer in range(config.layers):
+        for name, fields, init in _LAYER_TABLE:
+            yield f"enc.l{layer}.{name}", fields, init
+
+
+def add_params(store: ParameterStore, rows, sizes: dict, rng, section: str) -> None:
+    """Add each ``(name, size fields, init)`` row's parameter to ``store``, in
+    row order, shaped by the fields' values in ``sizes``: drawn by ``rng``
+    from N(0, 0.02^2) when ``init`` is "normal", else ``init(shape)``. One
+    too large to allocate (past numpy's shape limit, or more memory than the
+    process can get) raises ``ValueError`` naming its largest size field.
+    """
+    for name, fields, init in rows:
+        shape = tuple(sizes[f] for f in fields)
+        try:
+            store.add(name, rng.normal(0.0, 0.02, shape) if init == "normal" else init(shape))
+        except (MemoryError, ValueError):
+            field = max(fields, key=sizes.get)
+            dims = " x ".join(f if f == field else str(sizes[f]) for f in fields)
+            raise ValueError(
+                f"{section} {field} is too large: a table of {dims} "
+                f"float64 values cannot be allocated"
+            ) from None
 
 
 def init_encoder_params(
@@ -199,50 +237,11 @@ def init_encoder_params(
     store: Optional[ParameterStore] = None,
     coord_init: str = "sinusoidal",
 ) -> ParameterStore:
-    """Create all encoder parameters under ``enc.`` in a deterministic order.
-
-    Coordinate tables default to sinusoidal features laid out in disjoint
-    dimension quarters (one per box coordinate), so summed embeddings remain
-    injective in geometry from the first step; they stay fully learnable.
-    A token or coordinate table too large to allocate raises ``ValueError``
-    naming its size field.
-    """
-    if coord_init not in ("sinusoidal", "normal"):
-        raise ValueError(f"unknown coord_init {coord_init!r}")
-    if store is None:
-        store = ParameterStore()
-    rng = np.random.default_rng(seed)
-    d = config.model_dim
-
-    with _table_size("vocab_hash_size", d):
-        table = rng.normal(0.0, 0.02, size=(config.vocab_hash_size, d))
-        store.add("enc.tok_embed", table)
-    quarter = d // 4
-    for idx, coord in enumerate(("x0", "y0", "x1", "y1")):
-        with _table_size("coord_buckets", d):
-            if coord_init == "sinusoidal" and quarter >= 2 and quarter % 2 == 0:
-                table = np.zeros((config.coord_buckets, d))
-                table[:, idx * quarter : (idx + 1) * quarter] = sinusoidal_rows(
-                    config.coord_buckets, quarter
-                )
-            else:
-                table = rng.normal(0.0, 0.02, size=(config.coord_buckets, d))
-            store.add(f"enc.coord_{coord}", table)
-
-    for layer in range(config.layers):
-        base = f"enc.l{layer}."
-        store.add(base + "ln1.gain", np.ones(d))
-        store.add(base + "ln1.bias", np.zeros(d))
-        for proj in ("Wq", "Wk", "Wv", "Wo"):
-            store.add(base + "attn." + proj, rng.normal(0.0, 0.02, size=(d, d)))
-        for proj in ("bq", "bv", "bo"):
-            store.add(base + "attn." + proj, np.zeros(d))
-        store.add(base + "ln2.gain", np.ones(d))
-        store.add(base + "ln2.bias", np.zeros(d))
-        store.add(base + "ffn.W1", rng.normal(0.0, 0.02, size=(d, config.ffn_dim)))
-        store.add(base + "ffn.b1", np.zeros(config.ffn_dim))
-        store.add(base + "ffn.W2", rng.normal(0.0, 0.02, size=(config.ffn_dim, d)))
-        store.add(base + "ffn.b2", np.zeros(d))
+    """Create all encoder parameters under ``enc.``, in the order of
+    ``encoder_param_table``."""
+    rows = encoder_param_table(config, coord_init)
+    store = ParameterStore() if store is None else store
+    add_params(store, rows, vars(config), np.random.default_rng(seed), "encoder")
     return store
 
 

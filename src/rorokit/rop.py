@@ -36,7 +36,9 @@ from .nn import (
     EncoderConfig,
     Padding,
     ParameterStore,
+    add_params,
     encoder_forward,
+    encoder_param_table,
     init_encoder_params,
     load_checkpoint,
     optimizer_step,
@@ -231,6 +233,12 @@ class GlobalPointerHead:
 
     store: ParameterStore
 
+    # (name, size fields, init) of each parameter (see ``nn.add_params``).
+    PARAM_TABLE = (
+        ("gp.Wq", ("model_dim", "head_dim"), "normal"), ("gp.bq", ("head_dim",), np.zeros),
+        ("gp.Wk", ("model_dim", "head_dim"), "normal"), ("gp.bk", ("head_dim",), np.zeros),
+    )
+
     @classmethod
     def create(
         cls,
@@ -239,11 +247,9 @@ class GlobalPointerHead:
         store: ParameterStore,
         seed: Union[int, np.random.Generator] = 0,
     ) -> "GlobalPointerHead":
-        rng = np.random.default_rng(seed)
-        store.add("gp.Wq", rng.normal(0.0, 0.02, size=(model_dim, head_dim)))
-        store.add("gp.bq", np.zeros(head_dim))
-        store.add("gp.Wk", rng.normal(0.0, 0.02, size=(model_dim, head_dim)))
-        store.add("gp.bk", np.zeros(head_dim))
+        """The head's parameters, drawn in the order of ``PARAM_TABLE``."""
+        sizes = {"model_dim": model_dim, "head_dim": head_dim}
+        add_params(store, cls.PARAM_TABLE, sizes, np.random.default_rng(seed), "rop")
         return cls(store)
 
     def scores(self, pooled: Tensor, sizes: Optional[Sequence[int]] = None) -> Tensor:
@@ -480,7 +486,7 @@ class ROPModel:
     @classmethod
     def load(cls, path) -> "ROPModel":
         """Read a checkpoint; its config sections must be valid, and its
-        parameter names and shapes must fit them."""
+        parameter names and shapes must match their parameter tables."""
         try:
             config, store = load_checkpoint(path)
             model = cls(
@@ -492,12 +498,18 @@ class ROPModel:
             raise CheckpointError(f"{path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
-        expected = cls.create(
-            model.encoder_config, model.config, np.random.default_rng(0)
-        ).store
         found = {name: list(t.shape) for name, t in store.items()}
-        needed = {name: list(t.shape) for name, t in expected.items()}
-        for name in sorted(found.keys() | needed.keys()):
+        rows = itertools.chain(
+            encoder_param_table(model.encoder_config), GlobalPointerHead.PARAM_TABLE
+        )
+        sizes = vars(model.encoder_config) | vars(model.config)
+        # At most one row more than the checkpoint holds, whatever the config:
+        # with one more, a listed name is absent from the checkpoint.
+        needed = {
+            name: [sizes[f] for f in fields]
+            for name, fields, _ in itertools.islice(rows, len(found) + 1)
+        }
+        for name in [*needed, *sorted(found.keys() - needed.keys())]:
             if found.get(name) != needed.get(name):
                 raise ValueError(
                     f"{path}: parameter {name!r} has shape "

@@ -173,10 +173,6 @@ class DemoConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def _demo_encoder() -> EncoderConfig:
-    return EncoderConfig(layers=2, model_dim=32, heads=4)
-
-
 def _prepare_examples(
     docs: list[Document],
     config: DemoConfig,
@@ -264,7 +260,7 @@ def rore_demo_entity_linking(
     """
     config = config if config is not None else DemoConfig()
     if encoder_config is None:
-        encoder_config = _demo_encoder()
+        encoder_config = EncoderConfig(layers=2, model_dim=32, heads=4)
 
     train_docs = corpus.subset("train")
     test_docs = corpus.subset("test")

@@ -63,8 +63,8 @@ class SynthConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_docs <= 0:
-            raise GenerationError("n_docs must be positive")
+        if not 0 < self.n_docs <= sys.maxsize:  # a corpus is a tuple
+            raise GenerationError(f"n_docs must be positive and at most {sys.maxsize}")
         for name in (
             "words_per_segment", "chain_segments", "column_segments",
             "grid_rows", "grid_cols", "header_body_segments",
@@ -284,8 +284,8 @@ def synth_forms(n_docs: int = 300, seed: int = 0) -> Corpus:
     the succession pairs always contain the link pairs. The first 80% of the
     documents are the train split, the rest the test split.
     """
-    if n_docs <= 0:
-        raise GenerationError("n_docs must be positive")
+    if not 0 < n_docs <= sys.maxsize:  # a corpus is a tuple
+        raise GenerationError(f"n_docs must be positive and at most {sys.maxsize}")
     rng = np.random.default_rng(seed)
     documents = []
     for i in range(n_docs):

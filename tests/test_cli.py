@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,28 @@ def test_synth_bad_config_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("n_docs", [sys.maxsize + 1, 10**400], ids=["maxsize+1", "1e400"])
+@pytest.mark.parametrize(
+    "argv, sections",
+    [
+        (["synth", "--n-docs", "{n}"], None),
+        (["synth", "--forms", "--n-docs", "{n}"], None),
+        (["synth"], {"synth": {"n_docs": "{n}"}}),
+        (["demo-rore"], {"demo": {"n_docs": "{n}"}}),
+    ],
+    ids=["synth", "synth-forms", "synth-config", "demo-rore"],
+)
+def test_a_document_count_no_corpus_can_hold_exits_1(tmp_path, capsys, argv, sections, n_docs):
+    argv = [arg.format(n=n_docs) for arg in argv]
+    if sections is not None:
+        section = next(iter(sections.values()))
+        section["n_docs"] = n_docs
+        argv += ["--config", str(write_config(tmp_path, sections))]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: n_docs must be positive and at most {sys.maxsize}\n"
+
+
 # --- train / eval / predict pipeline ---
 
 
@@ -529,6 +552,80 @@ def test_checkpoint_shapes_must_fit_config(tmp_path, capsys, name, shape):
         assert code == 1 and out == ""
         assert f"parameter {name!r} has shape {shape}" in err
         assert f"config needs {needed}" in err
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda params: params.pop("gp.bk"),
+         "parameter 'gp.bk' has shape absent in the checkpoint, but its config needs [128]"),
+        (lambda params: params.update(extra=params["gp.bk"]),
+         "parameter 'extra' has shape [128] in the checkpoint, but its config needs absent"),
+        (lambda params: params.update(extra=params.pop("gp.bk")),
+         "parameter 'gp.bk' has shape absent in the checkpoint, but its config needs [128]"),
+    ],
+    ids=["missing", "extra", "renamed"],
+)
+def test_checkpoint_names_must_fit_config(tmp_path, edit, reason):
+    model = write_model(tmp_path)
+    obj = json.loads(model.read_text())
+    edit(obj["params"])
+    model.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=re.escape(f"{model}: {reason}")):
+        ROPModel.load(model)
+
+
+def load_peak(path):
+    """``ROPModel.load``'s tracemalloc peak in bytes, and what it raised."""
+    tracemalloc.start()
+    try:
+        ROPModel.load(path)
+        error = None
+    except ValueError as exc:
+        error = exc
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak, error
+
+
+@pytest.mark.parametrize("layers", [0, 1])
+@pytest.mark.parametrize(
+    "section, field, size, reason",
+    [
+        ("encoder", "vocab_hash_size", 10**6,
+         "parameter 'enc.tok_embed' has shape [512, 16] in the checkpoint, "
+         "but its config needs [1000000, 16]"),
+        ("rop", "head_dim", 10**12,
+         "parameter 'gp.Wq' has shape [16, 128] in the checkpoint, "
+         "but its config needs [16, 1000000000000]"),
+        ("encoder", "layers", 10**4,
+         "parameter 'enc.l{layers}.ln1.gain' has shape absent in the checkpoint, "
+         "but its config needs [16]"),
+    ],
+    ids=["vocab_hash_size", "head_dim", "layers"],
+)
+def test_a_checkpoint_config_of_huge_sizes_is_refused_without_allocating_them(
+    tmp_path, capsys, layers, section, field, size, reason
+):
+    # The config's sizes would take 128 MB, 256 TB and 260 MB of parameters;
+    # load compares them with the checkpoint's without building any.
+    corpus = write_corpus(tmp_path, n_docs=2)
+    model = write_model(tmp_path, layers=layers)
+    baseline, error = load_peak(model)
+    assert error is None
+    obj = json.loads(model.read_text())
+    obj["config"][section][field] = size
+    model.write_text(json.dumps(obj))
+    reason = reason.format(layers=layers)
+    for argv in (["predict", "--out-corpus", str(tmp_path / "out.jsonl")], ["eval"]):
+        code, out, err = run(capsys, argv[0], str(corpus), "--model", str(model),
+                             *argv[1:])
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err == f"error: {model}: {reason}\n"
+    peak, error = load_peak(model)
+    assert reason in str(error)
+    assert peak < baseline + 2**20
 
 
 def truncate_values(param):
@@ -713,6 +810,33 @@ def test_an_encoder_table_too_large_to_allocate_is_refused_by_name(
                          str(tmp_path / "model.json"), "--config", str(cfg))
     assert code == 1 and out == ""
     assert err.startswith(f"error: encoder {field} is too large: a table of {field} x 64")
+    assert "Traceback" not in err and not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("size", [10**400, 10**19, 10**12], ids=["1e400", "1e19", "1e12"])
+@pytest.mark.parametrize(
+    "command, section, field, table",
+    [
+        ("train", "encoder", "ffn_dim", "encoder ffn_dim is too large: a table of 64 x ffn_dim"),
+        ("train", "rop", "head_dim", "rop head_dim is too large: a table of 64 x head_dim"),
+        ("demo-rore", "demo", "head_dim", "rop head_dim is too large: a table of 32 x head_dim"),
+    ],
+    ids=["encoder.ffn_dim", "rop.head_dim", "demo.head_dim"],
+)
+def test_every_parameter_too_large_to_allocate_is_refused_by_name(
+    tmp_path, capsys, command, section, field, table, size
+):
+    # 1e12 columns of 64 or 32 floats are more memory than a process can get.
+    sections = {section: {field: size}}
+    if command == "train":
+        sections.setdefault("rop", {})["epochs"] = 1
+        argv = [str(write_corpus(tmp_path, n_docs=20)), "--model", str(tmp_path / "model.json")]
+    else:
+        sections["demo"]["n_docs"] = 20
+        argv = []
+    code, out, err = run(capsys, command, *argv, "--config", str(write_config(tmp_path, sections)))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {table} float64 values cannot be allocated")
     assert "Traceback" not in err and not (tmp_path / "model.json").exists()
 
 

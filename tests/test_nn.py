@@ -26,14 +26,15 @@ from rorokit.nn import (
     checkpoint_from_json,
     embed,
     encoder_forward,
+    encoder_param_table,
     fnv1a_hash,
     init_encoder_params,
     load_checkpoint,
     optimizer_step,
     save_checkpoint,
-    sinusoidal_rows,
+    sinusoidal_table,
 )
-from rorokit.rop import ROPConfig, ROPModel
+from rorokit.rop import GlobalPointerHead, ROPConfig, ROPModel
 
 SMALL = EncoderConfig(layers=1, model_dim=8, heads=2, vocab_hash_size=16, max_tokens=16)
 
@@ -146,14 +147,107 @@ def test_embed_rejects_overflow():
 
 
 def test_sinusoidal_rows_bounded_and_distinct():
-    rows = sinusoidal_rows(1001, 16)
-    assert rows.shape == (1001, 16)
+    table = sinusoidal_table(1, (1001, 64))
+    rows = table[:, 16:32]
+    assert not table[:, :16].any() and not table[:, 32:].any()
     assert np.abs(rows).max() <= 1.0
     # Lattice coordinates (multiples of 25) map to distinct feature rows.
     lattice = rows[::25]
     dists = np.linalg.norm(lattice[:, None] - lattice[None, :], axis=-1)
     np.fill_diagonal(dists, np.inf)
     assert dists.min() > 1e-3
+
+
+# --- initialization from the parameter table ---
+
+
+def reference_sinusoidal_rows(n_values, dim):
+    periods = np.geomspace(50.0, 2000.0, dim // 2)
+    angles = 2.0 * np.pi * np.arange(n_values)[:, None] / periods[None, :]
+    out = np.empty((n_values, dim))
+    out[:, 0::2] = np.sin(angles)
+    out[:, 1::2] = np.cos(angles)
+    return out
+
+
+def reference_encoder_params(config, seed, store, coord_init):
+    """The hand-written initializer the parameter table replaced."""
+    rng = np.random.default_rng(seed)
+    d = config.model_dim
+    store.add("enc.tok_embed", rng.normal(0.0, 0.02, size=(config.vocab_hash_size, d)))
+    quarter = d // 4
+    for idx, coord in enumerate(("x0", "y0", "x1", "y1")):
+        if coord_init == "sinusoidal" and quarter >= 2 and quarter % 2 == 0:
+            table = np.zeros((config.coord_buckets, d))
+            table[:, idx * quarter : (idx + 1) * quarter] = reference_sinusoidal_rows(
+                config.coord_buckets, quarter
+            )
+        else:
+            table = rng.normal(0.0, 0.02, size=(config.coord_buckets, d))
+        store.add(f"enc.coord_{coord}", table)
+    for layer in range(config.layers):
+        base = f"enc.l{layer}."
+        store.add(base + "ln1.gain", np.ones(d))
+        store.add(base + "ln1.bias", np.zeros(d))
+        for proj in ("Wq", "Wk", "Wv", "Wo"):
+            store.add(base + "attn." + proj, rng.normal(0.0, 0.02, size=(d, d)))
+        for proj in ("bq", "bv", "bo"):
+            store.add(base + "attn." + proj, np.zeros(d))
+        store.add(base + "ln2.gain", np.ones(d))
+        store.add(base + "ln2.bias", np.zeros(d))
+        store.add(base + "ffn.W1", rng.normal(0.0, 0.02, size=(d, config.ffn_dim)))
+        store.add(base + "ffn.b1", np.zeros(config.ffn_dim))
+        store.add(base + "ffn.W2", rng.normal(0.0, 0.02, size=(config.ffn_dim, d)))
+        store.add(base + "ffn.b2", np.zeros(d))
+    return store
+
+
+def reference_head_params(model_dim, head_dim, store, seed):
+    """The hand-written ``GlobalPointerHead.create`` the table replaced."""
+    rng = np.random.default_rng(seed)
+    store.add("gp.Wq", rng.normal(0.0, 0.02, size=(model_dim, head_dim)))
+    store.add("gp.bq", np.zeros(head_dim))
+    store.add("gp.Wk", rng.normal(0.0, 0.02, size=(model_dim, head_dim)))
+    store.add("gp.bk", np.zeros(head_dim))
+    return store
+
+
+@pytest.mark.parametrize(
+    "config, coord_init, shared_rng",
+    [
+        (EncoderConfig(), "sinusoidal", False),
+        (EncoderConfig(model_dim=12, heads=2, ffn_dim=20), "sinusoidal", False),
+        (EncoderConfig(model_dim=4, heads=2), "sinusoidal", False),
+        (EncoderConfig(layers=0, model_dim=16), "sinusoidal", False),
+        (EncoderConfig(layers=1, model_dim=16, vocab_hash_size=40), "normal", False),
+        (EncoderConfig(), "sinusoidal", True),
+        (EncoderConfig(layers=3, model_dim=8, heads=2), "normal", True),
+    ],
+    ids=["default", "odd-quarter", "quarter-below-2", "no-layers", "normal-coords",
+         "generator", "generator-normal-coords"],
+)
+def test_table_driven_init_matches_the_hand_written_reference(
+    config, coord_init, shared_rng
+):
+    # With shared_rng the encoder and then the head draw from one generator,
+    # as ROPModel.create does; otherwise each starts from its own seed.
+    def seeds():
+        if shared_rng:
+            rng = np.random.default_rng(7)
+            return rng, rng
+        return 7, 8
+
+    enc_seed, head_seed = seeds()
+    got = init_encoder_params(config, enc_seed, ParameterStore(), coord_init)
+    GlobalPointerHead.create(config.model_dim, 6, got, head_seed)
+    enc_seed, head_seed = seeds()
+    want = reference_encoder_params(config, enc_seed, ParameterStore(), coord_init)
+    reference_head_params(config.model_dim, 6, want, head_seed)
+    assert list(got.as_dict()) == list(want.as_dict())
+    for (name, a), (_, b) in zip(got.items(), want.items()):
+        assert a.shape == b.shape and np.array_equal(a.data, b.data), name
+    rows = [*encoder_param_table(config), *GlobalPointerHead.PARAM_TABLE]
+    assert [name for name, _, _ in rows] == list(got.as_dict())
 
 
 # --- padded layout ---

@@ -24,7 +24,7 @@ def load_script(name):
     "name, keys",
     [
         ("run_rop_experiment", {"n_docs", "seed", "task_level", "epochs_run",
-                                "best_val_f1", "train_seconds", "subsets"}),
+                                "best_val_f1", "subsets"}),
         ("run_rore_demo", {"n_docs", "seed", "f1_vanilla", "f1_rore_gold",
                            "f1_rore_pseudo"}),
     ],
@@ -47,3 +47,16 @@ def test_rop_experiment_scores_every_layout_kind(tmp_path):
     for row in rows:
         assert set(row) == {"subset", "docs", "model_f1", "heuristic_f1"}
         assert 0.0 <= row["model_f1"] <= 1.0 and 0.0 <= row["heuristic_f1"] <= 1.0
+
+
+def test_rop_experiment_report_is_byte_stable(tmp_path, capsys):
+    # Wall-clock time goes to stderr only: two same-seed runs write the same
+    # report and print the same stdout.
+    outputs = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        argv = ["--n-docs", "40", "--epochs", "2", "--out", str(out), "--quiet"]
+        assert load_script("run_rop_experiment").main(argv) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "REPORT")
+        outputs.append((out.read_bytes(), stdout))
+    assert outputs[0] == outputs[1]

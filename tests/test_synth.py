@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -244,6 +245,16 @@ def test_forms_styles_match_ids_and_are_mixed():
 def test_forms_refuse_zero_documents():
     with pytest.raises(GenerationError, match="n_docs must be positive"):
         synth_forms(0)
+
+
+@pytest.mark.parametrize("n_docs", [sys.maxsize + 1, 10**400], ids=["maxsize+1", "1e400"])
+def test_a_document_count_no_corpus_can_hold_is_refused(n_docs):
+    reason = f"n_docs must be positive and at most {sys.maxsize}"
+    with pytest.raises(GenerationError, match=re.escape(reason)):
+        SynthConfig(n_docs=n_docs)
+    with pytest.raises(GenerationError, match=re.escape(reason)):
+        synth_forms(n_docs)
+    assert SynthConfig(n_docs=sys.maxsize).n_docs == sys.maxsize
 
 
 def test_forms_deterministic(tmp_path):
