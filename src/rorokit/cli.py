@@ -35,15 +35,14 @@ from .layout import (
 from .layout import Segment
 from .metrics import (
     benchmark_report,
-    heuristic_reading_order,
     heuristic_relation,
+    heuristic_word_relation,
     report_to_json,
     report_to_text,
 )
 from .nn import EncoderConfig, MissingGradientError
 from .relations import (
     Relation,
-    permutation_to_relation,
     relation_from_json,
     relation_to_json,
     transitive_closure,
@@ -218,18 +217,9 @@ def _system_table(
         predicted = dict(zip([doc.id for doc in docs], model.predict(docs)))
         systems["model"] = lambda doc: predicted[doc.id]
     if args.heuristic:
-        if level == "word":
-
-            def heuristic_words(doc: Document) -> Relation:
-                spans = doc.word_spans()
-                order = heuristic_reading_order(doc)
-                return permutation_to_relation(
-                    [w for s in order for w in range(*spans[s])]
-                )
-
-            systems["heuristic"] = heuristic_words
-        else:
-            systems["heuristic"] = heuristic_relation
+        systems["heuristic"] = (
+            heuristic_word_relation if level == "word" else heuristic_relation
+        )
     if not systems:
         raise ValueError("nothing to evaluate: pass --model and/or --heuristic")
     return systems

@@ -113,6 +113,15 @@ def heuristic_relation(doc: Document) -> Relation:
     return permutation_to_relation(heuristic_reading_order(doc))
 
 
+def heuristic_word_relation(doc: Document) -> Relation:
+    """Word relation induced by the row-major heuristic: the segments in its
+    order, each segment's words in their own order."""
+    spans = doc.word_spans()
+    return permutation_to_relation(
+        [w for s in heuristic_reading_order(doc) for w in range(*spans[s])]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Benchmark report
 

@@ -112,9 +112,12 @@ class ParameterStore:
         self._block: Optional[_DenseBlock] = None
 
     def add(self, name: str, values: np.ndarray) -> Tensor:
+        """Store ``values`` as parameter ``name``. A writable float64 array is
+        kept as it is, so hand over one that nothing else holds; anything
+        else, a read-only array included, is copied into one."""
         if name in self._params:
             raise ParameterError(f"parameter {name!r} already exists")
-        tensor = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+        tensor = Tensor(np.require(values, np.float64, "W"), requires_grad=True)
         self._params[name] = tensor
         return tensor
 
@@ -729,7 +732,7 @@ def checkpoint_from_json(text: str) -> tuple[dict, ParameterStore]:
             raise CheckpointError(
                 f"parameter {name!r} holds a value that is not a finite number"
             )
-        store.add(name, values.reshape(shape))
+        store.add(name, values.reshape(shape))  # read-only, so copied
     return obj["config"], store
 
 

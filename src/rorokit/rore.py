@@ -205,7 +205,12 @@ def _train_linking_arm(
     """
     rng = np.random.default_rng(config.seed)
     arm_config = ROPConfig(head_dim=config.head_dim, batch_size=config.batch_size)
-    model = ROPModel.create(encoder_config, arm_config, rng)
+    try:
+        model = ROPModel.create(encoder_config, arm_config, rng)
+    except ValueError as exc:  # the arm's "rop" head_dim is the demo section's
+        if not str(exc).startswith("rop "):
+            raise
+        raise ValueError("demo " + str(exc).removeprefix("rop ")) from None
     lambdas: list[Tensor] = []
     if biased and config.freeze_lambda:
         k = _biased_layer_count(encoder_config.layers, config.bias_layers)

@@ -819,7 +819,7 @@ def test_an_encoder_table_too_large_to_allocate_is_refused_by_name(
     [
         ("train", "encoder", "ffn_dim", "encoder ffn_dim is too large: a table of 64 x ffn_dim"),
         ("train", "rop", "head_dim", "rop head_dim is too large: a table of 64 x head_dim"),
-        ("demo-rore", "demo", "head_dim", "rop head_dim is too large: a table of 32 x head_dim"),
+        ("demo-rore", "demo", "head_dim", "demo head_dim is too large: a table of 32 x head_dim"),
     ],
     ids=["encoder.ffn_dim", "rop.head_dim", "demo.head_dim"],
 )

@@ -73,6 +73,40 @@ def test_store_rejects_duplicates_and_unknown_names():
     assert "w" in store and store.names() == ["w"]
 
 
+def test_store_keeps_a_writable_float64_array_and_copies_anything_else():
+    store = ParameterStore()
+    fresh = np.zeros(3)
+    assert store.add("fresh", fresh).data is fresh
+    frozen = np.zeros(3)
+    frozen.flags.writeable = False
+    for name, values in [("frozen", frozen), ("ints", np.arange(3)), ("list", [1.0, 2.0])]:
+        data = store.add(name, values).data
+        assert data is not values and data.dtype == np.float64
+        assert data.flags.writeable and data.flags.owndata
+
+
+def test_init_peaks_below_its_parameters_bytes():
+    # A store that copied what it was handed held each fresh table twice.
+    tracemalloc.start()
+    try:
+        store = init_encoder_params(EncoderConfig(layers=0, vocab_hash_size=50000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * sum(p.data.nbytes for _, p in store.items())
+
+
+def test_every_stored_array_is_writable_and_its_own(tmp_path):
+    # Checkpoint values are decoded into read-only buffers; the store copies them.
+    model = ROPModel.create(SMALL, ROPConfig(head_dim=4), np.random.default_rng(0))
+    save_checkpoint(tmp_path / "model.json", {}, model.store)
+    _, loaded = load_checkpoint(tmp_path / "model.json")
+    for store in (model.store, loaded):
+        assert all(p.data.flags.writeable and p.data.flags.owndata for _, p in store.items())
+    for (_, made), (_, read) in zip(model.store.items(), loaded.items()):
+        assert np.array_equal(made.data, read.data)
+
+
 def test_fnv1a_is_stable():
     # Pinned reference values of the 64-bit FNV-1a function.
     assert fnv1a_hash("") == 0xCBF29CE484222325
