@@ -9,8 +9,9 @@ count forward and backward passes are exactly reproducible.
 
 Backward traversal is iterative (explicit topological order), so graph depth
 is not limited by the interpreter recursion limit. A node's first gradient is
-stored as a private copy and later ones are added into it in place, so no
-gradient buffer is ever shared between nodes. Backward consumes the graph:
+stored as a private copy, unless its backward function hands over a fresh
+array that nothing else holds, and later ones are added into it in place, so
+no gradient buffer is ever shared between nodes. Backward consumes the graph:
 each node lets go of its parents once it has handed its gradient on, so the
 arrays of the part already traversed are freed while the rest still runs.
 """
@@ -64,11 +65,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into this node's gradient. ``fresh`` hands over an
+        array that only the caller holds: as the first gradient it becomes
+        ``self.grad`` itself."""
         if self.grad is None:
-            # A copy, never a view: backward functions hand on views of their
-            # own gradient, which later in-place additions must not reach.
-            self.grad = np.array(grad, dtype=np.float64)
+            # Otherwise a copy, never a view: backward functions hand on views
+            # of their own gradient, or one array to two parents, which later
+            # in-place additions must not reach.
+            self.grad = np.asarray(grad, np.float64) if fresh else np.array(grad, np.float64)
         else:
             self.grad += grad
 
@@ -242,7 +247,7 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * (self.data > 0))
+                self._accumulate(grad * (self.data > 0), fresh=True)
 
         out._backward = backward
         return out
@@ -368,11 +373,11 @@ def linear(
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(grad @ weight.data.T)
+            x._accumulate(grad @ weight.data.T, fresh=True)
         if weight.requires_grad:
-            weight._accumulate(x.data.T @ grad)
+            weight._accumulate(x.data.T @ grad, fresh=True)
         if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=0))
+            bias._accumulate(grad.sum(axis=0), fresh=True)
         if residual is not None and residual.requires_grad:
             residual._accumulate(grad)
 
@@ -391,7 +396,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(y * (grad - (grad * y).sum(axis=-1, keepdims=True)))
+            x._accumulate(y * (grad - (grad * y).sum(axis=-1, keepdims=True)), fresh=True)
 
     out._backward = backward
     return out
@@ -423,7 +428,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             g = grad * gain.data
             g_mean = g.sum(axis=-1, keepdims=True) * scale
             gx_mean = (g * xhat).sum(axis=-1, keepdims=True) * scale
-            x._accumulate((g - g_mean - xhat * gx_mean) / std)
+            x._accumulate((g - g_mean - xhat * gx_mean) / std, fresh=True)
 
     out._backward = backward
     return out

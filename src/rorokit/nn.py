@@ -148,8 +148,12 @@ class ParameterStore:
         """AdamW state: step count ``t``, moments ``m`` and ``v``, and ``rows``.
 
         ``rows`` is a lookup table's sticky mask of the rows ``gather_rows``
-        has ever written; it is ``None`` for every parameter in the dense
-        block (see ``optimizer_step``).
+        has ever written, and its ``m`` and ``v`` hold one row per masked
+        row, in ascending row order: every other row's moments are exactly 0,
+        so none are kept. ``rows`` is ``None`` for every parameter in the
+        dense block, whose ``m`` and ``v`` are shaped like the parameter (see
+        ``optimizer_step``). A parameter that has not stepped yet gets zero
+        moments shaped like it.
         """
         if name not in self._params:
             raise ParameterError(f"parameter {name!r} is not initialized")
@@ -507,45 +511,74 @@ def optimizer_step(store: ParameterStore, learning_rate: float) -> None:
     wrote (its ``grad_rows`` is set) is a lookup table: its sticky mask
     ``opt_state(name)["rows"]`` grows by the recorded rows, only those rows
     are checked for finiteness, and only the masked rows get the full
-    update. Every other row never had a gradient, so its moments are
-    exactly 0 and the full formula reduces, bit for bit, to the decoupled
-    decay ``p -= lr * (0.0 + WEIGHT_DECAY * p)``, all the step computes for
-    it (the Adam term is +0.0 there). A parameter that has stepped before
-    without a record enters this route with every row in its mask. Every
-    other parameter gets the full formula in the one dense block (see
-    ``_DenseBlock``). The arithmetic runs in place, with two scratch
-    buffers shared by all parameters.
+    update, on moments kept for the masked rows alone (see ``opt_state``).
+    Every other row never had a gradient, so its moments would be exactly 0
+    and the full formula reduces, bit for bit, to the decoupled decay
+    ``p -= lr * (0.0 + WEIGHT_DECAY * p)``, all the step computes for it (the
+    Adam term is +0.0 there). A parameter that has stepped before without a
+    record enters this route with every row in its mask and its full
+    moments. Every other parameter gets the full formula in the one dense
+    block (see ``_DenseBlock``); a table that joins it brings its moments
+    back to full size, zero outside its mask. The arithmetic runs in place,
+    on one scratch buffer shared by all parameters.
     """
     tables, dense = [], []
     for name, p in store.items():
         if p.grad is None:
             raise MissingGradientError(f"parameter {name!r} has no gradient")
-        state = store.opt_state(name)
         if p.grad_rows is None:
-            dense.append((name, p, state))
+            dense.append((name, p, store.opt_state(name)))
             continue
         _check_finite(name, p.grad[p.grad_rows])
-        rows = state["rows"]
-        if rows is None:
-            rows = np.full(len(p.data), state["t"] > 0)
-        tables.append((p, state, rows | p.grad_rows))
+        tables.append((name, p))
     block = store._block
     if block is None or not block.holds(dense):
         store._block = block = _DenseBlock(dense)
     block.gather_grads()
-    sizes = [block.grad.size] + [p.data.size for p, _, _ in tables]
-    scratch = np.empty((2, max(sizes)))
+    tables = [(p, _table_state(store, name, p)) for name, p in tables]
+    # Two buffers for the block or a table's masked rows, one for a decay.
+    sizes = [2 * block.grad.size]
+    for p, state in tables:
+        sizes += [2 * state["m"].size, p.data.size]
+    scratch = np.empty(max(sizes))
     block.step(learning_rate, scratch)
-    for p, state, rows in tables:
+    for p, state in tables:
         state["t"] += 1
-        state["rows"] = rows
         # Decay every row, then overwrite the masked rows with their full
-        # update, computed from copies of their values before the decay.
-        idx = np.flatnonzero(rows)
-        data, m, v = p.data[idx], state["m"][idx], state["v"][idx]
-        _decay(p.data, 0.0, learning_rate, scratch[0])
-        _adamw(data, p.grad[idx], m, v, state["t"], learning_rate, scratch)
-        p.data[idx], state["m"][idx], state["v"][idx] = data, m, v
+        # update, computed from a copy of their values before the decay.
+        idx = np.flatnonzero(state["rows"])
+        data = p.data[idx]
+        _decay(p.data, 0.0, learning_rate, scratch)
+        _adamw(data, p.grad[idx], state["m"], state["v"], state["t"], learning_rate, scratch)
+        p.data[idx] = data
+
+
+def _table_state(store: ParameterStore, name: str, p: Tensor) -> dict:
+    """Table ``name``'s optimizer state with its mask grown by the rows
+    ``p.grad_rows`` records, and its moments over the grown mask's rows,
+    each new row's moments 0.0. A parameter that stepped before without a
+    mask brings its full moments, every row in its mask; one that never
+    stepped starts from an empty mask."""
+    state = store._opt_state.get(name)
+    if state is None or state["t"] == 0:
+        empty = (0,) + p.shape[1:]
+        state = {"t": 0, "m": np.zeros(empty), "v": np.zeros(empty),
+                 "rows": np.zeros(len(p.data), dtype=bool)}
+    elif state["rows"] is None:
+        # Copies, so that they hold nothing of the block laid out before.
+        state["m"], state["v"] = np.array(state["m"]), np.array(state["v"])
+        state["rows"] = np.ones(len(p.data), dtype=bool)
+    rows = state["rows"] | p.grad_rows
+    count = int(rows.sum())
+    if count > len(state["m"]):
+        kept = state["rows"][rows]  # the old rows among the new, in row order
+        for key in ("m", "v"):
+            moments = np.zeros((count,) + p.shape[1:])
+            moments[kept] = state[key]
+            state[key] = moments
+    state["rows"] = rows
+    store._opt_state[name] = state
+    return state
 
 
 def _check_finite(name: str, grad: np.ndarray) -> None:
@@ -574,8 +607,13 @@ class _DenseBlock:
                 block[start:end].reshape(p.data.shape)
                 for block in (self.data, self.m, self.v, self.grad)
             )
-            for view, values in zip(views, (p.data, state["m"], state["v"])):
-                view[...] = values
+            views[0][...] = p.data
+            for view, key in zip(views[1:3], ("m", "v")):
+                if state["rows"] is None:
+                    view[...] = state[key]
+                else:  # a table's moments, kept for its masked rows alone
+                    view[...] = 0.0
+                    view[state["rows"]] = state[key]
             p.data, state["m"], state["v"] = views[:3]
             state["rows"] = None
             self.views.append(views)
@@ -631,8 +669,9 @@ def _decay(data, direction, learning_rate, scratch) -> None:
 
 
 def _adamw(data, grad, m, v, t, learning_rate, scratch) -> None:
-    """The AdamW formula, in place on ``data``, ``m`` and ``v`` of one shape."""
-    s, d = _buffer(scratch[0], data), _buffer(scratch[1], data)
+    """The AdamW formula, in place on ``data``, ``m`` and ``v`` of one shape;
+    ``scratch`` holds at least twice their size."""
+    s, d = _buffer(scratch, data), _buffer(scratch[data.size :], data)
     np.multiply(grad, 1.0 - BETA1, out=s)
     m *= BETA1
     m += s
@@ -645,7 +684,7 @@ def _adamw(data, grad, m, v, t, learning_rate, scratch) -> None:
     np.sqrt(s, out=s)
     s += EPS
     d /= s
-    _decay(data, d, learning_rate, scratch[0])
+    _decay(data, d, learning_rate, scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -684,15 +723,16 @@ def save_checkpoint(path, config: dict, store: ParameterStore) -> None:
         fh.write(b"}}\n")
 
 
-def checkpoint_from_json(text: str) -> tuple[dict, ParameterStore]:
-    """Config and parameters of a checkpoint's JSON text.
+def checkpoint_from_json(obj) -> tuple[dict, ParameterStore]:
+    """Config and parameters of a checkpoint's parsed JSON.
 
-    The text must hold a format-3 object with a ``config`` object and a
+    ``obj`` must be a format-3 object with a ``config`` object and a
     ``params`` object, each parameter an object with a ``shape`` (a list of
     sizes) and ``values``, base64 of 8 bytes per element of the shape, each
     a finite float64; otherwise ``CheckpointError`` names what is wrong.
+    Each parameter's entry is popped from ``params`` as it is decoded, so
+    its base64 text is let go before the next one's values are made.
     """
-    obj = json.loads(text)
     if not isinstance(obj, dict):
         kind = type(obj).__name__
         raise CheckpointError(f"checkpoint holds a JSON {kind}, not an object")
@@ -704,7 +744,7 @@ def checkpoint_from_json(text: str) -> tuple[dict, ParameterStore]:
             raise CheckpointError(f"checkpoint has no {section!r} object")
     store = ParameterStore()
     for name in sorted(obj["params"]):
-        entry = obj["params"][name]
+        entry = obj["params"].pop(name)
         for key in ("shape", "values"):
             if not isinstance(entry, dict) or key not in entry:
                 raise CheckpointError(f"parameter {name!r} has no {key!r} field")
@@ -737,5 +777,9 @@ def checkpoint_from_json(text: str) -> tuple[dict, ParameterStore]:
 
 
 def load_checkpoint(path) -> tuple[dict, ParameterStore]:
+    """Config and parameters of the checkpoint at ``path``. The file's text
+    is let go once parsed, and each base64 string once decoded, so the text,
+    the parsed JSON and the arrays are never all held at once."""
     with open(path, "r", encoding="utf-8") as fh:
-        return checkpoint_from_json(fh.read())
+        obj = json.load(fh)
+    return checkpoint_from_json(obj)

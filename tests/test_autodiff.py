@@ -362,6 +362,74 @@ def test_first_gradient_is_copied_not_aliased():
     np.testing.assert_array_equal(x.grad, w_flat.reshape(2, 6) + w_turned.T)
 
 
+def handed_over_and_copied(monkeypatch, build):
+    """The gradients of every node ``build()`` returns after its loss's
+    backward, run once as is and once with ``_accumulate`` copying every
+    first gradient, and the number of first gradients handed over."""
+    accumulate, handed = Tensor._accumulate, []
+
+    def counting(self, grad, fresh=False):
+        handed.append(fresh and self.grad is None)
+        accumulate(self, grad, fresh)
+
+    def copying(self, grad, fresh=False):
+        accumulate(self, grad)
+
+    runs = []
+    for spy in (counting, copying):
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        loss, nodes = build()
+        loss.backward()
+        runs.append(nodes)
+    monkeypatch.setattr(Tensor, "_accumulate", accumulate)
+    return runs, sum(handed)
+
+
+def test_handed_over_gradients_match_copied_ones_and_share_no_buffer(monkeypatch):
+    def build():
+        x0 = Tensor(rand(4, 6, seed=50), requires_grad=True)
+        w1, b1 = (Tensor(rand(*s, seed=51 + i), requires_grad=True)
+                  for i, s in enumerate([(6, 6), (6,)]))
+        gain, beta = (Tensor(rand(6, seed=53 + i), requires_grad=True) for i in range(2))
+        w2, b2 = (Tensor(rand(*s, seed=55 + i), requires_grad=True)
+                  for i, s in enumerate([(6, 5), (5,)]))
+        x = x0 * 1.0
+        h = linear(x, w1, b1, x)  # x is both the input and the residual
+        y = h + h  # one gradient array handed to both parents
+        z = layer_norm(y, gain, beta).relu()
+        s = softmax_lastdim(linear(z, w2, b2))
+        nodes = [x0, w1, b1, gain, beta, w2, b2, x, h, y, z, s]
+        return (s * Tensor(rand(4, 5, seed=57))).sum(), nodes
+
+    (handed, copied), count = handed_over_and_copied(monkeypatch, build)
+    assert count > 0
+    for a, b in zip(handed, copied):
+        assert a.grad.tobytes() == b.grad.tobytes()
+    for i, a in enumerate(handed):
+        for b in handed[i + 1 :]:
+            assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_handed_over_encoder_gradients_match_copied_ones(monkeypatch):
+    from rorokit.layout import BBox
+    from rorokit.nn import EncoderConfig, encoder_forward, init_encoder_params
+
+    config = EncoderConfig(layers=2, model_dim=8, heads=2, vocab_hash_size=16,
+                           coord_buckets=50, ffn_dim=16)
+    tokens = ["a", "b", "c", "a", "d"]
+    boxes = [BBox(i, 2 * i, i + 5, 2 * i + 3) for i in range(5)]
+
+    def build():
+        store = init_encoder_params(config, seed=3)
+        out = encoder_forward(config, store, tokens, boxes, lengths=[3, 2])
+        return (out * Tensor(rand(5, 8, seed=58))).sum(), [t for _, t in store.items()]
+
+    (handed, copied), count = handed_over_and_copied(monkeypatch, build)
+    assert count > 0
+    for a, b in zip(handed, copied):
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+
 # --- engine behavior ---
 
 

@@ -615,13 +615,18 @@ def oracle_grads(step, rng):
 
 
 def assert_same_bytes(store, ref, ref_state):
+    """Same values and step counts; a table's moments are the reference's
+    masked rows, and the reference's other rows are exactly zero."""
     for name, p in store.items():
         assert p.data.tobytes() == ref[name].data.tobytes(), name
         st = store.opt_state(name)
         assert st["t"] == ref_state[name]["t"], name
         for key in ("m", "v"):
-            assert np.asarray(st[key]).tobytes() == np.asarray(
-                ref_state[name][key]).tobytes(), (name, key)
+            expected = np.asarray(ref_state[name][key])
+            if st["rows"] is not None:
+                assert not expected[~st["rows"]].any(), (name, key)
+                expected = expected[st["rows"]]
+            assert np.asarray(st[key]).tobytes() == expected.tobytes(), (name, key)
 
 
 def test_adamw_row_sparse_step_matches_dense_reference_bytes():
@@ -638,8 +643,8 @@ def test_adamw_row_sparse_step_matches_dense_reference_bytes():
     assert store.opt_state("late")["rows"].tolist() == [0, 0, 1, 0, 0]
     for name in ("w", "b", "s"):
         assert store.opt_state(name)["rows"] is None
-    # Idle rows keep exactly zero moments.
-    assert not store.opt_state("once")["m"][[0, 2, 4, 5]].any()
+    # Moments are kept for the masked rows alone.
+    assert store.opt_state("once")["m"].shape == store.opt_state("once")["v"].shape == (3, 3)
     assert store["once"].data[-1, -1] == 0.0
     assert np.signbit(store["once"].data[-1, -1])
 
@@ -681,6 +686,27 @@ def test_adamw_refuses_non_finite_gradient_in_an_idle_table_row(bad):
         assert after["t"] == state["t"]
         for key in ("m", "v", "rows"):
             assert np.asarray(after[key]).tobytes() == np.asarray(state[key]).tobytes()
+
+
+def test_adamw_table_keeps_moments_for_its_masked_rows_and_one_table_of_scratch():
+    store = ParameterStore()
+    table = store.add("table", np.ones((200000, 8)))
+    rng = np.random.default_rng(9)
+    for _ in range(2):
+        store.zero_grads()
+        gather_grad(table, [([3, 7, 11], rng.normal(size=(3, 8)))])
+        tracemalloc.start()
+        try:
+            optimizer_step(store, learning_rate=0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The decay of the whole table needs one table-sized buffer; moments
+        # and the update of the masked rows take a few rows.
+        assert peak <= 1.1 * table.data.nbytes
+    state = store.opt_state("table")
+    assert state["m"].shape == state["v"].shape == (3, 8)
+    assert np.flatnonzero(state["rows"]).tolist() == [3, 7, 11]
 
 
 def test_adamw_one_rule_matches_the_per_parameter_dense_reference_bytes():
@@ -967,6 +993,26 @@ def test_save_peaks_below_the_size_of_the_file_it_writes(tmp_path):
     assert peak < path.stat().st_size
 
 
+def test_load_peaks_below_the_text_and_its_parsed_json(tmp_path):
+    from rorokit import rop
+    from rorokit.synth import SynthConfig, synth_generate
+
+    corpus = synth_generate(SynthConfig(n_docs=8), seed=0)
+    model, _ = rop.train(corpus, rop.ROPConfig(epochs=1, batch_size=8, seed=0))
+    path = tmp_path / "model.json"
+    model.save(path)
+    tracemalloc.start()
+    try:
+        ROPModel.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The text and its parsed JSON, each about the file's size, are held
+    # together only while parsing; the arrays are made after the text is let
+    # go, each as its base64 string is. Holding all three peaked at 2.8x.
+    assert peak <= 2.2 * path.stat().st_size
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_save_refuses_a_non_finite_parameter_and_writes_nothing(tmp_path, bad):
     store = extreme_store()
@@ -979,4 +1025,4 @@ def test_save_refuses_a_non_finite_parameter_and_writes_nothing(tmp_path, bad):
 
 def test_checkpoint_version_checked():
     with pytest.raises(ValueError):
-        checkpoint_from_json('{"format_version": 9, "config": {}, "params": {}}')
+        checkpoint_from_json(json.loads('{"format_version": 9, "config": {}, "params": {}}'))
