@@ -16,7 +16,6 @@ from .relations import (
     OrderViolation,
     Relation,
     RelationError,
-    SizeLimitError,
     best_permutation_recall,
     is_acyclic,
     is_strict_partial_order,
@@ -110,7 +109,6 @@ __all__ = [
     "RelationError",
     "RelationMatrix",
     "Segment",
-    "SizeLimitError",
     "SynthConfig",
     "Tensor",
     "TokenOverflowError",

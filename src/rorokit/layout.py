@@ -375,7 +375,7 @@ def derive_word_level(doc: Document) -> Relation:
     pairs = set()
     for start, end in spans:
         pairs.update((k, k + 1) for k in range(start, end - 1))
-    for a, b in doc.isdr.pairs:
+    for a, b in doc.isdr.sorted_pairs():
         last_of_a = spans[a][1] - 1
         first_of_b = spans[b][0]
         pairs.add((last_of_a, first_of_b))
@@ -402,7 +402,7 @@ def corpus_stats(corpus: Corpus, literal_nonlinearity: bool = False) -> CorpusSt
     and successor both uniquely exist, which marks every interior element
     of a plain chain.
     """
-    n_pairs = sum(len(d.isdr.pairs) for d in corpus.documents if d.isdr is not None)
+    n_pairs = sum(len(d.isdr) for d in corpus.documents if d.isdr is not None)
     fraction = None
     if all(d.isdr is not None for d in corpus.documents):
         nonlinear = total = 0
@@ -523,7 +523,7 @@ def collapse_word_relation(doc: Document, word_rel: Relation) -> Relation:
     """Project a word-level relation back onto segments, dropping intra-segment pairs."""
     owner = doc.word_segment_index()
     pairs = set()
-    for a, b in word_rel.pairs:
+    for a, b in word_rel.sorted_pairs():
         sa, sb = owner[a], owner[b]
         if sa != sb:
             pairs.add((sa, sb))

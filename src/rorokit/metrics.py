@@ -64,8 +64,8 @@ def pair_f1(gold: Relation, pred: Relation) -> PairMetrics:
             f"element counts differ: gold {gold.element_count}, "
             f"pred {pred.element_count}"
         )
-    tp = len(gold.pairs & pred.pairs)
-    return PairMetrics(tp, len(pred.pairs) - tp, len(gold.pairs) - tp)
+    tp = gold.shared(pred)
+    return PairMetrics(tp, len(pred) - tp, len(gold) - tp)
 
 
 def corpus_f1(pairs: Iterable[tuple[Relation, Relation]]) -> PairMetrics:

@@ -12,13 +12,13 @@ reported in a fixed scan order so tests can assert on them.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-# Exhaustive permutation search refuses above this many elements (9! = 362880).
+# ``eval``'s ceiling covers no larger document (until ROADMAP item 1 drops
+# the cap), nor does the tests' exhaustive oracle (9! = 362880 permutations).
 BRUTE_FORCE_MAX_N = 9
 
 
@@ -38,10 +38,6 @@ class InvalidPermutationError(RelationError):
     """Raised when a sequence is not a permutation of [0, n)."""
 
 
-class SizeLimitError(RelationError):
-    """Raised when an exhaustive operation is asked to exceed its size bound."""
-
-
 @dataclass(frozen=True)
 class OrderViolation:
     """A witnessed failure of an order property.
@@ -57,22 +53,37 @@ class OrderViolation:
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+def _bits(row: int) -> list[int]:
+    """The positions of the set bits of ``row``, ascending."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Relation:
     """A binary relation over elements ``0..element_count-1`` (set semantics);
-    the count and every element are Python ``int``s (not bools), never coerced."""
+    the count and every element are Python ``int``s (not bools), never coerced.
+
+    ``nodes`` holds, ascending, the elements that some pair names, and bit q
+    of ``rows[p]`` the pair ``(nodes[p], nodes[q])``: the cost follows the
+    pairs, not ``element_count``, and equal relations store equal rows.
+    """
 
     element_count: int
-    pairs: frozenset[tuple[int, int]]
+    nodes: tuple[int, ...]
+    rows: tuple[int, ...]
 
-    def __post_init__(self):
-        n = self.element_count
+    def __init__(self, element_count: int, pairs: Iterable[Sequence[int]] = ()):
+        n = element_count
         if type(n) is not int:
             raise RelationError(f"element_count must be an integer, got {n!r}")
         if n < 0:
             raise RelationError("element_count must be non-negative")
-        pairs = frozenset((a, b) for a, b in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
+        pairs, named = list(pairs), set()
         for a, b in pairs:
             if type(a) is not int or type(b) is not int:
                 raise RelationError(f"pair ({a!r}, {b!r}) is not two integers")
@@ -80,37 +91,86 @@ class Relation:
                 raise RelationError(
                     f"pair ({a}, {b}) out of range for element_count={n}"
                 )
+            named.add(a)
+            named.add(b)
+        rows = [0] * len(named)
+        if len(named) == n:  # every element named: positions are elements
+            nodes: Sequence[int] = range(n)
+            for a, b in pairs:
+                rows[a] |= 1 << b
+        else:
+            nodes = sorted(named)
+            position = {e: p for p, e in enumerate(nodes)}
+            for a, b in pairs:
+                rows[position[a]] |= 1 << position[b]
+        self._set_rows(n, nodes, rows)
+
+    def _set_rows(self, element_count: int, nodes: Sequence[int], rows: Sequence[int]):
+        object.__setattr__(self, "element_count", element_count)
+        object.__setattr__(self, "nodes", tuple(nodes))
+        object.__setattr__(self, "rows", tuple(rows))
+        return self
 
     @classmethod
     def from_pairs(cls, element_count: int, pairs: Iterable[Sequence[int]]) -> "Relation":
-        return cls(element_count, pairs)  # __post_init__ builds the pair set
+        return cls(element_count, pairs)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[int]) -> "Relation":
+        """The relation over ``len(rows)`` elements holding (i, j) for each
+        bit j of the Python int ``rows[i]``."""
+        named = 0
+        for i, row in enumerate(rows):
+            named |= row | bool(row) << i
+        if named >> len(rows):  # a negative row, or a bit past the last element
+            raise RelationError(f"rows name an element outside 0..{len(rows) - 1}")
+        nodes, kept = _bits(named), rows
+        if len(nodes) < len(rows):  # renumber the bits to the named elements
+            position = {e: p for p, e in enumerate(nodes)}
+            kept = [sum(1 << position[j] for j in _bits(rows[i])) for i in nodes]
+        return object.__new__(cls)._set_rows(len(rows), nodes, kept)
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The pair set, built from the rows on each read."""
+        return frozenset(self.sorted_pairs())
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
+        nodes, out = self.nodes, []
+        for a, row in zip(nodes, self.rows):
+            while row:  # ``_bits`` inlined, half the time on short rows
+                low = row & -row
+                out.append((a, nodes[low.bit_length() - 1]))
+                row ^= low
+        return out
 
     def successors(self) -> list[list[int]]:
         """Adjacency lists, each sorted ascending."""
         succ: list[list[int]] = [[] for _ in range(self.element_count)]
-        for a, b in self.pairs:
-            succ[a].append(b)
-        for lst in succ:
-            lst.sort()
+        for a, row in zip(self.nodes, self.rows):
+            succ[a] = [self.nodes[q] for q in _bits(row)]
         return succ
 
     def in_degrees(self) -> list[int]:
         deg = [0] * self.element_count
-        for _, b in self.pairs:
+        for _, b in self.sorted_pairs():
             deg[b] += 1
         return deg
 
     def out_degrees(self) -> list[int]:
         deg = [0] * self.element_count
-        for a, _ in self.pairs:
-            deg[a] += 1
+        for a, row in zip(self.nodes, self.rows):
+            deg[a] = row.bit_count()
         return deg
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(map(int.bit_count, self.rows))
+
+    def shared(self, other: "Relation") -> int:
+        """The number of pairs that both relations hold."""
+        if self.nodes != other.nodes:
+            return len(self.pairs & other.pairs)
+        return sum((a & b).bit_count() for a, b in zip(self.rows, other.rows))
 
 
 def index_pair(pair, field: str) -> tuple[int, int]:
@@ -156,6 +216,34 @@ def relation_from_json(text: str) -> Relation:
     return json_relation(n, pairs, "relation")
 
 
+def _depth_first(rows: Sequence[int]) -> tuple[list[int], Optional[list[int]]]:
+    """Depth-first search over row positions, in ascending start and
+    successor order: the positions in the order they finish, and the first
+    cycle met, as positions ``[s1, ..., sk, s1]`` (None if there is none)."""
+    color = [0] * len(rows)  # 0 unvisited, 1 on the path, 2 finished
+    finished: list[int] = []
+    cycle = None
+    for start in range(len(rows)):
+        if color[start]:
+            continue
+        color[start] = 1
+        path, stack = [start], [iter(_bits(rows[start]))]
+        while stack:
+            for nxt in stack[-1]:
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    path.append(nxt)
+                    stack.append(iter(_bits(rows[nxt])))
+                    break
+                if color[nxt] == 1 and cycle is None:
+                    cycle = path[path.index(nxt):] + [nxt]
+            else:
+                color[path[-1]] = 2
+                finished.append(path.pop())
+                stack.pop()
+    return finished, cycle
+
+
 def is_acyclic(rel: Relation) -> tuple[bool, Optional[OrderViolation]]:
     """Check that no directed cycle exists; on failure return a witness cycle.
 
@@ -164,58 +252,35 @@ def is_acyclic(rel: Relation) -> tuple[bool, Optional[OrderViolation]]:
     start node, ascending successors), so the same input always yields the
     same witness.
     """
-    n = rel.element_count
-    succ = rel.successors()
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for start in range(n):
-        if color[start]:
-            continue
-        path = [start]
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    i = path.index(nxt)
-                    witness = tuple(path[i:] + [nxt])
-                    return False, OrderViolation("cycle", witness)
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                path.pop()
-                stack.pop()
-    return True, None
+    _, cycle = _depth_first(rel.rows)
+    if cycle is None:
+        return True, None
+    return False, OrderViolation("cycle", tuple(rel.nodes[p] for p in cycle))
 
 
 def transitive_closure(rel: Relation) -> Relation:
     """Smallest transitive superset of ``rel`` over the same element set.
 
-    Defined for any relation, cyclic or not. One graph search per source,
-    through a successor map built from the pairs, so the cost follows the
-    pairs, not ``element_count``, and no N x N matrix is built.
+    Defined for any relation, cyclic or not. Each row becomes its successors'
+    closed rows joined with its own, computed in depth-first finish order, in
+    which an acyclic relation's successors close first; a cyclic one repeats
+    the pass until no row grows. The cost follows the pairs, not
+    ``element_count``, and no N x N matrix is built.
     """
-    succ: dict[int, list[int]] = {}
-    for a, b in rel.pairs:
-        succ.setdefault(a, []).append(b)
-    out = set()
-    for s in succ:
-        seen = set()
-        frontier = list(succ[s])
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(succ.get(node, ()))
-        out.update((s, t) for t in seen)
-    return Relation(rel.element_count, frozenset(out))
+    rows = rel.rows
+    finished, cycle = _depth_first(rows)
+    reach = [0] * len(rows)
+    grown = True
+    while grown:
+        grown = False
+        for p in finished:
+            closed = rows[p]
+            for q in _bits(rows[p]):
+                closed |= reach[q]
+            grown |= closed != reach[p]
+            reach[p] = closed
+        grown &= cycle is not None
+    return object.__new__(Relation)._set_rows(rel.element_count, rel.nodes, reach)
 
 
 def is_strict_partial_order(rel: Relation) -> tuple[bool, Optional[OrderViolation]]:
@@ -224,18 +289,22 @@ def is_strict_partial_order(rel: Relation) -> tuple[bool, Optional[OrderViolatio
     The first violation found in a fixed scan (ascending indices / sorted
     pairs) is reported.
     """
-    for i in range(rel.element_count):
-        if (i, i) in rel.pairs:
-            return False, OrderViolation("reflexive-pair", (i,))
-    ordered = rel.sorted_pairs()
-    for a, b in ordered:
-        if a < b and (b, a) in rel.pairs:
-            return False, OrderViolation("antisymmetry-pair", (a, b))
-    succ = rel.successors()
-    for a, b in ordered:
-        for c in succ[b]:
-            if (a, c) not in rel.pairs:
-                return False, OrderViolation("missing-transitive-pair", (a, b, c))
+    nodes, rows = rel.nodes, rel.rows
+    for p, row in enumerate(rows):
+        if row >> p & 1:
+            return False, OrderViolation("reflexive-pair", (nodes[p],))
+    for p, row in enumerate(rows):
+        for q in _bits(row):
+            if q > p and rows[q] >> p & 1:
+                return False, OrderViolation("antisymmetry-pair", (nodes[p], nodes[q]))
+    for p, row in enumerate(rows):
+        for q in _bits(row):
+            missing = rows[q] & ~row
+            if missing:
+                c = (missing & -missing).bit_length() - 1
+                return False, OrderViolation(
+                    "missing-transitive-pair", (nodes[p], nodes[q], nodes[c])
+                )
     return True, None
 
 
@@ -292,33 +361,48 @@ def topological_linearization(
 
 
 def best_permutation_recall(rel: Relation) -> tuple[list[int], float]:
-    """Exhaustively find the permutation whose adjacency best covers ``rel``.
-
-    Searches all n! permutations and returns the lexicographically first one
-    maximizing ``|adjacent pairs of perm∩ rel| / |rel|``, together with that
-    recall. Quantifies how much of a branching reading order a single
-    sequence can carry.
+    """The permutation whose adjacent pairs cover the most of acyclic ``rel``,
+    and that recall: how much of a branching reading order one sequence
+    can carry. Its pairs in ``rel`` are disjoint paths, so the best count is
+    a maximum matching between elements as sources and as targets (a minimum
+    path cover has n minus that many paths; Fulkerson 1956), grown by one
+    augmenting path per source, searched without recursion. The permutation
+    is the matched paths joined in ascending order of their first elements.
     """
     n = rel.element_count
-    if n > BRUTE_FORCE_MAX_N:
-        raise SizeLimitError(
-            f"exhaustive search refused for n={n} > {BRUTE_FORCE_MAX_N}"
-        )
-    if not rel.pairs:
+    if not len(rel):
         # Recall over an empty gold set is vacuously perfect.
         return list(range(n)), 1.0
     ok, violation = is_acyclic(rel)
     if not ok:
         assert violation is not None
         raise CycleError(violation.witness)
-    total = len(rel.pairs)
-    best_perm: list[int] = list(range(n))
-    best_hits = -1
-    for perm in itertools.permutations(range(n)):
-        hits = sum(1 for adj in zip(perm, perm[1:]) if adj in rel.pairs)
-        if hits > best_hits:
-            best_hits = hits
-            best_perm = list(perm)
-            if hits == total:
-                break
-    return best_perm, best_hits / total
+    rows = rel.rows
+    target_of = [-1] * len(rows)  # position matched as each source's successor
+    source_of = [-1] * len(rows)  # position matched as each target's predecessor
+    for start in range(len(rows)):
+        via: dict[int, int] = {}  # target reached -> source it was reached from
+        seen, frontier, free = 0, [start], -1
+        while frontier and free < 0:
+            source = frontier.pop()
+            fresh = rows[source] & ~seen
+            seen |= fresh
+            for target in _bits(fresh):
+                via[target] = source
+                if source_of[target] < 0:
+                    free = target
+                    break
+                frontier.append(source_of[target])
+        target = free
+        while target >= 0:  # flip the alternating path back to ``start``
+            source = via[target]
+            source_of[target] = source
+            target_of[source], target = target, target_of[source]
+    nodes = rel.nodes
+    successor = {nodes[p]: nodes[q] for p, q in enumerate(target_of) if q >= 0}
+    perm: list[int] = []
+    for first in sorted(set(range(n)) - set(successor.values())):
+        perm.append(first)
+        while perm[-1] in successor:
+            perm.append(successor[perm[-1]])
+    return perm, len(successor) / len(rel)

@@ -320,7 +320,7 @@ def gp_loss(
         )
     s = scores.data.reshape(layout.shape)
     pos = np.zeros(s.shape, dtype=bool)
-    cells = [(b, i, j) for b, rel in enumerate(labels) for i, j in rel.pairs]
+    cells = [(b, i, j) for b, rel in enumerate(labels) for i, j in rel.sorted_pairs()]
     pos[tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)] = True
     neg = ~pos if layout.mask is None else layout.mask & ~pos
     if not include_diagonal_negatives:
@@ -373,16 +373,16 @@ def decode(scores: np.ndarray, threshold: float = 0.0) -> Relation:
     rows, cols = np.nonzero(mask)
     order = np.argsort(-scores[rows, cols], kind="stable")  # ties stay in (i, j) order
     reach = [1 << v for v in range(n)]  # bit u of reach[v]: v reaches u
-    kept = []
+    kept = [0] * n  # bit j of kept[i]: pair (i, j) kept
     for i, j in zip(rows[order].tolist(), cols[order].tolist()):
         if not reach[j] >> i & 1:
-            kept.append((i, j))
+            kept[i] |= 1 << j
             if not reach[i] >> j & 1:  # else nothing new is reachable
                 gained, bit = reach[j], 1 << i
                 for v in range(n):
                     if reach[v] & bit:
                         reach[v] |= gained
-    return Relation(n, kept)
+    return Relation.from_rows(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def build_relation_matrix(
         raise CycleError(violation.witness)
     base = rel if kind == "isdr" else transitive_closure(rel)
     bits = np.zeros((n_tokens, n_tokens), dtype=np.uint8)
-    for i, j in base.pairs:
+    for i, j in base.sorted_pairs():
         (a0, a1), (b0, b1) = spans[i], spans[j]
         bits[a0:a1, b0:b1] = 1
     return RelationMatrix(n_tokens, bits, kind)

@@ -190,6 +190,7 @@ def test_gather_rows_accumulates_duplicates():
         elements=st.floats(-50, 50),
     )
 )
+@settings(derandomize=True, database=None)
 def test_softmax_rows_sum_to_one(data):
     out = softmax_lastdim(Tensor(data))
     assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)

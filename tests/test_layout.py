@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rorokit.layout import (
@@ -252,6 +252,7 @@ def test_derive_word_level_refuses_a_cyclic_isdr():
 
 
 @given(st.integers(2, 6), st.integers(1, 3))
+@settings(derandomize=True, database=None)
 def test_derived_relation_is_acyclic_and_collapses_back(n, words_per):
     doc = chain_doc("d", n=n, texts_per_seg=words_per)
     word_rel = derive_word_level(doc)
