@@ -242,8 +242,9 @@ def cmd_eval(args) -> int:
     level = model.config.task_level if model is not None else "segment"
     corpus = load_corpus(args.corpus)
     docs = list(corpus.documents) if args.split == "all" else corpus.subset(args.split)
-    if not docs and args.split != "all":
-        raise ValueError(f"corpus has no documents in split {args.split!r}")
+    if not docs:
+        where = "" if args.split == "all" else f" in split {args.split!r}"
+        raise ValueError(f"corpus has no documents{where}")
     skipped: list[dict] = []
     if model is not None:
         docs = filter_usable(docs, model.config, model.encoder_config, skipped)

@@ -136,8 +136,8 @@ def benchmark_report(
 
     Gold defaults to each document's isdr; ``gold_fn`` swaps in another
     reference (e.g. the derived word-level relation). When ``ceiling`` is
-    set, the mean structural recall ceiling of a single permutation is
-    computed by brute force on documents small enough for it. An empty
+    set, the mean recall ceiling of a single permutation, a maximum matching,
+    covers documents of at most ``BRUTE_FORCE_MAX_N`` elements. An empty
     document list is refused: its scores would be vacuously perfect.
     """
     if not documents:

@@ -148,12 +148,12 @@ class ParameterStore:
         """AdamW state: step count ``t``, moments ``m`` and ``v``, and ``rows``.
 
         ``rows`` is a lookup table's sticky mask of the rows ``gather_rows``
-        has ever written, and its ``m`` and ``v`` hold one row per masked
-        row, in ascending row order: every other row's moments are exactly 0,
-        so none are kept. ``rows`` is ``None`` for every parameter in the
-        dense block, whose ``m`` and ``v`` are shaped like the parameter (see
-        ``optimizer_step``). A parameter that has not stepped yet gets zero
-        moments shaped like it.
+        has ever written (all rows once a gradient came without a record),
+        and its ``m`` and ``v`` hold one row per masked row, in ascending row
+        order: every other row's moments are exactly 0, so none are kept.
+        ``rows`` is ``None`` for every parameter in the dense block, whose
+        ``m`` and ``v`` are shaped like the parameter (see ``optimizer_step``).
+        A parameter that has not stepped yet gets zero moments shaped like it.
         """
         if name not in self._params:
             raise ParameterError(f"parameter {name!r} is not initialized")
@@ -507,35 +507,36 @@ def optimizer_step(store: ParameterStore, learning_rate: float) -> None:
     non-finite gradient raises, naming the parameter, and leaves the store
     unchanged.
 
-    One rule, two exact routes. A parameter whose gradient ``gather_rows``
-    wrote (its ``grad_rows`` is set) is a lookup table: its sticky mask
-    ``opt_state(name)["rows"]`` grows by the recorded rows, only those rows
-    are checked for finiteness, and only the masked rows get the full
-    update, on moments kept for the masked rows alone (see ``opt_state``).
-    Every other row never had a gradient, so its moments would be exactly 0
-    and the full formula reduces, bit for bit, to the decoupled decay
-    ``p -= lr * (0.0 + WEIGHT_DECAY * p)``, all the step computes for it (the
-    Adam term is +0.0 there). A parameter that has stepped before without a
-    record enters this route with every row in its mask and its full
-    moments. Every other parameter gets the full formula in the one dense
-    block (see ``_DenseBlock``); a table that joins it brings its moments
-    back to full size, zero outside its mask. The arithmetic runs in place,
-    on one scratch buffer shared by all parameters.
+    One rule, two exact routes, and each parameter keeps the route of its
+    first step (no optimizer state yet, or ``t == 0``). A lookup table, a
+    parameter whose first gradient ``gather_rows`` wrote (``grad_rows`` is
+    set), has a sticky mask ``opt_state(name)["rows"]`` that grows by the
+    recorded rows, or by every row for a gradient without a record; only
+    those rows are checked for finiteness, and only the masked rows get the
+    full update, on moments kept for the masked rows alone (see
+    ``opt_state``). Every other row never had a gradient, so its moments
+    would be exactly 0 and the full formula reduces, bit for bit, to the
+    decoupled decay ``p -= lr * (0.0 + WEIGHT_DECAY * p)``, all the step
+    computes for it. Every other parameter gets the full formula, exact for
+    every row, in the one dense block (see ``_DenseBlock``). The arithmetic
+    runs in place, on one scratch buffer shared by all parameters.
     """
     tables, dense = [], []
     for name, p in store.items():
         if p.grad is None:
             raise MissingGradientError(f"parameter {name!r} has no gradient")
-        if p.grad_rows is None:
+        state = store._opt_state.get(name, {"t": 0})
+        if (state["rows"] if state["t"] else p.grad_rows) is None:
             dense.append((name, p, store.opt_state(name)))
             continue
-        _check_finite(name, p.grad[p.grad_rows])
-        tables.append((name, p))
+        recorded = np.ones(len(p.data), dtype=bool) if p.grad_rows is None else p.grad_rows
+        _check_finite(name, p.grad[recorded])
+        tables.append((name, p, recorded))
     block = store._block
     if block is None or not block.holds(dense):
         store._block = block = _DenseBlock(dense)
     block.gather_grads()
-    tables = [(p, _table_state(store, name, p)) for name, p in tables]
+    tables = [(p, _table_state(store, name, p, recorded)) for name, p, recorded in tables]
     # Two buffers for the block or a table's masked rows, one for a decay.
     sizes = [2 * block.grad.size]
     for p, state in tables:
@@ -553,22 +554,16 @@ def optimizer_step(store: ParameterStore, learning_rate: float) -> None:
         p.data[idx] = data
 
 
-def _table_state(store: ParameterStore, name: str, p: Tensor) -> dict:
+def _table_state(store: ParameterStore, name: str, p: Tensor, recorded: np.ndarray) -> dict:
     """Table ``name``'s optimizer state with its mask grown by the rows
-    ``p.grad_rows`` records, and its moments over the grown mask's rows,
-    each new row's moments 0.0. A parameter that stepped before without a
-    mask brings its full moments, every row in its mask; one that never
-    stepped starts from an empty mask."""
+    ``recorded``, and its moments over the grown mask's rows, each new row's
+    moments 0.0. A table at its first step starts from an empty mask."""
     state = store._opt_state.get(name)
     if state is None or state["t"] == 0:
         empty = (0,) + p.shape[1:]
         state = {"t": 0, "m": np.zeros(empty), "v": np.zeros(empty),
                  "rows": np.zeros(len(p.data), dtype=bool)}
-    elif state["rows"] is None:
-        # Copies, so that they hold nothing of the block laid out before.
-        state["m"], state["v"] = np.array(state["m"]), np.array(state["v"])
-        state["rows"] = np.ones(len(p.data), dtype=bool)
-    rows = state["rows"] | p.grad_rows
+    rows = state["rows"] | recorded
     count = int(rows.sum())
     if count > len(state["m"]):
         kept = state["rows"][rows]  # the old rows among the new, in row order
@@ -607,15 +602,9 @@ class _DenseBlock:
                 block[start:end].reshape(p.data.shape)
                 for block in (self.data, self.m, self.v, self.grad)
             )
-            views[0][...] = p.data
-            for view, key in zip(views[1:3], ("m", "v")):
-                if state["rows"] is None:
-                    view[...] = state[key]
-                else:  # a table's moments, kept for its masked rows alone
-                    view[...] = 0.0
-                    view[state["rows"]] = state[key]
+            for view, values in zip(views, (p.data, state["m"], state["v"])):
+                view[...] = values
             p.data, state["m"], state["v"] = views[:3]
-            state["rows"] = None
             self.views.append(views)
             start = end
 

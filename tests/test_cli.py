@@ -1061,6 +1061,16 @@ def test_eval_refuses_an_empty_corpus(tmp_path, capsys):
     assert code == 1 and out == "" and "no documents" in err
 
 
+def test_eval_refuses_an_empty_corpus_before_the_model_filters_it(tmp_path, capsys):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    model = write_model(tmp_path)
+    for systems in (["--model", str(model)], ["--heuristic"]):
+        code, out, err = run(capsys, "eval", str(corpus), *systems)
+        assert code == 1 and out == ""
+        assert err.strip() == "error: corpus has no documents"
+
+
 def test_eval_rejects_duplicate_ids(tmp_path, capsys):
     corpus = write_corpus(tmp_path, n_docs=3)
     lines = corpus.read_text().splitlines()

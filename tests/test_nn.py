@@ -712,18 +712,20 @@ def test_adamw_table_keeps_moments_for_its_masked_rows_and_one_table_of_scratch(
 def test_adamw_one_rule_matches_the_per_parameter_dense_reference_bytes():
     """A table fed by gather_rows over two sub-batches, a weight with a row
     that never gets a gradient, a 1-D and a 0-D parameter, a parameter added
-    after the first step, one whose ``data`` is rebound after it, and one
-    that switches from gather_rows to a set gradient and back."""
+    after the first step, one whose ``data`` is rebound after it, one that
+    switches from gather_rows to a set gradient and back, and its mirror,
+    which switches from a set gradient to gather_rows and back. Each switcher
+    keeps the route of its first step."""
     def build():
         rng = np.random.default_rng(21)
         store = ParameterStore()
         for name, shape in [("table", (7, 3)), ("w", (4, 3)), ("b", (3,)), ("s", ()),
-                            ("switch", (5, 3))]:
+                            ("switch", (5, 3)), ("mirror", (5, 3))]:
             store.add(name, rng.normal(size=shape))
         return store
 
     store, ref, ref_state = build(), build(), {}
-    rng = np.random.default_rng(22)
+    rng, mirror_rng = np.random.default_rng(22), np.random.default_rng(23)
     for step in range(6):
         if step == 2:
             for s in (store, ref):
@@ -742,10 +744,17 @@ def test_adamw_one_rule_matches_the_per_parameter_dense_reference_bytes():
         }
         if step >= 2:
             grads["added"] = rng.normal(size=(2, 3))
+        grads["mirror"] = ([([0, 3], mirror_rng.normal(size=(2, 3)))] if step in (2, 3)
+                           else mirror_rng.normal(size=(5, 3)))
         feed(store, ref, grads)
         optimizer_step(store, learning_rate=0.05)
         reference_adamw(ref, ref_state, learning_rate=0.05)
         assert_same_bytes(store, ref, ref_state)
+        # The set-first parameter stays in the dense block; the gathered-first
+        # one stays a table, its mask every row after a step without a record.
+        assert store.opt_state("mirror")["rows"] is None
+        assert store["mirror"].data.base is store["b"].data.base
+        assert store.opt_state("switch")["rows"].all() == (step >= 2)
     assert store.opt_state("table")["rows"].any()
     for name in ("w", "b", "s", "added"):
         assert store.opt_state(name)["rows"] is None

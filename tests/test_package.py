@@ -158,3 +158,14 @@ def test_every_src_option_is_set_outside_the_unit_tests():
         if not is_set(callee, parameter, position)
     }
     assert unset == UNSET_ALLOWED
+
+
+def test_every_python_file_parses_with_the_oldest_supported_grammar():
+    """``requires-python`` is ">=3.10": every .py under src/, scripts/ and
+    tests/ parses with Python 3.10's grammar, so no later syntax slips in
+    where no 3.10 interpreter runs the suite."""
+    paths = [path for top in ("src", "scripts", "tests")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
