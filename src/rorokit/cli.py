@@ -7,13 +7,20 @@ Conventions shared by every subcommand:
 * exit 0 on success, 1 on domain errors (validation failures, cycles,
   impossible configs), 2 on I/O or parse failures
 * everything is deterministic given --seed
+
+``main(argv)`` may be called repeatedly in one process: the parser is built
+on first use and reused, and each call shows its own warnings (such as
+``train``'s skipped-document notes) even when an earlier call showed the
+same text.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import warnings
 from collections import Counter
 from dataclasses import asdict
 from typing import Callable, Optional
@@ -334,7 +341,11 @@ def cmd_render(args) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rorokit`` parser, built once per process. It holds no state
+    between calls: ``parse_args`` returns a fresh namespace, and no action
+    has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="rorokit",
         description="Reading-order relations: validate, synthesize, train, evaluate.",
@@ -403,7 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Entering resets the warning registries, so a text an earlier call
+        # showed is shown again; the caller's filters still apply.
+        with warnings.catch_warnings():
+            return args.func(args)
     except (CorpusParseError, json.JSONDecodeError, OSError) as exc:
         _note(f"error: {exc}")
         return EXIT_IO

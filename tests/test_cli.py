@@ -5,12 +5,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rorokit
+from rorokit import cli
 from rorokit.cli import main
 from rorokit.layout import derive_word_level, load_corpus
 from rorokit.metrics import corpus_f1
@@ -1231,3 +1233,59 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# --- repeated calls in one process ---
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_options_do_not_leak_between_calls(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, n_docs=3)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["eval", str(corpus), "--heuristic", "--no-ceiling", "-o", str(first)]) == 0
+    assert main(["eval", str(corpus), "--heuristic", "-o", str(second)]) == 0
+    assert "ceiling" not in json.loads(first.read_text())
+    assert "ceiling" in json.loads(second.read_text())
+    code, out, _ = run(capsys, "stats", str(corpus), "--literal")
+    assert code == 0 and json.loads(out)["nonlinear_definition"] == "literal"
+    code, out, _ = run(capsys, "stats", str(corpus))
+    assert code == 0 and json.loads(out)["nonlinear_definition"] == "degree"
+
+
+def test_a_usage_error_leaves_the_next_call_intact(tmp_path, capsys):
+    rel = tmp_path / "rel.json"
+    rel.write_text('{"n": 3, "pairs": [[0, 1], [1, 2]]}')
+    with pytest.raises(SystemExit) as exc:
+        main(["closure", str(rel), "--no-such-option"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "closure", str(rel))
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "pairs": [[0, 1], [0, 2], [1, 2]]}
+
+
+def test_every_call_shows_its_own_skip_warnings(tmp_path):
+    corpus = write_corpus(tmp_path, n_docs=5)
+    cfg = write_config(tmp_path, {**TRAIN_CFG, "rop": {**TRAIN_CFG["rop"], "epochs": 1},
+                                  "encoder": {**TRAIN_CFG["encoder"], "max_tokens": 10}})
+    argv = ["train", str(corpus), "--model", str(tmp_path / "m.json"),
+            "--config", str(cfg)]
+
+    def skip_notes(action, calls=2):
+        """Skip notes per call, under one filter set before the first call:
+        setting a filter would itself reset the warning registries."""
+        counts = []
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter(action)
+            for _ in range(calls):
+                main(argv)
+                counts.append(sum("skipping document" in str(w.message) for w in log))
+                log.clear()
+        return counts
+
+    first, second = skip_notes("default")
+    assert first > 0 and second == first
+    assert skip_notes("ignore") == [0, 0]  # the caller's filters still apply
