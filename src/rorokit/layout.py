@@ -49,10 +49,10 @@ def check_integer(name: str, value) -> None:
 def check_field_types(config) -> None:
     """Raise TypeError naming the field unless each field of the dataclass
     ``config`` holds a value of its type: ``int`` (``check_integer``),
-    ``Optional[int]`` (None passes), ``tuple[int, int]`` (a pair), ``float``
-    (a finite float, or an int a float64 can hold; NaN and infinity are
-    refused), ``bool`` or ``dict``. A bool is no number. Types are read as
-    the strings ``from __future__ import annotations`` leaves."""
+    ``tuple[int, int]`` (a pair), ``float`` (a finite float, or an int a
+    float64 can hold; NaN and infinity are refused) or ``dict``. A bool is
+    no number. Types are read as the strings ``from __future__ import
+    annotations`` leaves."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "tuple[int, int]":
@@ -60,15 +60,13 @@ def check_field_types(config) -> None:
                 raise TypeError(f"{f.name} must be a pair of integers, got {value!r}")
             for item in value:
                 check_integer(f"{f.name} entry", item)
-        elif f.type == "int" or (f.type == "Optional[int]" and value is not None):
+        elif f.type == "int":
             check_integer(f.name, value)
         elif f.type == "float" and not (
             isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max
         ):
             raise TypeError(f"{f.name} must be a finite float64 number, got {value!r}")
-        elif f.type == "bool" and type(value) is not bool:
-            raise TypeError(f"{f.name} must be true or false, got {value!r}")
         elif f.type == "dict" and not isinstance(value, dict):
             raise TypeError(f"{f.name} must be an object, got {value!r}")
 

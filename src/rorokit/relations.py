@@ -17,8 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-# ``eval``'s ceiling covers no larger document (until ROADMAP item 1 drops
-# the cap), nor does the tests' exhaustive oracle (9! = 362880 permutations).
+# ``eval``'s ceiling covers no larger document (until the open remainder of
+# ROADMAP item 2 drops the cap, after item 1), nor does the tests'
+# exhaustive oracle (9! = 362880 permutations).
 BRUTE_FORCE_MAX_N = 9
 
 

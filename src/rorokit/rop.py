@@ -57,10 +57,13 @@ Spans = Sequence[tuple[int, int]]
 
 @dataclass(frozen=True)
 class ROPConfig:
-    """Task framing plus optimization knobs for the pair-scoring predictor."""
+    """Task framing plus optimization knobs for the pair-scoring predictor.
+
+    The rest is fixed: tokens embed their segment's box (``tokens_for_document``)
+    and the loss counts the diagonal as negative (``gp_loss``).
+    """
 
     task_level: str = "segment"
-    bbox_level: str = "segment"
     max_elements: int = 0  # 0 means the per-level default
     threshold: float = 0.0
     head_dim: int = 128
@@ -69,15 +72,12 @@ class ROPConfig:
     patience: int = 20
     batch_size: int = 20
     val_fraction: float = 0.1
-    include_diagonal_negatives: bool = True
     seed: int = 0
 
     def __post_init__(self):
         check_field_types(self)
         if self.task_level not in TASK_LEVELS:
             raise ValueError(f"unknown task_level {self.task_level!r}")
-        if self.bbox_level not in TASK_LEVELS:
-            raise ValueError(f"unknown bbox_level {self.bbox_level!r}")
         if self.max_elements < 0:
             raise ValueError("max_elements must be non-negative")
         if self.head_dim < 1:
@@ -101,24 +101,19 @@ class ROPConfig:
 
 
 def tokens_for_document(
-    doc: Document, task_level: str = "segment", bbox_level: str = "segment"
+    doc: Document, task_level: str = "segment"
 ) -> tuple[list[str], list[BBox], list[tuple[int, int]]]:
     """Flatten a document into (texts, boxes, element spans).
 
-    Tokens are the document's words in segment order. ``bbox_level`` selects
-    whether each token embeds its own box or its segment's box; ``task_level``
-    selects whether spans group tokens by segment or leave them one per word.
+    Tokens are the document's words in segment order, each embedding its
+    segment's box; ``task_level`` selects whether spans group tokens by
+    segment or leave them one per word.
     """
     if task_level not in TASK_LEVELS:
         raise ValueError(f"unknown task_level {task_level!r}")
-    if bbox_level not in TASK_LEVELS:
-        raise ValueError(f"unknown bbox_level {bbox_level!r}")
     words = doc.all_words()
     texts = [w.text for w in words]
-    if bbox_level == "word":
-        boxes = [w.box for w in words]
-    else:
-        boxes = [doc.segments[k].box for k in doc.word_segment_index()]
+    boxes = [doc.segments[k].box for k in doc.word_segment_index()]
     if task_level == "segment":
         spans = doc.word_spans()
     else:
@@ -287,20 +282,16 @@ class GlobalPointerHead:
         return out
 
 
-def gp_loss(
-    scores: Tensor,
-    labels: Union[Relation, Sequence[Relation]],
-    include_diagonal_negatives: bool = True,
-) -> Tensor:
+def gp_loss(scores: Tensor, labels: Union[Relation, Sequence[Relation]]) -> Tensor:
     """Class-imbalance-aware pair ranking loss with a closed-form gradient.
 
         loss = log(1 + sum over non-pairs of e^{s})
              + log(1 + sum over pairs of e^{-s})
 
-    Non-pairs run over all ordered (i, j) not labeled, including the diagonal
-    unless ``include_diagonal_negatives`` is off. The implicit 1 inside each
-    log acts as a zero-score anchor, so both terms vanish only when every
-    labeled score is far above zero and every other score far below.
+    Non-pairs run over all ordered (i, j) not labeled, the diagonal
+    included. The implicit 1 inside each log acts as a zero-score anchor,
+    so both terms vanish only when every labeled score is far above zero
+    and every other score far below.
 
     ``labels`` holds one relation per document and ``scores`` the documents'
     matrices in one (B, n, n) array, as ``GlobalPointerHead.scores`` gives
@@ -323,9 +314,6 @@ def gp_loss(
     cells = [(b, i, j) for b, rel in enumerate(labels) for i, j in rel.sorted_pairs()]
     pos[tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)] = True
     neg = ~pos if layout.mask is None else layout.mask & ~pos
-    if not include_diagonal_negatives:
-        diagonal = np.arange(s.shape[1])
-        neg[:, diagonal, diagonal] = False
     # -inf outside each term's cells; exp turns them into exact zeros.
     x_neg = np.where(neg, s, -np.inf)
     x_pos = np.where(pos, -s, -np.inf)
@@ -473,9 +461,9 @@ class ROPModel:
         """Decoded relation of one document, or one per document of a sequence
         (see ``decode_inputs``)."""
         one = isinstance(docs, Document)
-        framing = (self.config.task_level, self.config.bbox_level)
         docs = [docs] if one else docs
-        examples = [(tokens_for_document(doc, *framing),) for doc in docs]
+        level = self.config.task_level
+        examples = [(tokens_for_document(doc, level),) for doc in docs]
         relations = self.decode_inputs(examples)
         return relations[0] if one else relations
 
@@ -519,12 +507,28 @@ class ROPModel:
         return model
 
 
+# ``rop`` fields that every format-3 checkpoint written before their
+# retirement carries, each at the one value it ever took.
+RETIRED_ROP_FIELDS = {"bbox_level": "segment", "include_diagonal_negatives": True}
+
+
 def _config_section(cls, config: dict, name: str):
-    """The checkpoint config's section ``name`` as a ``cls`` instance."""
+    """The checkpoint config's section ``name`` as a ``cls`` instance; a
+    retired ``rop`` field is accepted at its one value and refused by name
+    at any other."""
     if not isinstance(config.get(name), dict):
         raise CheckpointError(f"config has no {name!r} section")
+    section = dict(config[name])
+    retired = RETIRED_ROP_FIELDS if name == "rop" else {}
+    for field, value in retired.items():
+        got = section.pop(field, value)
+        if type(got) is not type(value) or got != value:
+            raise CheckpointError(
+                f"config section 'rop': retired field {field} must be "
+                f"{json.dumps(value)}, got {json.dumps(got)}"
+            )
     try:
-        return cls(**config[name])
+        return cls(**section)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"config section {name!r}: {exc}") from None
 
@@ -693,7 +697,7 @@ def train(
 
     examples = [
         (
-            tokens_for_document(d, config.task_level, config.bbox_level),
+            tokens_for_document(d, config.task_level),
             target_relation(d, config.task_level),
         )
         for d in train_docs
@@ -704,7 +708,7 @@ def train(
 
     def batch_loss(batch: list) -> Tensor:
         inputs, labels = zip(*batch)
-        return gp_loss(model.scores(inputs), labels, config.include_diagonal_negatives)
+        return gp_loss(model.scores(inputs), labels)
 
     def validation_f1() -> float:
         return corpus_f1(zip(val_golds, model.predict(val_docs))).f1

@@ -89,26 +89,13 @@ def build_relation_matrix(
 # Bias parameters and the enhanced forward pass
 
 
-def _biased_layer_count(n_layers: int, bias_layers: Optional[int]) -> int:
-    """``bias_layers=None`` biases every layer; an integer k the first k."""
-    return n_layers if bias_layers is None else min(bias_layers, n_layers)
-
-
 def init_lambda_params(
-    store: ParameterStore,
-    n_layers: int,
-    bias_layers: Optional[int] = None,
-    init: float = 10.0,
+    store: ParameterStore, n_layers: int, init: float = 10.0
 ) -> list[Tensor]:
-    """One learnable scalar bias weight per biased layer.
-
-    ``bias_layers=None`` biases every layer; an integer k biases only the
-    first k (the near-converged preset pairs k=4 with init 0.1).
-    """
-    k = _biased_layer_count(n_layers, bias_layers)
+    """One learnable scalar bias weight per layer, each starting at ``init``."""
     return [
         store.add(f"{LAMBDA_PREFIX}{layer}", np.asarray(float(init)))
-        for layer in range(k)
+        for layer in range(n_layers)
     ]
 
 
@@ -145,48 +132,39 @@ class DemoConfig:
 
     The epoch cap is deliberately tight: the point of the comparison is
     sample efficiency under a fixed budget, and with enough epochs both
-    arms saturate the toy task and the contrast collapses to a tie.
+    arms saturate the toy task and the contrast collapses to a tie. The
+    biased arm adds each document's ``isdr`` matrix to every layer's
+    attention, scaled by a learnable weight that starts at 10. A ``gsdr``
+    bias is a pseudo corpus of closures under ``label_source="pseudo"``.
     """
 
     epochs: int = 10
     learning_rate: float = 1e-3
     batch_size: int = 20
     head_dim: int = 32
-    relation_kind: str = "isdr"  # which relation feeds the bias matrix
-    bias_layers: Optional[int] = None  # None biases all layers
-    lambda_init: float = 10.0
-    freeze_lambda: bool = False
     label_source: str = "ground_truth"  # or "pseudo"
     seed: int = 0
 
     def __post_init__(self):
         check_field_types(self)
-        if self.relation_kind not in MATRIX_KINDS:
-            raise ValueError(f"unknown relation_kind {self.relation_kind!r}")
         if self.label_source not in ("ground_truth", "pseudo"):
             raise ValueError(f"unknown label_source {self.label_source!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.head_dim < 1:
             raise ValueError("epochs, batch_size, and head_dim must be >= 1")
-        if self.bias_layers is not None and self.bias_layers < 0:
-            raise ValueError("bias_layers must be non-negative")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _prepare_examples(
-    docs: list[Document],
-    config: DemoConfig,
-    bias_relations: dict[str, Relation],
+    docs: list[Document], bias_relations: dict[str, Relation]
 ) -> list[tuple]:
     """(texts, boxes, spans), gold links and the float bias matrix per document."""
     examples = []
     for doc in docs:
         if doc.links is None:
             raise ValueError(f"document {doc.id} has no link labels")
-        inputs = tokens_for_document(doc, "segment", "segment")
-        matrix = build_relation_matrix(
-            bias_relations[doc.id], inputs[2], config.relation_kind
-        )
+        inputs = tokens_for_document(doc)
+        matrix = build_relation_matrix(bias_relations[doc.id], inputs[2])
         examples.append((inputs, doc.links, matrix.bits.astype(float)))
     return examples
 
@@ -211,14 +189,7 @@ def _train_linking_arm(
         if not str(exc).startswith("rop "):
             raise
         raise ValueError("demo " + str(exc).removeprefix("rop ")) from None
-    lambdas: list[Tensor] = []
-    if biased and config.freeze_lambda:
-        k = _biased_layer_count(encoder_config.layers, config.bias_layers)
-        lambdas = [Tensor(config.lambda_init) for _ in range(k)]
-    elif biased:
-        lambdas = init_lambda_params(
-            model.store, encoder_config.layers, config.bias_layers, config.lambda_init
-        )
+    lambdas = init_lambda_params(model.store, encoder_config.layers) if biased else []
 
     def bias(group: list) -> Optional[AttentionBias]:
         """The group's relation matrices, weighted by the arm's lambdas."""
@@ -288,8 +259,8 @@ def rore_demo_entity_linking(
         if rel is None:
             raise ValueError(f"document {doc_id} has no succession relation")
 
-    train_examples = _prepare_examples(train_docs, config, bias_relations)
-    test_examples = _prepare_examples(test_docs, config, bias_relations)
+    train_examples = _prepare_examples(train_docs, bias_relations)
+    test_examples = _prepare_examples(test_docs, bias_relations)
     vanilla = _train_linking_arm(
         train_examples, test_examples, encoder_config, config, biased=False
     )

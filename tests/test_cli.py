@@ -773,8 +773,6 @@ def test_checkpoint_structure_is_checked_at_load(tmp_path, capsys, corrupt, reas
          "bad EncoderConfig section: layers must be an integer, got 1.0"),
         ("demo-rore", {"demo": {"epochs": 1.5}},
          "bad DemoConfig section: epochs must be an integer, got 1.5"),
-        ("demo-rore", {"demo": {"bias_layers": 1.5}},
-         "bad DemoConfig section: bias_layers must be an integer, got 1.5"),
         ("demo-rore", {"demo": {"n_docs": "x"}},
          "bad demo section: n_docs must be an integer, got 'x'"),
         ("synth", {"synth": {"n_docs": 2.5}},
@@ -786,10 +784,38 @@ def test_checkpoint_structure_is_checked_at_load(tmp_path, capsys, corrupt, reas
          "got [2, 3, 4]"),
     ],
     ids=["rop-float", "rop-batch-float", "rop-bool", "encoder-float", "demo-float",
-         "demo-optional-float", "demo-n-docs", "synth-float", "synth-range-entry",
-         "synth-range-length"],
+         "demo-n-docs", "synth-float", "synth-range-entry", "synth-range-length"],
 )
 def test_config_counts_must_be_integers(tmp_path, capsys, command, sections, reason):
+    assert_config_refused(tmp_path, capsys, command, sections, reason)
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("rop", "bbox_level", "segment"),
+        ("rop", "include_diagonal_negatives", True),
+        ("demo", "relation_kind", "isdr"),
+        ("demo", "bias_layers", None),
+        ("demo", "lambda_init", 10.0),
+        ("demo", "freeze_lambda", False),
+    ],
+)
+def test_config_naming_a_retired_field_is_refused(
+    tmp_path, capsys, section, field, value
+):
+    # Even at the one value it ever took.
+    command = "train" if section == "rop" else "demo-rore"
+    cls = "ROPConfig" if section == "rop" else "DemoConfig"
+    reason = (
+        f"bad {cls} section: {cls}.__init__() got an unexpected keyword "
+        f"argument '{field}'"
+    )
+    assert_config_refused(tmp_path, capsys, command, {section: {field: value}}, reason)
+
+
+def assert_config_refused(tmp_path, capsys, command, sections, reason):
+    """``command`` run with the config ``sections`` exits 1 naming ``reason``."""
     argv = [command, "--config", str(write_config(tmp_path, sections))]
     if command == "train":
         corpus = write_corpus(tmp_path, n_docs=2)

@@ -58,7 +58,8 @@ def is_int(value):
 def has_type(value, annotation):
     """Whether ``value`` is of the field type ``annotation``: a float field
     takes a finite float or an int a float64 can hold, and a pair may be a
-    JSON list."""
+    JSON list. No field is a ``bool`` or an ``Optional[int]``; their rows
+    make a future one that ``check_field_types`` does not check fail here."""
     return {
         "int": is_int(value),
         "Optional[int]": value is None or is_int(value),

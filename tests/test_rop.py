@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import asdict, replace
@@ -15,10 +16,20 @@ from rorokit.autodiff import (
     layer_norm,
     softmax_lastdim,
 )
-from rorokit.layout import BBox, Corpus, Document, Segment, Word, derive_word_level
+from rorokit.cli import main
+from rorokit.layout import (
+    BBox,
+    Corpus,
+    Document,
+    Segment,
+    Word,
+    derive_word_level,
+    save_corpus,
+)
 from rorokit.metrics import corpus_f1
 from rorokit.nn import (
     AttentionBias,
+    CheckpointError,
     EncoderConfig,
     MissingGradientError,
     ParameterStore,
@@ -76,7 +87,7 @@ def test_config_round_trip():
     "kwargs",
     [
         {"task_level": "page"},
-        {"bbox_level": "line"},
+        {"patience": 0},
         {"max_elements": -1},
         {"epochs": 0},
         {"batch_size": 0},
@@ -94,7 +105,7 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_tokens_segment_level():
     doc = two_segment_doc()
-    texts, boxes, spans = tokens_for_document(doc, "segment", "segment")
+    texts, boxes, spans = tokens_for_document(doc, "segment")
     assert texts == ["alpha", "beta", "gamma"]
     assert boxes == [doc.segments[0].box, doc.segments[0].box, doc.segments[1].box]
     assert spans == [(0, 2), (2, 3)]
@@ -102,8 +113,8 @@ def test_tokens_segment_level():
 
 def test_tokens_word_level():
     doc = two_segment_doc()
-    texts, boxes, spans = tokens_for_document(doc, "word", "word")
-    assert boxes == [w.box for w in doc.all_words()]
+    texts, boxes, spans = tokens_for_document(doc, "word")
+    assert boxes == [doc.segments[0].box, doc.segments[0].box, doc.segments[1].box]
     assert spans == [(0, 1), (1, 2), (2, 3)]
 
 
@@ -195,15 +206,6 @@ def test_loss_saturates_when_separated():
     scores[0, 1] = 40.0
     got = gp_loss(Tensor(scores), Relation.from_pairs(2, [(0, 1)])).item()
     assert 0.0 <= got < 1e-12
-
-
-def test_loss_diagonal_exclusion():
-    labels = Relation.from_pairs(2, [(0, 1)])
-    got = gp_loss(
-        Tensor(np.zeros((2, 2))), labels, include_diagonal_negatives=False
-    ).item()
-    # Only (1, 0) remains negative: log(1+1) + log(1+1).
-    assert abs(got - 2 * math.log(2)) <= 1e-9
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -583,6 +585,55 @@ def test_model_round_trips_through_checkpoint(tmp_path):
     assert np.array_equal(loaded.scores(inputs).data, model.scores(inputs).data)
 
 
+# The rop keys that checkpoints written before their retirement carry.
+RETIRED_ROP_KEYS = {"bbox_level": "segment", "include_diagonal_negatives": True}
+
+
+def add_rop_keys(path, keys):
+    """Rewrite the checkpoint at ``path`` with ``keys`` in its rop section."""
+    checkpoint = json.loads(path.read_text())
+    checkpoint["config"]["rop"].update(keys)
+    path.write_text(json.dumps(checkpoint))
+
+
+def test_checkpoint_with_the_retired_rop_keys_loads(tmp_path):
+    corpus = chain_corpus(6)
+    model, _ = small_train(corpus, epochs=3, patience=3)
+    path = tmp_path / "model.json"
+    model.save(path)
+    add_rop_keys(path, RETIRED_ROP_KEYS)
+    loaded = ROPModel.load(path)
+    assert loaded.config == model.config
+    inputs = [tokens_for_document(doc) for doc in corpus.documents]
+    assert np.array_equal(loaded.scores(inputs).data, model.scores(inputs).data)
+    assert loaded.predict(corpus.documents) == model.predict(corpus.documents)
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [("bbox_level", "word", '"word"'), ("include_diagonal_negatives", False, "false")],
+)
+def test_checkpoint_with_a_retired_rop_key_at_another_value_is_refused(
+    tmp_path, capsys, field, value, shown
+):
+    path = tmp_path / "model.json"
+    rng = np.random.default_rng(0)
+    ROPModel.create(TINY_ENCODER, ROPConfig(head_dim=4), rng).save(path)
+    add_rop_keys(path, {**RETIRED_ROP_KEYS, field: value})
+    reason = (
+        f"{path}: config section 'rop': retired field {field} must be "
+        f"{json.dumps(RETIRED_ROP_KEYS[field])}, got {shown}"
+    )
+    with pytest.raises(CheckpointError) as refused:
+        ROPModel.load(path)
+    assert str(refused.value) == reason
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(chain_corpus(2), corpus)
+    assert main(["eval", str(corpus), "--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and reason in captured.err
+
+
 def test_pseudo_labels_match_gold_after_overfitting():
     corpus = chain_corpus(20)
     model, report = small_train(corpus)
@@ -697,8 +748,7 @@ def padded(blocks, fill=0.0):
 
 @pytest.mark.parametrize("max_tokens", [2048, 64])
 @pytest.mark.parametrize("bias_kind", [None, "trainable", "frozen"])
-@pytest.mark.parametrize("diagonal", [True, False])
-def test_packed_batch_matches_per_document_composite(max_tokens, bias_kind, diagonal):
+def test_packed_batch_matches_per_document_composite(max_tokens, bias_kind):
     # One forward packs all six documents whatever max_tokens is; under 64
     # they hold more tokens than the budget, which bounds each document only.
     model, docs = packed_batch(max_tokens)
@@ -709,13 +759,13 @@ def test_packed_batch_matches_per_document_composite(max_tokens, bias_kind, diag
         return AttentionBias(rho, lambdas) if lambdas is not None else None
 
     ref_scores = [reference_scores(model, *i, bias(r)) for i, r in zip(inputs, rhos)]
-    ref_loss = sum(
-        gp_loss(s, rel, diagonal) for s, rel in zip(ref_scores, labels)
-    ) * (1.0 / len(docs))
+    ref_loss = sum(gp_loss(s, rel) for s, rel in zip(ref_scores, labels)) * (
+        1.0 / len(docs)
+    )
     ref_grads = gradients(model, ref_loss)
 
     scores = model.scores(inputs, bias(rhos))
-    loss = gp_loss(scores, labels, diagonal)
+    loss = gp_loss(scores, labels)
     grads = gradients(model, loss)
 
     assert_close(loss.data, ref_loss.data, "loss")
@@ -771,12 +821,11 @@ def test_single_document_scores_are_bit_identical_to_the_composite():
         assert np.array_equal(got, reference_scores(model, *inputs).data[None])
 
 
-def formula_loss(block, rel, diagonal):
+def formula_loss(block, rel):
     """One document's gp_loss and score gradient, term by term from the
     docstring formula."""
     n = rel.element_count
-    neg = [(i, j) for i in range(n) for j in range(n)
-           if (i, j) not in rel.pairs and (diagonal or i != j)]
+    neg = [(i, j) for i in range(n) for j in range(n) if (i, j) not in rel.pairs]
     z_neg = 1.0 + sum(math.exp(block[c]) for c in neg)
     z_pos = 1.0 + sum(math.exp(-block[c]) for c in rel.pairs)
     grad = np.zeros((n, n))
@@ -795,15 +844,14 @@ RAGGED_LABELS = [
 ]
 
 
-@pytest.mark.parametrize("diagonal", [True, False])
-def test_ragged_pack_loss_matches_the_formula_per_document(diagonal):
+def test_ragged_pack_loss_matches_the_formula_per_document():
     rng = np.random.default_rng(11)
     blocks = [rng.normal(size=(r.element_count,) * 2) for r in RAGGED_LABELS]
     # The cells outside the documents' blocks take no part.
     scores = Tensor(padded(blocks, fill=50.0), requires_grad=True)
-    loss = gp_loss(scores, RAGGED_LABELS, diagonal)
+    loss = gp_loss(scores, RAGGED_LABELS)
     loss.backward()
-    terms = [formula_loss(b, r, diagonal) for b, r in zip(blocks, RAGGED_LABELS)]
+    terms = [formula_loss(b, r) for b, r in zip(blocks, RAGGED_LABELS)]
     want = sum(value for value, _ in terms) / len(terms)
     assert abs(loss.item() - want) <= 1e-12 * abs(want)
     want_grad = padded([g for _, g in terms]) / len(terms)
@@ -961,7 +1009,7 @@ def mixed_pages(batch_size, max_tokens):
 
 def document_scores(model, page):
     """One page's (n, n) scores from a forward over it alone."""
-    inputs = tokens_for_document(page, model.config.task_level, model.config.bbox_level)
+    inputs = tokens_for_document(page, model.config.task_level)
     n = len(inputs[2])
     return model.scores([inputs]).data.reshape(n, n)
 

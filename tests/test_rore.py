@@ -13,7 +13,8 @@ from rorokit.nn import (
     encoder_forward,
     init_encoder_params,
 )
-from rorokit.relations import CycleError, Relation
+from rorokit import rore
+from rorokit.relations import CycleError, Relation, transitive_closure
 from rorokit.rop import GlobalPointerHead, ROPConfig, ROPModel, pool_elements
 from rorokit.rore import (
     DemoConfig,
@@ -189,11 +190,11 @@ def test_lambda_gradient_flows_through_bias():
 
 def test_lambda_param_layout():
     store = ParameterStore()
-    created = init_lambda_params(store, 6, bias_layers=4, init=0.1)
-    assert len(created) == 4
+    created = init_lambda_params(store, 6, init=0.1)
+    assert len(created) == 6
     assert all(float(t.data) == 0.1 for t in created)
-    by_layer = lambda_params(store, 6)
-    assert [t is not None for t in by_layer] == [True] * 4 + [False] * 2
+    assert all(t is c for t, c in zip(lambda_params(store, 6), created))
+    assert lambda_params(ParameterStore(), 2) == [None, None]
 
 
 @pytest.mark.parametrize("init", [0.5, 0.0])
@@ -227,12 +228,21 @@ def test_demo_biased_arm_wins_under_tight_budget():
     assert set(out["arms"]) == {"vanilla", "rore"}
 
 
-def test_demo_frozen_zero_lambda_is_identical_computation():
+def relabeled(corpus, relation):
+    """``corpus`` with each document's ``isdr`` replaced by ``relation(doc)``."""
+    documents = tuple(replace(d, isdr=relation(d)) for d in corpus.documents)
+    return Corpus(documents, dict(corpus.split))
+
+
+def test_demo_empty_bias_relation_is_identical_computation():
+    # An empty relation gives a zero bias matrix, which the learnable
+    # lambdas scale to nothing: the biased arm computes what vanilla does.
     corpus = synth_forms(24, seed=1)
-    cfg = DemoConfig(epochs=3, lambda_init=0.0, freeze_lambda=True, seed=3)
-    out = rore_demo_entity_linking(corpus, cfg)
+    empty = relabeled(corpus, lambda d: Relation(d.n_segments, ()))
+    cfg = DemoConfig(epochs=3, label_source="pseudo", seed=3)
+    out = rore_demo_entity_linking(corpus, cfg, pseudo_corpus=empty)
     assert out["f1_rore"] == out["f1_vanilla"]
-    assert out["arms"]["vanilla"]["final_loss"] == out["arms"]["rore"]["final_loss"]
+    assert out["arms"]["vanilla"] == out["arms"]["rore"]
 
 
 def test_demo_is_deterministic():
@@ -243,9 +253,16 @@ def test_demo_is_deterministic():
     assert first == second
 
 
-def test_demo_gsdr_bias_runs():
+def test_demo_gsdr_bias_is_a_pseudo_corpus_of_closures():
     corpus = synth_forms(20, seed=3)
-    out = rore_demo_entity_linking(corpus, DemoConfig(epochs=2, relation_kind="gsdr"))
+    closures = relabeled(corpus, lambda d: transitive_closure(d.isdr))
+    bias_relations = {d.id: d.isdr for d in closures.documents}
+    examples = rore._prepare_examples(corpus.documents, bias_relations)
+    for doc, (inputs, _, rho) in zip(corpus.documents, examples):
+        gsdr = build_relation_matrix(doc.isdr, inputs[2], "gsdr")
+        assert np.array_equal(rho, gsdr.bits)
+    cfg = DemoConfig(epochs=2, label_source="pseudo")
+    out = rore_demo_entity_linking(corpus, cfg, pseudo_corpus=closures)
     assert 0.0 <= out["f1_rore"] <= 1.0
 
 
@@ -278,10 +295,8 @@ def test_demo_pseudo_source_needs_matching_corpus():
 
 def test_demo_config_validation():
     with pytest.raises(ValueError):
-        DemoConfig(relation_kind="closure")
-    with pytest.raises(ValueError):
         DemoConfig(label_source="oracle")
     with pytest.raises(ValueError):
         DemoConfig(epochs=0)
-    cfg = DemoConfig(bias_layers=4, lambda_init=0.1)
+    cfg = DemoConfig(head_dim=8, label_source="pseudo")
     assert DemoConfig(**asdict(cfg)) == cfg
