@@ -289,32 +289,33 @@ def embed(
     return gather_rows(tables, [ids, *buckets.T])
 
 
-@dataclass
 class AttentionBias:
     """Binary token-pair matrices with one learnable scalar weight per layer.
 
     ``rho`` holds one square {0, 1} matrix per document of a packed input;
     a single matrix stands for one document. ``lambdas[l]`` is the weight
-    applied at layer ``l``; ``None`` entries leave that layer's attention
-    untouched.
+    applied at layer ``l``, one for each layer the bias is used at. The
+    blocks are laid out once: ``sizes`` holds their sizes and ``padded``
+    the blocks as one float64 (B, 1, n, n) array, zero outside them, which
+    every layer adds to its logits.
     """
 
-    rho: Union[np.ndarray, Sequence[np.ndarray]]
-    lambdas: Sequence[Optional[Tensor]]
-
-    def __post_init__(self):
-        blocks = [self.rho] if isinstance(self.rho, np.ndarray) else self.rho
-        self.rho = tuple(np.asarray(r, dtype=np.float64) for r in blocks)
-        for r in self.rho:
-            if r.ndim != 2 or r.shape[0] != r.shape[1]:
-                raise ValueError("rho must be a square matrix")
-            if not ((r == 0.0) | (r == 1.0)).all():
-                raise ValueError("rho entries must be 0 or 1")
-
-    def lambda_at(self, layer: int) -> Optional[Tensor]:
-        if layer >= len(self.lambdas):
-            return None
-        return self.lambdas[layer]
+    def __init__(
+        self, rho: Union[np.ndarray, Sequence[np.ndarray]], lambdas: Sequence[Tensor]
+    ):
+        blocks = [rho] if isinstance(rho, np.ndarray) else [np.asarray(r) for r in rho]
+        if any(r.ndim != 2 or r.shape[0] != r.shape[1] for r in blocks):
+            raise ValueError("rho must be a square matrix")
+        if not all(isinstance(lam, Tensor) for lam in lambdas):
+            raise TypeError("lambdas must hold one Tensor per layer")
+        self.lambdas = list(lambdas)
+        self.sizes = tuple(len(r) for r in blocks)
+        n = max(self.sizes)
+        self.padded = np.zeros((len(blocks), 1, n, n))
+        for b, r in enumerate(blocks):
+            self.padded[b, 0, : len(r), : len(r)] = r
+        if not ((self.padded == 0.0) | (self.padded == 1.0)).all():
+            raise ValueError("rho entries must be 0 or 1")
 
 
 class Padding:
@@ -389,12 +390,14 @@ def attention_weights(
         layout = Padding([n])
     lam = None
     if bias is not None:
-        if [r.shape for r in bias.rho] != [(m, m) for m in layout.counts]:
+        if bias.sizes != layout.counts:
             raise ValueError(
-                f"bias matrices are {[r.shape for r in bias.rho]}, expected "
-                f"{[(m, m) for m in layout.counts]}"
+                f"bias blocks are {list(bias.sizes)} tokens wide, expected "
+                f"{list(layout.counts)}"
             )
-        lam = bias.lambda_at(layer)
+        if layer >= len(bias.lambdas):
+            raise ValueError(f"bias has no lambda for layer {layer}")
+        lam, rho = bias.lambdas[layer], bias.padded
     qh = _split_heads(layout, q.data, heads)
     kh = _split_heads(layout, k.data, heads)
     scale = 1.0 / np.sqrt(d // heads)
@@ -402,8 +405,6 @@ def attention_weights(
     if lam is not None:
         # The biased logit is (q.k + lambda*rho) / sqrt(d_k): the bias
         # term shares the scaling divisor.
-        blocks = np.concatenate([r.reshape(-1) for r in bias.rho])
-        rho = Padding(layout.counts, pairs=True).pad(blocks)[:, None]
         logits = logits + lam.data * rho
     logits = logits * scale
     if layout.mask is not None:
@@ -477,6 +478,8 @@ def encoder_forward(
     """
     if len(tokens) != len(boxes):
         raise ValueError("tokens and boxes must align")
+    if bias is not None and len(bias.lambdas) != config.layers:
+        raise ValueError(f"bias has {len(bias.lambdas)} lambdas for {config.layers} layers")
     lengths = [len(tokens)] if lengths is None else list(lengths)
     x = embed(config, params, list(zip(tokens, boxes)), lengths)
     layout = Padding(lengths)

@@ -99,10 +99,10 @@ def init_lambda_params(
     ]
 
 
-def lambda_params(store: ParameterStore, n_layers: int) -> list[Optional[Tensor]]:
-    """Stored bias weights by layer; None where a layer has none."""
-    names = [f"{LAMBDA_PREFIX}{layer}" for layer in range(n_layers)]
-    return [store[n] if n in store else None for n in names]
+def lambda_params(store: ParameterStore, n_layers: int) -> list[Tensor]:
+    """Stored bias weights by layer; a missing one raises ``ParameterError``
+    naming it."""
+    return [store[f"{LAMBDA_PREFIX}{layer}"] for layer in range(n_layers)]
 
 
 def enhanced_encode(
@@ -113,12 +113,7 @@ def enhanced_encode(
     params: ParameterStore,
 ) -> Tensor:
     """Encoder forward pass with the relation matrix biasing attention."""
-    lambdas = lambda_params(params, encoder_config.layers)
-    if encoder_config.layers and all(lam is None for lam in lambdas):
-        raise ValueError(
-            "no bias weights in the parameter store; call init_lambda_params first"
-        )
-    bias = AttentionBias([matrix.bits.astype(float)], lambdas)
+    bias = AttentionBias(matrix.bits, lambda_params(params, encoder_config.layers))
     return encoder_forward(encoder_config, params, tokens, boxes, bias=bias)
 
 
@@ -158,14 +153,14 @@ class DemoConfig:
 def _prepare_examples(
     docs: list[Document], bias_relations: dict[str, Relation]
 ) -> list[tuple]:
-    """(texts, boxes, spans), gold links and the float bias matrix per document."""
+    """(texts, boxes, spans), gold links and the uint8 bias matrix per document."""
     examples = []
     for doc in docs:
         if doc.links is None:
             raise ValueError(f"document {doc.id} has no link labels")
         inputs = tokens_for_document(doc)
         matrix = build_relation_matrix(bias_relations[doc.id], inputs[2])
-        examples.append((inputs, doc.links, matrix.bits.astype(float)))
+        examples.append((inputs, doc.links, matrix.bits))
     return examples
 
 

@@ -344,20 +344,31 @@ def test_zero_lambda_matches_vanilla_exactly():
     assert np.abs(plain.data - biased.data).max() <= 1e-12
 
 
-def test_none_lambda_layer_is_untouched():
+def test_bias_refuses_a_none_lambda():
+    rho = np.ones((4, 4)) - np.eye(4)
+    with pytest.raises(TypeError, match="one Tensor per layer"):
+        AttentionBias(rho, [None, Tensor(np.array(5.0))])
+
+
+def test_bias_refuses_a_layer_without_lambda():
     rng = np.random.default_rng(4)
     q = Tensor(rng.normal(size=(4, 4)))
     k = Tensor(rng.normal(size=(4, 4)))
-    bias = AttentionBias(np.ones((4, 4)) - np.eye(4), [None, Tensor(np.array(5.0))])
-    assert np.array_equal(
-        attention_weights(q, k, 2, bias, layer=0).data,
-        attention_weights(q, k, 2).data,
-    )
-    # Past the configured list, no bias applies either.
-    assert np.array_equal(
-        attention_weights(q, k, 2, bias, layer=7).data,
-        attention_weights(q, k, 2).data,
-    )
+    bias = AttentionBias(np.ones((4, 4)) - np.eye(4), [Tensor(np.array(5.0))])
+    attention_weights(q, k, 2, bias, layer=0)
+    with pytest.raises(ValueError, match="no lambda for layer 1"):
+        attention_weights(q, k, 2, bias, layer=1)
+
+
+@pytest.mark.parametrize("n_lambdas", [1, 3])
+def test_encoder_refuses_a_bias_without_one_lambda_per_layer(n_lambdas):
+    cfg = EncoderConfig(layers=2, model_dim=8, heads=2, vocab_hash_size=16)
+    store = init_encoder_params(cfg, seed=0)
+    texts, bxs = tiny_inputs(3)
+    lambdas = [Tensor(np.array(1.0)) for _ in range(n_lambdas)]
+    bias = AttentionBias(np.zeros((3, 3)), lambdas)
+    with pytest.raises(ValueError, match=f"{n_lambdas} lambdas for 2 layers"):
+        encoder_forward(cfg, store, texts, bxs, bias=bias)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
@@ -393,13 +404,16 @@ def test_attention_shape_errors():
         attention_weights(q, Tensor(np.zeros((2, 4))), heads=2)
     with pytest.raises(ValueError):
         attention(q, q, Tensor(np.zeros((2, 4))), 2, None, 0, Padding([3]))
-    bad_bias = AttentionBias(np.zeros((2, 2)), [Tensor(np.array(1.0))])
-    with pytest.raises(ValueError):
+    lam = Tensor(np.array(1.0))
+    bad_bias = AttentionBias(np.zeros((2, 2)), [lam])
+    with pytest.raises(ValueError, match=r"bias blocks are \[2\] tokens wide"):
         attention_weights(q, q, heads=2, bias=bad_bias)
-    with pytest.raises(ValueError):
-        AttentionBias(np.full((2, 2), 0.5), [None])
+    with pytest.raises(ValueError, match="0 or 1"):
+        AttentionBias(np.full((2, 2), 0.5), [lam])
+    with pytest.raises(ValueError, match="0 or 1"):
+        AttentionBias([np.zeros((3, 3)), np.full((2, 2), 2, dtype=np.uint8)], [lam])
     with pytest.raises(ValueError, match="square"):
-        AttentionBias(np.zeros((2, 3)), [None])
+        AttentionBias(np.zeros((2, 3)), [lam])
 
 
 # --- encoder ---
@@ -437,7 +451,7 @@ def test_encoder_bias_dimension_checked():
     store = init_encoder_params(SMALL, seed=0)
     texts, bxs = tiny_inputs(3)
     bias = AttentionBias(np.zeros((2, 2)), [Tensor(np.array(1.0))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bias blocks"):
         encoder_forward(SMALL, store, texts, bxs, bias=bias)
 
 

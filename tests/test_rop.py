@@ -50,7 +50,7 @@ from rorokit.rop import (
     train,
 )
 from rorokit.relations import Relation, is_acyclic
-from rorokit.rore import init_lambda_params
+from rorokit.rore import build_relation_matrix, init_lambda_params
 from rorokit.synth import SynthConfig, synth_generate
 
 TINY_ENCODER = EncoderConfig(layers=1, model_dim=8, heads=2, ffn_dim=16)
@@ -652,8 +652,9 @@ def test_pseudo_labels_match_gold_after_overfitting():
 PACK_ENCODER = EncoderConfig(layers=2, model_dim=8, heads=2, ffn_dim=16)
 
 
-def reference_scores(model, texts, boxes, spans, bias=None):
-    """One document's (n, n) scores from primitive Tensor ops only.
+def reference_scores(model, texts, boxes, spans, rho=None, lambdas=None):
+    """One document's (n, n) scores from primitive Tensor ops only, its
+    attention biased by ``lambdas[layer] * rho`` when ``lambdas`` is given.
 
     This is the per-document composite the packed forward replaces:
     unfused projections, per-head reshapes and a dense pooling matmul.
@@ -673,9 +674,8 @@ def reference_scores(model, texts, boxes, spans, bias=None):
         k = h @ p[b + "attn.Wk"]
         v = h @ p[b + "attn.Wv"] + p[b + "attn.bv"]
         logits = heads(q) @ heads(k).transpose(0, 2, 1)
-        lam = bias.lambda_at(layer) if bias is not None else None
-        if lam is not None:
-            logits = logits + lam * Tensor(bias.rho[0])
+        if lambdas is not None:
+            logits = logits + lambdas[layer] * Tensor(rho)
         weights = softmax_lastdim(logits * (1.0 / np.sqrt(dk)))
         mixed = (weights @ heads(v)).transpose(1, 0, 2).reshape(n, d)
         x = x + mixed @ p[b + "attn.Wo"] + p[b + "attn.bo"]
@@ -715,9 +715,17 @@ def packed_batch(max_tokens=2048, lengths=(2, 60, 5, 2, 60, 17)):
 
 
 def lambdas_for(model, kind):
-    if kind == "trainable":
+    if kind in ("trainable", "bits"):
         return init_lambda_params(model.store, model.encoder_config.layers, init=0.7)
     return [Tensor(0.7) for _ in range(model.encoder_config.layers)]
+
+
+def with_bias_blocks(docs, bias_kind):
+    """The documents, their random float blocks swapped for the uint8
+    ``RelationMatrix.bits`` of their labels when ``bias_kind`` is "bits"."""
+    if bias_kind != "bits":
+        return docs
+    return [(i, rel, build_relation_matrix(rel, i[2]).bits) for i, rel, _ in docs]
 
 
 def gradients(model, loss):
@@ -747,18 +755,18 @@ def padded(blocks, fill=0.0):
 
 
 @pytest.mark.parametrize("max_tokens", [2048, 64])
-@pytest.mark.parametrize("bias_kind", [None, "trainable", "frozen"])
+@pytest.mark.parametrize("bias_kind", [None, "trainable", "frozen", "bits"])
 def test_packed_batch_matches_per_document_composite(max_tokens, bias_kind):
     # One forward packs all six documents whatever max_tokens is; under 64
     # they hold more tokens than the budget, which bounds each document only.
     model, docs = packed_batch(max_tokens)
     lambdas = lambdas_for(model, bias_kind) if bias_kind else None
-    inputs, labels, rhos = zip(*docs)
+    inputs, labels, rhos = zip(*with_bias_blocks(docs, bias_kind))
 
-    def bias(rho):
-        return AttentionBias(rho, lambdas) if lambdas is not None else None
+    def bias(blocks):
+        return AttentionBias(blocks, lambdas) if lambdas is not None else None
 
-    ref_scores = [reference_scores(model, *i, bias(r)) for i, r in zip(inputs, rhos)]
+    ref_scores = [reference_scores(model, *i, r, lambdas) for i, r in zip(inputs, rhos)]
     ref_loss = sum(gp_loss(s, rel) for s, rel in zip(ref_scores, labels)) * (
         1.0 / len(docs)
     )
@@ -773,10 +781,17 @@ def test_packed_batch_matches_per_document_composite(max_tokens, bias_kind):
     assert scores.shape == want.shape
     assert_close(scores.data, want, "scores")
     assert grads.keys() == ref_grads.keys()
-    if bias_kind == "trainable":
+    if bias_kind in ("trainable", "bits"):
         assert any(name.startswith("rore.lambda.") for name in grads)
     for name, want_grad in ref_grads.items():
         assert_close(grads[name], want_grad, name)
+    if bias_kind == "bits":
+        # The ragged pack scores and differentiates its uint8 blocks
+        # bit-identically to float64 copies of them.
+        as_float = model.scores(inputs, bias([r.astype(float) for r in rhos]))
+        assert np.array_equal(as_float.data, scores.data)
+        float_grads = gradients(model, gp_loss(as_float, labels))
+        assert all(np.array_equal(float_grads[n], g) for n, g in grads.items())
 
 
 def test_every_stored_parameter_has_a_gradient():
@@ -1080,9 +1095,10 @@ def test_packed_and_per_document_predictions_differ_only_at_the_threshold():
     assert any(flips)
 
 
-@pytest.mark.parametrize("bias_kind", [None, "trainable", "frozen"])
+@pytest.mark.parametrize("bias_kind", [None, "trainable", "frozen", "bits"])
 def test_grouped_link_prediction_matches_per_document(monkeypatch, bias_kind):
     model, docs = packed_batch(64, MIXED_LENGTHS)
+    docs = with_bias_blocks(docs, bias_kind)
     model = replace(model, config=replace(model.config, batch_size=3))
     lambdas = lambdas_for(model, bias_kind) if bias_kind else None
 
@@ -1095,12 +1111,13 @@ def test_grouped_link_prediction_matches_per_document(monkeypatch, bias_kind):
         inputs = doc[0]
         scores = model.scores([inputs], bias([doc])).data
         want.append(decode(scores.reshape(len(inputs[2]), -1)))
+    original = ROPModel.scores
     groups = record_groups(monkeypatch)
-    biases = []
+    calls = []
     recording = ROPModel.scores
 
     def keep_bias(self, inputs, bias=None):
-        biases.append(bias)
+        calls.append((inputs, bias))
         return recording(self, inputs, bias)
 
     # A random model's scores move by about 1e-6 under this bias, too little
@@ -1108,11 +1125,20 @@ def test_grouped_link_prediction_matches_per_document(monkeypatch, bias_kind):
     monkeypatch.setattr(ROPModel, "scores", keep_bias)
     assert model.decode_inputs(docs, bias) == want
     if lambdas is None:
-        assert biases == [None] * len(groups)
+        assert [b for _, b in calls] == [None] * len(groups)
     else:
-        rhos = [rho for b in biases for rho in b.rho]
-        assert all(np.array_equal(r, d[2]) for r, d in zip(rhos, docs))
-        assert len(rhos) == len(docs)
+        start = 0
+        for inputs, b in calls:
+            blocks = [d[2] for d in docs[start : start + len(inputs)]]
+            start += len(inputs)
+            assert np.array_equal(b.padded[:, 0], padded(blocks))
+            if bias_kind == "bits":
+                # The ragged group scores its uint8 blocks bit-identically
+                # to float64 copies of them.
+                as_float = AttentionBias([r.astype(float) for r in blocks], lambdas)
+                got = original(model, inputs, as_float).data
+                assert np.array_equal(got, original(model, inputs, b).data)
+        assert start == len(docs)
     assert sum(len(g) for g in groups) == len(docs)
     assert all(len(g) <= 3 and sum(g) <= 64 for g in groups)
     assert len(groups) == 8  # as in the (3, 64) predict case above

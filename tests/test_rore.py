@@ -9,6 +9,7 @@ from rorokit.layout import BBox, Corpus
 from rorokit.nn import (
     AttentionBias,
     EncoderConfig,
+    ParameterError,
     ParameterStore,
     encoder_forward,
     init_encoder_params,
@@ -164,7 +165,7 @@ def test_enhanced_encode_requires_lambda_params():
     texts, boxes = tiny_inputs()
     store = init_encoder_params(SMALL_ENCODER, seed=0)
     matrix = RelationMatrix(3, np.zeros((3, 3), dtype=np.uint8), "isdr")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="rore.lambda.0"):
         enhanced_encode(texts, boxes, matrix, SMALL_ENCODER, store)
 
 
@@ -194,7 +195,10 @@ def test_lambda_param_layout():
     assert len(created) == 6
     assert all(float(t.data) == 0.1 for t in created)
     assert all(t is c for t, c in zip(lambda_params(store, 6), created))
-    assert lambda_params(ParameterStore(), 2) == [None, None]
+    with pytest.raises(ParameterError, match="rore.lambda.0"):
+        lambda_params(ParameterStore(), 2)
+    with pytest.raises(ParameterError, match="rore.lambda.6"):
+        lambda_params(store, 7)
 
 
 @pytest.mark.parametrize("init", [0.5, 0.0])
